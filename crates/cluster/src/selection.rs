@@ -10,7 +10,7 @@
 use hiermeans_linalg::distance::{pairwise, Metric};
 use hiermeans_linalg::{LinalgError, Matrix};
 
-use crate::validity::{silhouette_from_distances, wcss_from_distances};
+use crate::validity::{wcss_from_distances, CellDistances};
 use crate::{ClusterError, Dendrogram};
 
 /// Picks `k` by the largest gap between consecutive merge distances within
@@ -74,25 +74,60 @@ pub fn elbow_k(
 }
 
 /// Picks `k` maximizing the silhouette of the dendrogram's cuts over
-/// `points`, breaking ties toward fewer clusters.
+/// `points`, breaking ties toward fewer clusters: the first `k` of
+/// [`silhouette_sweep`] whose score beats every smaller `k` by more than
+/// `1e-12`.
 ///
 /// Every `k` in the range is evaluated, including `k = n`, where every
 /// cluster is a singleton and the silhouette is 0 by convention — so the
 /// all-singleton cut wins only when every coarser cut has a negative
 /// silhouette.
 ///
-/// The pairwise distances are computed **once** and every cut is scored
-/// through [`silhouette_from_distances`]; a sweep over `m` candidate counts
-/// costs one `O(n²·dim)` distance pass instead of `m` of them.
+/// The sweep groups the rows into their `U` distinct cells once, so
+/// scoring `m` counts costs `O(U²·dim + m·(U + k_max)·n)`, and every
+/// per-`k` score is bit-identical to [`crate::validity::silhouette`].
 ///
 /// # Errors
 ///
-/// Propagates cut and silhouette errors; the range must fit `2..=n`.
+/// Same as [`silhouette_sweep`].
 pub fn silhouette_k(
     dendrogram: &Dendrogram,
     points: &Matrix,
     k_range: std::ops::RangeInclusive<usize>,
 ) -> Result<usize, ClusterError> {
+    let lo = *k_range.start();
+    let mut best = (lo, f64::NEG_INFINITY);
+    for (k, s) in silhouette_sweep(dendrogram, points, k_range)? {
+        if s > best.1 + 1e-12 {
+            best = (k, s);
+        }
+    }
+    Ok(best.0)
+}
+
+/// The mean silhouette of the dendrogram's cut into each `k` of `k_range`
+/// over `points`, as `(k, silhouette)` pairs in ascending `k` (a cut with
+/// fewer than two clusters, which a well-formed dendrogram never yields
+/// for `k ≥ 2`, is left out).
+///
+/// Each value is bit-identical to [`crate::validity::silhouette`] of that
+/// cut. The rows are grouped into the `U` distinct rows they occupy (at
+/// most the number of map cells for SOM positions) and the `U × U`
+/// cell-distance table is built once, so a sweep over `m` counts up to
+/// `k_max` costs `O(U²·dim + m·(U + k_max)·n)` time and
+/// `O(U² + k_max·U)` memory instead of `m·n²` distance evaluations.
+///
+/// # Errors
+///
+/// * [`ClusterError::InvalidClusterCount`] if the range is empty or out of
+///   `2..=n` for a dendrogram of `n` leaves.
+/// * [`ClusterError::InvalidLabels`] if `points` does not have `n` rows.
+/// * [`ClusterError::Linalg`] for distance failures.
+pub fn silhouette_sweep(
+    dendrogram: &Dendrogram,
+    points: &Matrix,
+    k_range: std::ops::RangeInclusive<usize>,
+) -> Result<Vec<(usize, f64)>, ClusterError> {
     let n = dendrogram.n_leaves();
     let (lo, hi) = (*k_range.start(), *k_range.end());
     if lo < 2 || hi > n || lo > hi {
@@ -101,19 +136,21 @@ pub fn silhouette_k(
             points: n,
         });
     }
-    let dist = pairwise(points, Metric::Euclidean)?;
-    let mut best = (lo, f64::NEG_INFINITY);
+    if points.nrows() != n {
+        return Err(ClusterError::InvalidLabels {
+            reason: "points row count differs from dendrogram leaves",
+        });
+    }
+    let cells = CellDistances::new(points)?;
+    let mut sums = Vec::new();
+    let mut scores = Vec::with_capacity(hi - lo + 1);
     for k in lo..=hi {
         let cut = dendrogram.cut_into(k)?;
-        if cut.n_clusters() < 2 {
-            continue;
-        }
-        let s = silhouette_from_distances(&dist, &cut)?;
-        if s > best.1 + 1e-12 {
-            best = (k, s);
+        if cut.n_clusters() >= 2 {
+            scores.push((k, cells.silhouette(&cut, &mut sums)));
         }
     }
-    Ok(best.0)
+    Ok(scores)
 }
 
 /// Picks `k` with the gap statistic (Tibshirani et al. 2001): compare the

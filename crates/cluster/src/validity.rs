@@ -5,16 +5,39 @@
 //! provide the quantitative counterpart used by the suite-analysis facade to
 //! recommend a cluster count, and by the ablation benches.
 
-use hiermeans_linalg::distance::Metric;
+use std::collections::HashMap;
+
+use hiermeans_linalg::distance::{pairwise, Metric};
 use hiermeans_linalg::Matrix;
 
 use crate::{ClusterAssignment, ClusterError};
+
+// The per-pair reference silhouettes the cell kernel must match bit for
+// bit. The file lives with the integration tests, which include it too.
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
 
 /// Mean silhouette coefficient over all points, in `[-1, 1]` (higher is
 /// better separation).
 ///
 /// Points in singleton clusters contribute a silhouette of 0, following the
 /// usual convention.
+///
+/// Rows are first grouped into the `U` distinct rows they occupy (map
+/// cells, for SOM positions), so the cost is `O(U²·dim + (U + k)·n)` time
+/// and `O(U² + k·U)` memory rather than `n²` distance evaluations. For
+/// every cluster `c` and cell `u` the distances from `u` to the members of
+/// `c` are summed in ascending row order, and each row reads its `a(i)`
+/// and `b(i)` from its cell. For finite coordinates that is bit-identical
+/// to the textbook loop `a(i) = Σ_{j ∈ own, j ≠ i} d(i, j) / (|own| − 1)`:
+///
+/// * rows are grouped by exact bit pattern, so every row of a cell is at
+///   the same distance from any other row as the cell's representative;
+/// * members are added in the same ascending order;
+/// * the self term the textbook loop skips is `d(i, i) = +0.0`, and adding
+///   `+0.0` to a non-negative running sum changes no bit;
+/// * the final `total += (b − a) / max(a, b)` still runs in row order.
 ///
 /// # Errors
 ///
@@ -45,114 +68,81 @@ pub fn silhouette(points: &Matrix, assignment: &ClusterAssignment) -> Result<f64
             reason: "silhouette requires at least two clusters",
         });
     }
-    let n = points.nrows();
-    let clusters = assignment.clusters();
-    let labels = assignment.labels();
-    let mut total = 0.0;
-    for i in 0..n {
-        let own = &clusters[labels[i]];
-        if own.len() == 1 {
-            continue; // silhouette 0 by convention
-        }
-        // a(i): mean distance to own cluster (excluding self).
-        let mut a = 0.0;
-        for &j in own {
-            if j != i {
-                a += Metric::Euclidean.distance(points.row(i), points.row(j))?;
-            }
-        }
-        a /= (own.len() - 1) as f64;
-        // b(i): min over other clusters of mean distance.
-        let mut b = f64::INFINITY;
-        for (c, members) in clusters.iter().enumerate() {
-            if c == labels[i] {
-                continue;
-            }
-            let mut m = 0.0;
-            for &j in members {
-                m += Metric::Euclidean.distance(points.row(i), points.row(j))?;
-            }
-            m /= members.len() as f64;
-            b = b.min(m);
-        }
-        let denom = a.max(b);
-        if denom > 0.0 {
-            total += (b - a) / denom;
-        }
-    }
-    Ok(total / n as f64)
+    Ok(CellDistances::new(points)?.silhouette(assignment, &mut Vec::new()))
 }
 
-/// [`silhouette`] over a precomputed distance matrix.
-///
-/// Numerically identical to [`silhouette`] with Euclidean distances when
-/// `dist` is the Euclidean pairwise matrix (the summation order matches
-/// member-list order exactly), but lets sweeps such as
-/// [`crate::selection::silhouette_k`] compute the n² distances once
-/// instead of once per candidate k.
-///
-/// # Errors
-///
-/// * [`ClusterError::InvalidLabels`] if the assignment length differs from
-///   the matrix size or there are fewer than 2 clusters.
-/// * [`ClusterError::InvalidDistanceMatrix`] if `dist` is not square.
-pub fn silhouette_from_distances(
-    dist: &Matrix,
-    assignment: &ClusterAssignment,
-) -> Result<f64, ClusterError> {
-    let (r, c) = dist.shape();
-    if r == 0 {
-        return Err(ClusterError::EmptyInput);
+/// The distinct rows ("occupied cells") of a point set and the Euclidean
+/// distances between them: the kernel behind [`silhouette`] and
+/// [`crate::selection::silhouette_sweep`], which builds it once per sweep
+/// and scores every cut from it.
+pub(crate) struct CellDistances {
+    /// The cell of each row, numbered in order of first appearance.
+    cell_of_row: Vec<usize>,
+    /// `U × U` Euclidean distances between the cells' representative rows.
+    table: Matrix,
+}
+
+impl CellDistances {
+    /// Groups `points` into cells and computes the cell-distance table.
+    pub(crate) fn new(points: &Matrix) -> Result<Self, ClusterError> {
+        let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut representatives = Vec::new();
+        let cell_of_row = (0..points.nrows())
+            .map(|i| {
+                let row = points.row(i);
+                let next = index.len();
+                *index
+                    .entry(row.iter().map(|x| x.to_bits()).collect())
+                    .or_insert_with(|| {
+                        representatives.extend_from_slice(row);
+                        next
+                    })
+            })
+            .collect();
+        let representatives = Matrix::from_vec(index.len(), points.ncols(), representatives)?;
+        Ok(CellDistances {
+            cell_of_row,
+            table: pairwise(&representatives, Metric::Euclidean)?,
+        })
     }
-    if r != c {
-        return Err(ClusterError::InvalidDistanceMatrix {
-            reason: "matrix is not square",
-        });
-    }
-    if r != assignment.len() {
-        return Err(ClusterError::InvalidLabels {
-            reason: "assignment length differs from point count",
-        });
-    }
-    if assignment.n_clusters() < 2 {
-        return Err(ClusterError::InvalidLabels {
-            reason: "silhouette requires at least two clusters",
-        });
-    }
-    let n = r;
-    let clusters = assignment.clusters();
-    let labels = assignment.labels();
-    let mut total = 0.0;
-    for i in 0..n {
-        let own = &clusters[labels[i]];
-        if own.len() == 1 {
-            continue; // silhouette 0 by convention
-        }
-        let mut a = 0.0;
-        for &j in own {
-            if j != i {
-                a += dist[(i, j)];
+
+    /// The mean silhouette of `assignment`, which must cover the same rows
+    /// and have at least two clusters. `sums` is scratch space that a sweep
+    /// reuses across cuts.
+    pub(crate) fn silhouette(&self, assignment: &ClusterAssignment, sums: &mut Vec<f64>) -> f64 {
+        let cells = self.table.nrows();
+        let labels = assignment.labels();
+        let sizes = assignment.sizes();
+        // sums[c·U + u] = Σ d(cell u, row j) over the members j of cluster c.
+        sums.clear();
+        sums.resize(sizes.len() * cells, 0.0);
+        for (&c, &cell) in labels.iter().zip(&self.cell_of_row) {
+            let row = &mut sums[c * cells..(c + 1) * cells];
+            for (s, d) in row.iter_mut().zip(self.table.row(cell)) {
+                *s += d;
             }
         }
-        a /= (own.len() - 1) as f64;
-        let mut b = f64::INFINITY;
-        for (c, members) in clusters.iter().enumerate() {
-            if c == labels[i] {
-                continue;
+        let mut total = 0.0;
+        for (&own, &cell) in labels.iter().zip(&self.cell_of_row) {
+            if sizes[own] == 1 {
+                continue; // silhouette 0 by convention
             }
-            let mut m = 0.0;
-            for &j in members {
-                m += dist[(i, j)];
+            // a(i): mean distance to own cluster (the self term is +0.0).
+            let a = sums[own * cells + cell] / (sizes[own] - 1) as f64;
+            // b(i): min over other clusters of mean distance.
+            let mut b = f64::INFINITY;
+            for (c, &size) in sizes.iter().enumerate() {
+                if c != own {
+                    b = b.min(sums[c * cells + cell] / size as f64);
+                }
             }
-            m /= members.len() as f64;
-            b = b.min(m);
+            let denom = a.max(b);
+            if denom > 0.0 {
+                total += (b - a) / denom;
+            }
         }
-        let denom = a.max(b);
-        if denom > 0.0 {
-            total += (b - a) / denom;
-        }
+        total / labels.len() as f64
     }
-    Ok(total / n as f64)
 }
 
 /// Davies–Bouldin index (lower is better).
@@ -406,16 +396,41 @@ mod tests {
     }
 
     #[test]
-    fn silhouette_from_distances_matches_raw_points_bitwise() {
+    fn silhouette_matches_oracles_bitwise() {
         use hiermeans_linalg::distance::pairwise;
         let (pts, good) = blobs();
         let bad = ClusterAssignment::from_labels(&[0, 1, 0, 1, 0, 1]).unwrap();
+        let singletons = ClusterAssignment::from_labels(&[0, 0, 0, 1, 2, 3]).unwrap();
         let dist = pairwise(&pts, Metric::Euclidean).unwrap();
-        for a in [&good, &bad] {
-            let from_points = silhouette(&pts, a).unwrap();
-            let from_dist = silhouette_from_distances(&dist, a).unwrap();
-            assert_eq!(from_points.to_bits(), from_dist.to_bits());
+        for a in [&good, &bad, &singletons] {
+            let cells = silhouette(&pts, a).unwrap();
+            let naive = oracle::silhouette(&pts, a.labels());
+            let from_dist = oracle::silhouette_from_distances(&dist, a.labels());
+            assert_eq!(cells.to_bits(), naive.to_bits());
+            assert_eq!(cells.to_bits(), from_dist.to_bits());
         }
+    }
+
+    #[test]
+    fn silhouette_groups_duplicate_rows_into_cells() {
+        let pts = Matrix::from_rows(&[
+            vec![1.0, 2.0],
+            vec![3.0, 0.0],
+            vec![1.0, 2.0],
+            vec![-0.0, 0.0],
+            vec![3.0, 0.0],
+            vec![0.0, 0.0],
+        ])
+        .unwrap();
+        let cells = CellDistances::new(&pts).unwrap();
+        // -0.0 and +0.0 differ in bits, so they occupy different cells.
+        assert_eq!(cells.cell_of_row, vec![0, 1, 0, 2, 1, 3]);
+        assert_eq!(cells.table.shape(), (4, 4));
+        let a = ClusterAssignment::from_labels(&[0, 1, 0, 2, 1, 2]).unwrap();
+        assert_eq!(
+            silhouette(&pts, &a).unwrap().to_bits(),
+            oracle::silhouette(&pts, a.labels()).to_bits()
+        );
     }
 
     #[test]
@@ -434,10 +449,8 @@ mod tests {
     fn from_distances_validate_inputs() {
         let (_, a) = blobs();
         let not_square = Matrix::zeros(6, 5);
-        assert!(silhouette_from_distances(&not_square, &a).is_err());
         assert!(wcss_from_distances(&not_square, &a).is_err());
         let wrong_len = Matrix::zeros(4, 4);
-        assert!(silhouette_from_distances(&wrong_len, &a).is_err());
         assert!(wcss_from_distances(&wrong_len, &a).is_err());
     }
 

@@ -8,7 +8,7 @@
 //! tends to dampen" — we operationalize that with the silhouette index on
 //! the map positions.
 
-use hiermeans_cluster::validity;
+use hiermeans_cluster::selection;
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::{stages, Collector};
 use hiermeans_workload::charvec::CharacteristicVectors;
@@ -232,42 +232,25 @@ pub fn paper_vectors(
     }
 }
 
-/// Recommends a cluster count in `2..=max_k` by maximizing the silhouette
-/// index of the dendrogram cut over the SOM positions (ties broken toward
-/// fewer clusters).
+/// Recommends a cluster count by maximizing the silhouette index of the
+/// dendrogram cut over the SOM positions (ties broken toward fewer
+/// clusters), via [`selection::silhouette_k`].
+///
+/// For `n` positions the candidates are `2..=max(2, min(max_k, n − 1))`:
+/// the all-singleton cut `k = n` is left out unless `n = 2`, and a
+/// `max_k < 2` still scores `k = 2`.
 ///
 /// # Errors
 ///
-/// Propagates cut and validity-index errors.
+/// Propagates cut and validity-index errors; fewer than two positions, or
+/// a dendrogram over a different number of leaves, is an error.
 pub fn recommend_k(
     positions: &Matrix,
     dendrogram: &hiermeans_cluster::Dendrogram,
     max_k: usize,
 ) -> Result<usize, CoreError> {
-    // Cut + score every k concurrently; the argmax below runs over the
-    // sweep-ordered results, so the answer is independent of scheduling.
     let hi = max_k.min(positions.nrows().saturating_sub(1)).max(2);
-    let ks: Vec<usize> = (2..=hi).collect();
-    let scored = hiermeans_linalg::parallel::try_map_items(
-        ks.len(),
-        hiermeans_linalg::parallel::Chunking::new(1, 4),
-        |i| {
-            let assignment = dendrogram.cut_into(ks[i])?;
-            if assignment.n_clusters() < 2 {
-                return Ok::<_, CoreError>(None);
-            }
-            let s = validity::silhouette(positions, &assignment)?;
-            Ok(Some((ks[i], s)))
-        },
-    )
-    .map_err(CoreError::from)?;
-    let mut best = (2usize, f64::NEG_INFINITY);
-    for (k, s) in scored.into_iter().flatten() {
-        if s > best.1 + 1e-12 {
-            best = (k, s);
-        }
-    }
-    Ok(best.0)
+    Ok(selection::silhouette_k(dendrogram, positions, 2..=hi)?)
 }
 
 #[cfg(test)]
