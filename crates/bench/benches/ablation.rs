@@ -11,6 +11,7 @@ use hiermeans_core::means::{geometric_mean, geometric_mean_naive};
 use hiermeans_core::pipeline::{run_pipeline, run_without_som, PipelineConfig};
 use hiermeans_linalg::distance::Metric;
 use hiermeans_linalg::pca::Pca;
+use hiermeans_obs::Collector;
 use hiermeans_workload::charvec::CharacteristicVectors;
 use hiermeans_workload::sar::SarCollector;
 use hiermeans_workload::Machine;
@@ -27,7 +28,13 @@ fn bench_reduction_choice(c: &mut Criterion) {
         b.iter(|| {
             let pca = Pca::fit(vectors.matrix(), 2).unwrap();
             let reduced = pca.transform(vectors.matrix()).unwrap();
-            agglomerative::cluster(&reduced, Metric::Euclidean, Linkage::Complete).unwrap()
+            agglomerative::cluster(
+                &reduced,
+                Metric::Euclidean,
+                Linkage::Complete,
+                &Collector::disabled(),
+            )
+            .unwrap()
         })
     });
     group.bench_function("cluster_raw_vectors", |b| {

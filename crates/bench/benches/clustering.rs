@@ -2,9 +2,10 @@
 //! linkage rules.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hiermeans_cluster::{agglomerative, KMeans, KMeansConfig, Linkage};
-use hiermeans_linalg::distance::Metric;
+use hiermeans_cluster::{agglomerative, nnchain, KMeans, KMeansConfig, Linkage};
+use hiermeans_linalg::distance::{pairwise_norm_trick, Metric};
 use hiermeans_linalg::Matrix;
+use hiermeans_obs::Collector;
 
 fn points(n: usize) -> Matrix {
     let data: Vec<f64> = (0..n * 2)
@@ -14,8 +15,11 @@ fn points(n: usize) -> Matrix {
 }
 
 fn bench_agglomerative(c: &mut Criterion) {
+    // Every size sits below the 128-point NN-chain threshold, so this
+    // series times `cluster` on the naive loop throughout;
+    // `nnchain_vs_naive` compares the two loops directly.
     let mut group = c.benchmark_group("agglomerative");
-    for n in [13usize, 64, 128] {
+    for n in [13usize, 64, 96] {
         let pts = points(n);
         group.bench_with_input(BenchmarkId::new("complete", n), &pts, |b, pts| {
             b.iter(|| {
@@ -23,6 +27,7 @@ fn bench_agglomerative(c: &mut Criterion) {
                     std::hint::black_box(pts),
                     Metric::Euclidean,
                     Linkage::Complete,
+                    &Collector::disabled(),
                 )
                 .unwrap()
             })
@@ -37,8 +42,13 @@ fn bench_linkages(c: &mut Criterion) {
     for linkage in Linkage::all() {
         group.bench_with_input(BenchmarkId::from_parameter(linkage), &pts, |b, pts| {
             b.iter(|| {
-                agglomerative::cluster(std::hint::black_box(pts), Metric::Euclidean, linkage)
-                    .unwrap()
+                agglomerative::cluster(
+                    std::hint::black_box(pts),
+                    Metric::Euclidean,
+                    linkage,
+                    &Collector::disabled(),
+                )
+                .unwrap()
             })
         });
     }
@@ -46,28 +56,30 @@ fn bench_linkages(c: &mut Criterion) {
 }
 
 fn bench_nnchain_vs_naive(c: &mut Criterion) {
-    // The O(n^2) nearest-neighbor chain against the O(n^3) textbook loop:
-    // equivalent dendrograms (tested), diverging wall-clock as n grows.
+    // The O(n^2) nearest-neighbor chain against the O(n^3) textbook loop
+    // over one precomputed distance matrix: equivalent dendrograms
+    // (tested), diverging wall-clock as n grows. n = 13 is the paper's
+    // study size, below `cluster`'s 128-point switch to NN-chain.
     let mut group = c.benchmark_group("nnchain_vs_naive");
     group.sample_size(10);
-    for n in [32usize, 128, 256] {
-        let pts = points(n);
-        group.bench_with_input(BenchmarkId::new("naive", n), &pts, |b, pts| {
+    for n in [13usize, 32, 128, 256] {
+        let dist = pairwise_norm_trick(&points(n), Metric::Euclidean, None).unwrap();
+        group.bench_with_input(BenchmarkId::new("naive", n), &dist, |b, dist| {
             b.iter(|| {
-                agglomerative::cluster(
-                    std::hint::black_box(pts),
-                    Metric::Euclidean,
+                agglomerative::cluster_from_distances(
+                    std::hint::black_box(dist),
                     Linkage::Complete,
+                    &Collector::disabled(),
                 )
                 .unwrap()
             })
         });
-        group.bench_with_input(BenchmarkId::new("nn_chain", n), &pts, |b, pts| {
+        group.bench_with_input(BenchmarkId::new("nn_chain", n), &dist, |b, dist| {
             b.iter(|| {
-                hiermeans_cluster::nnchain::cluster_nn_chain(
-                    std::hint::black_box(pts),
-                    Metric::Euclidean,
+                nnchain::cluster_nn_chain_owned(
+                    std::hint::black_box(dist).clone(),
                     Linkage::Complete,
+                    &Collector::disabled(),
                 )
                 .unwrap()
             })

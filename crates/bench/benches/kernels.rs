@@ -3,8 +3,8 @@
 //! naive triple loop at the pipeline's projection shape
 //! `(n x dim) · (dim x dim)`, the streamed covariance against the seed's
 //! strided column-pair loop, and the norm-trick BMU batch search against
-//! the full scalar scan, at 13 (the paper's suite), 128, and 1024 rows and
-//! 12/64 dimensions.
+//! the per-row scalar scan (`Som::bmu2`), at 13 (the paper's suite), 128,
+//! and 1024 rows and 12/64 dimensions.
 //!
 //! All comparisons pin the worker override to 1 so the numbers isolate
 //! the kernel change; `repro bench-kernels` records the same comparison
@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hiermeans_bench::kernels::{KERNEL_DIMS, KERNEL_SIZES};
 use hiermeans_bench::perf::synthetic_vectors;
-use hiermeans_linalg::kernels::{self, KernelPolicy};
+use hiermeans_linalg::kernels;
 use hiermeans_linalg::parallel;
 use hiermeans_som::{SomBuilder, TrainingMode};
 
@@ -69,14 +69,17 @@ fn bench_bmu_batch(c: &mut Criterion) {
                 .mode(TrainingMode::Batch)
                 .train(&data)
                 .unwrap();
-            let scalar = som.clone().with_kernel_policy(KernelPolicy::Scalar);
-            let blocked = som.with_kernel_policy(KernelPolicy::Blocked);
             let id = format!("{n}x{dim}");
             group.bench_function(BenchmarkId::new("scalar", &id), |bench| {
-                bench.iter(|| scalar.bmu_batch(std::hint::black_box(&data)).unwrap())
+                bench.iter(|| {
+                    let data = std::hint::black_box(&data);
+                    for r in 0..data.nrows() {
+                        std::hint::black_box(som.bmu2(data.row(r)).unwrap());
+                    }
+                })
             });
             group.bench_function(BenchmarkId::new("blocked", &id), |bench| {
-                bench.iter(|| blocked.bmu_batch(std::hint::black_box(&data)).unwrap())
+                bench.iter(|| som.bmu_batch(std::hint::black_box(&data)).unwrap())
             });
         }
     }

@@ -17,6 +17,7 @@ use hiermeans_workload::merger::MergeScenario;
 use hiermeans_workload::Machine;
 
 use crate::experiments::SHORT_NAMES;
+use hiermeans_obs::Collector;
 
 /// Suite-merger sweep: inject 0..=8 jittered clones of a SciMark2-like
 /// donor into the 8-workload base suite, cluster the merged suite, and
@@ -64,7 +65,12 @@ pub fn merger_sweep() -> Result<String, CoreError> {
                 .map(|p| vec![p[0], p[1]])
                 .collect::<Vec<_>>(),
         )?;
-        let dendrogram = agglomerative::cluster(&pts, Metric::Euclidean, Linkage::Complete)?;
+        let dendrogram = agglomerative::cluster(
+            &pts,
+            Metric::Euclidean,
+            Linkage::Complete,
+            &Collector::disabled(),
+        )?;
         let (hgm_a, hgm_b, k) = if n >= 3 && clones > 0 {
             let k = selection::elbow_k(&dendrogram, 2..=(n - 1).min(9))?;
             let cut = dendrogram.cut_into(k)?;

@@ -12,9 +12,9 @@
 //!   square factors).
 //! * `covariance` — [`Matrix::covariance`] (center + streamed symmetric
 //!   product) vs the seed's strided per-column-pair accumulation loop.
-//! * `bmu_batch` — the norm-trick BMU search
-//!   ([`hiermeans_som::KernelPolicy::Blocked`]) vs the full scalar scan,
-//!   over a 16x16 codebook.
+//! * `bmu_batch` — the batched norm-trick BMU search
+//!   ([`hiermeans_som::Som::bmu_batch`]) vs the per-row scalar scan
+//!   ([`hiermeans_som::Som::bmu2`]), over a 16x16 codebook.
 //!
 //! All comparisons are pinned to one worker so the numbers isolate the
 //! kernel change, not thread scheduling. The same comparisons are
@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use hiermeans_linalg::kernels::{self, KernelPolicy};
+use hiermeans_linalg::kernels;
 use hiermeans_linalg::parallel;
 use hiermeans_linalg::Matrix;
 use hiermeans_som::{Som, SomBuilder, TrainingMode};
@@ -181,18 +181,18 @@ pub fn bench_kernels() -> KernelBenchReport {
                 },
             ));
             let som = bmu_codebook(&a);
-            let scalar_som = som.clone().with_kernel_policy(KernelPolicy::Scalar);
-            let blocked_som = som.with_kernel_policy(KernelPolicy::Blocked);
             results.push(timed_pair(
                 "bmu_batch",
                 n,
                 dim,
                 reps,
                 || {
-                    std::hint::black_box(scalar_som.bmu_batch(&a).expect("dims agree"));
+                    for r in 0..a.nrows() {
+                        std::hint::black_box(som.bmu2(a.row(r)).expect("dims agree"));
+                    }
                 },
                 || {
-                    std::hint::black_box(blocked_som.bmu_batch(&a).expect("dims agree"));
+                    std::hint::black_box(som.bmu_batch(&a).expect("dims agree"));
                 },
             ));
         }

@@ -4,12 +4,13 @@
 //! `BENCH_scale.json` — one wall-clock row per `(algorithm, n)` point on
 //! the scaling curves:
 //!
-//! * `naive` / `nnchain_full` / `nnchain_active` — the O(n³)-scan naive
-//!   merge loop against NN-chain with full-slot and compact active-slot
-//!   scans, over a materialized distance matrix (complete linkage).
+//! * `naive` / `nnchain_active` — the O(n³)-scan naive merge loop against
+//!   NN-chain (whose scan walks a compact list of active slots), over a
+//!   materialized distance matrix (complete linkage).
 //! * `slink` / `seq_complete` — the O(n)-memory single-linkage (SLINK) and
-//!   sequential complete-linkage algorithms over [`TiledDistances`] row
-//!   strips, up to n = 100 000 where a dense matrix would need ~75 GiB.
+//!   sequential complete-linkage algorithms over
+//!   [`hiermeans_linalg::distance::TiledDistances`] row strips, up to
+//!   n = 100 000 where a dense matrix would need ~75 GiB.
 //! * `som_scaled` — batch SOM training on the heuristic `≈5·√n` grid.
 //!
 //! A committed baseline turns the curves into a regression gate
@@ -20,8 +21,8 @@ use std::time::Instant;
 
 use hiermeans_cluster::{agglomerative, nnchain, scalable, Linkage};
 use hiermeans_linalg::distance::{pairwise, Metric};
-use hiermeans_linalg::kernels::KernelPolicy;
 use hiermeans_linalg::Matrix;
+use hiermeans_obs::Collector;
 use hiermeans_som::{SomBuilder, TrainingMode};
 use hiermeans_workload::synthetic::{gaussian_mixture, MixtureSpec};
 use serde::{Deserialize, Serialize};
@@ -91,9 +92,8 @@ pub fn bench_scale() -> ScaleBenchReport {
         });
     };
 
-    // Matrix-backed merge loops: naive vs NN-chain, and NN-chain's
-    // full-slot vs active-slot scans (the same algorithm modulo dead-slot
-    // skipping, so the gap is the constant-factor win of the active list).
+    // Matrix-backed merge loops: naive vs NN-chain. The NN-chain row keeps
+    // its historical `nnchain_active` name so baselines stay comparable.
     for n in [1_000usize, 2_000] {
         let dim = 8;
         let points = mixture(n, dim);
@@ -104,33 +104,24 @@ pub fn bench_scale() -> ScaleBenchReport {
                 n,
                 dim,
                 best_of(2, || {
-                    agglomerative::cluster_from_distances(&dist, Linkage::Complete)
-                        .expect("valid matrix")
+                    agglomerative::cluster_from_distances(
+                        &dist,
+                        Linkage::Complete,
+                        &Collector::disabled(),
+                    )
+                    .expect("valid matrix")
                 }),
             );
         }
-        push(
-            "nnchain_full",
-            n,
-            dim,
-            best_of(2, || {
-                nnchain::cluster_nn_chain_owned_with_scan(
-                    dist.clone(),
-                    Linkage::Complete,
-                    nnchain::SlotScan::Full,
-                )
-                .expect("valid matrix")
-            }),
-        );
         push(
             "nnchain_active",
             n,
             dim,
             best_of(2, || {
-                nnchain::cluster_nn_chain_owned_with_scan(
+                nnchain::cluster_nn_chain_owned(
                     dist.clone(),
                     Linkage::Complete,
-                    nnchain::SlotScan::Active,
+                    &Collector::disabled(),
                 )
                 .expect("valid matrix")
             }),
@@ -152,8 +143,7 @@ pub fn bench_scale() -> ScaleBenchReport {
             n,
             dim,
             best_of(reps, || {
-                scalable::cluster_slink(&points, Metric::Euclidean, KernelPolicy::Blocked)
-                    .expect("finite mixture")
+                scalable::cluster_slink(&points, Metric::Euclidean).expect("finite mixture")
             }),
         );
         push(
@@ -161,12 +151,8 @@ pub fn bench_scale() -> ScaleBenchReport {
             n,
             dim,
             best_of(reps, || {
-                scalable::cluster_sequential_complete(
-                    &points,
-                    Metric::Euclidean,
-                    KernelPolicy::Blocked,
-                )
-                .expect("finite mixture")
+                scalable::cluster_sequential_complete(&points, Metric::Euclidean)
+                    .expect("finite mixture")
             }),
         );
     }
@@ -323,29 +309,13 @@ mod tests {
         let n = 64;
         let points = mixture(n, 4);
         let dist = pairwise(&points, Metric::Euclidean).unwrap();
-        let naive = agglomerative::cluster_from_distances(&dist, Linkage::Complete).unwrap();
-        let full = nnchain::cluster_nn_chain_owned_with_scan(
-            dist.clone(),
-            Linkage::Complete,
-            nnchain::SlotScan::Full,
-        )
-        .unwrap();
-        let active = nnchain::cluster_nn_chain_owned_with_scan(
-            dist.clone(),
-            Linkage::Complete,
-            nnchain::SlotScan::Active,
-        )
-        .unwrap();
-        assert_eq!(naive, full);
-        assert_eq!(naive, active);
+        let off = Collector::disabled();
+        let naive = agglomerative::cluster_from_distances(&dist, Linkage::Complete, &off).unwrap();
+        let chain = nnchain::cluster_nn_chain_owned(dist.clone(), Linkage::Complete, &off).unwrap();
+        assert_eq!(naive, chain);
         let k = 8;
         let planted = naive.cut_into(k).unwrap();
-        let seq = scalable::cluster_sequential_complete(
-            &points,
-            Metric::Euclidean,
-            KernelPolicy::Blocked,
-        )
-        .unwrap();
+        let seq = scalable::cluster_sequential_complete(&points, Metric::Euclidean).unwrap();
         // Sequential complete linkage is order-dependent, not merge-order
         // identical; on a well-separated mixture both cut to the planted
         // blobs.
@@ -354,9 +324,9 @@ mod tests {
             planted.labels(),
             "seq_complete recovers the planted partition"
         );
-        let slink =
-            scalable::cluster_slink(&points, Metric::Euclidean, KernelPolicy::Blocked).unwrap();
-        let naive_single = agglomerative::cluster_from_distances(&dist, Linkage::Single).unwrap();
+        let slink = scalable::cluster_slink(&points, Metric::Euclidean).unwrap();
+        let naive_single =
+            agglomerative::cluster_from_distances(&dist, Linkage::Single, &off).unwrap();
         assert_eq!(
             slink.cut_into(k).unwrap().labels(),
             naive_single.cut_into(k).unwrap().labels()

@@ -15,112 +15,41 @@
 //! benchmark-suite-sized inputs (tens of workloads). Ties are broken toward
 //! the lexicographically smallest `(i, j)` pair so results are deterministic.
 
-use hiermeans_linalg::distance::{pairwise_with_policy_lanes, Metric, PAIRWISE_CHUNKING};
-use hiermeans_linalg::kernels::KernelPolicy;
+use hiermeans_linalg::distance::{pairwise_norm_trick, Metric, PAIRWISE_CHUNKING};
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::{stages, Collector, Counter, CounterBuf, LaneBuf};
-use serde::{Deserialize, Serialize};
 
 use crate::dendrogram::{Dendrogram, Merge};
 use crate::{nnchain, ClusterError, Linkage};
 
-/// Which agglomerative implementation the pipeline runs.
-///
-/// Both implementations produce cut-equivalent dendrograms for reducible
-/// linkages (property-tested), and — because complete/single linkage's
-/// Lance–Williams updates are pure `max`/`min` selections — the *same
-/// merge-distance multiset bit for bit*, so a traced run carries an
-/// identical fingerprint under either choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum AgglomerationStrategy {
-    /// The textbook global-minimum merge loop — O(n³), fine for
-    /// benchmark-suite-sized inputs.
-    Naive,
-    /// The NN-chain algorithm ([`crate::nnchain`]) — O(n²), requires a
-    /// reducible linkage (not centroid/median).
-    NnChain,
-    /// Picks [`AgglomerationStrategy::NnChain`] when the input has at least
-    /// [`AgglomerationStrategy::AUTO_THRESHOLD`] rows *and* the linkage is
-    /// reducible; [`AgglomerationStrategy::Naive`] otherwise. The default:
-    /// paper-sized suites keep their exact historical path, large corpora
-    /// get the quadratic algorithm.
-    #[default]
-    Auto,
-}
-
-impl AgglomerationStrategy {
-    /// Input size at which [`AgglomerationStrategy::Auto`] switches to
-    /// NN-chain. Below this the naive loop's cubic term is microseconds and
-    /// not worth a second code path.
-    pub const AUTO_THRESHOLD: usize = 128;
-
-    /// Resolves the strategy for an input of `n` points under `linkage`:
-    /// `true` means NN-chain runs.
-    pub fn use_nn_chain(self, n: usize, linkage: Linkage) -> bool {
-        match self {
-            AgglomerationStrategy::Naive => false,
-            AgglomerationStrategy::NnChain => true,
-            AgglomerationStrategy::Auto => {
-                n >= Self::AUTO_THRESHOLD && nnchain::is_reducible(linkage)
-            }
-        }
-    }
-}
-
-/// Clusters the rows of `points` with the implementation `strategy`
-/// selects (see [`AgglomerationStrategy::use_nn_chain`]).
-///
-/// # Errors
-///
-/// Same as [`cluster`]; an explicit [`AgglomerationStrategy::NnChain`]
-/// with a non-reducible linkage returns [`ClusterError::InvalidLabels`].
-pub fn cluster_with_strategy(
-    points: &Matrix,
-    metric: Metric,
-    linkage: Linkage,
-    policy: KernelPolicy,
-    strategy: AgglomerationStrategy,
-) -> Result<Dendrogram, ClusterError> {
-    cluster_with_strategy_traced(
-        points,
-        metric,
-        linkage,
-        policy,
-        strategy,
-        &Collector::disabled(),
-    )
-}
-
-/// [`cluster_with_strategy`] with observability — the entry point the
-/// characterization pipeline calls. Both strategies emit the same span
-/// structure (`cluster.agglomerate` → `cluster.pairwise` +
-/// `cluster.merge_loop`), the same distance-evaluation counter, the same
-/// sorted merge-distance trajectory, and the same lane shapes, so the
-/// trace fingerprint does not depend on the strategy.
-///
-/// # Errors
-///
-/// Same as [`cluster_with_strategy`].
-pub fn cluster_with_strategy_traced(
-    points: &Matrix,
-    metric: Metric,
-    linkage: Linkage,
-    policy: KernelPolicy,
-    strategy: AgglomerationStrategy,
-    collector: &Collector,
-) -> Result<Dendrogram, ClusterError> {
-    if strategy.use_nn_chain(points.nrows(), linkage) {
-        nnchain::cluster_nn_chain_traced_with_policy(points, metric, linkage, policy, collector)
-    } else {
-        cluster_traced_with_policy(points, metric, linkage, policy, collector)
-    }
-}
+/// Input size from which [`cluster`] runs NN-chain instead of the naive
+/// loop (for reducible linkages). Speed does not set it: on the paper's
+/// 13-point studies both loops take about 2.3 µs, and NN-chain is already
+/// ahead at 32 points (`nnchain_vs_naive` bench). It keeps inputs below
+/// 128 points, which may hold tied merge distances that the two loops can
+/// order differently, on the naive loop they have always run.
+const NN_CHAIN_MIN_N: usize = 128;
 
 /// Clusters the rows of `points` and returns the full merge history.
+///
+/// The pairwise distances come from
+/// [`hiermeans_linalg::distance::pairwise_norm_trick`]. The merge loop is
+/// the NN-chain algorithm ([`nnchain::cluster_nn_chain_owned`]) when there
+/// are at least 128 points and the linkage is reducible, and the naive
+/// loop ([`cluster_from_distances`]) otherwise. Both give the same
+/// dendrogram when merge distances are distinct.
+///
+/// Observability: the run sits in a `cluster.agglomerate` span with a
+/// nested `cluster.pairwise` span (chunk lanes and the distance-evaluation
+/// counter) and a `cluster.merge_loop` span. Every merge distance is
+/// recorded into the collector's trajectory in the order the naive loop
+/// finds it, whichever loop ran. Pass [`Collector::disabled`] for an
+/// untraced run.
 ///
 /// # Errors
 ///
 /// * [`ClusterError::EmptyInput`] for an empty matrix.
+/// * [`ClusterError::InvalidData`] for non-finite coordinates.
 /// * [`ClusterError::Linalg`] if distances cannot be computed.
 ///
 /// # Example
@@ -128,10 +57,12 @@ pub fn cluster_with_strategy_traced(
 /// ```
 /// use hiermeans_cluster::{agglomerative::cluster, Linkage};
 /// use hiermeans_linalg::{distance::Metric, Matrix};
+/// use hiermeans_obs::Collector;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let points = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![10.0]])?;
-/// let d = cluster(&points, Metric::Euclidean, Linkage::Complete)?;
+/// let off = Collector::disabled();
+/// let d = cluster(&points, Metric::Euclidean, Linkage::Complete, &off)?;
 /// // 0 and 1 merge first (distance 1), then 10 joins at distance 10.
 /// assert_eq!(d.merges()[0].distance, 1.0);
 /// assert_eq!(d.merges()[1].distance, 10.0);
@@ -142,55 +73,6 @@ pub fn cluster(
     points: &Matrix,
     metric: Metric,
     linkage: Linkage,
-) -> Result<Dendrogram, ClusterError> {
-    cluster_traced(points, metric, linkage, &Collector::disabled())
-}
-
-/// [`cluster`] with an explicit [`KernelPolicy`] for the pairwise distance
-/// matrix. [`KernelPolicy::Blocked`] routes (squared-)Euclidean metrics
-/// through the norm-trick kernel; other metrics always take the scalar path.
-///
-/// # Errors
-///
-/// Same as [`cluster`].
-pub fn cluster_with_policy(
-    points: &Matrix,
-    metric: Metric,
-    linkage: Linkage,
-    policy: KernelPolicy,
-) -> Result<Dendrogram, ClusterError> {
-    cluster_traced_with_policy(points, metric, linkage, policy, &Collector::disabled())
-}
-
-/// [`cluster`] with observability: wraps the run in a `cluster.agglomerate`
-/// span (with a nested `cluster.pairwise` span for the distance matrix),
-/// counts pairwise distance evaluations, and records every merge distance
-/// into the collector's trajectory and histogram.
-///
-/// # Errors
-///
-/// Same as [`cluster`].
-pub fn cluster_traced(
-    points: &Matrix,
-    metric: Metric,
-    linkage: Linkage,
-    collector: &Collector,
-) -> Result<Dendrogram, ClusterError> {
-    cluster_traced_with_policy(points, metric, linkage, KernelPolicy::default(), collector)
-}
-
-/// [`cluster_traced`] with an explicit [`KernelPolicy`] for the pairwise
-/// distance matrix — the fully-parameterized entry point the
-/// characterization pipeline calls.
-///
-/// # Errors
-///
-/// Same as [`cluster`].
-pub fn cluster_traced_with_policy(
-    points: &Matrix,
-    metric: Metric,
-    linkage: Linkage,
-    policy: KernelPolicy,
     collector: &Collector,
 ) -> Result<Dendrogram, ClusterError> {
     if points.is_empty() {
@@ -202,21 +84,20 @@ pub fn cluster_traced_with_policy(
     if report.has_fatal() {
         return Err(ClusterError::InvalidData { report });
     }
-    let span = collector.span(stages::CLUSTER_AGGLOMERATE);
-    let dist = pairwise_traced_with_policy(points, metric, policy, collector)?;
-    let result = cluster_from_distances_traced(&dist, linkage, collector);
-    drop(span);
-    result
+    let _span = collector.span(stages::CLUSTER_AGGLOMERATE);
+    let dist = pairwise_traced(points, metric, collector)?;
+    if points.nrows() >= NN_CHAIN_MIN_N && nnchain::is_reducible(linkage) {
+        nnchain::cluster_nn_chain_owned(dist, linkage, collector)
+    } else {
+        cluster_from_distances(&dist, linkage, collector)
+    }
 }
 
-/// The traced pairwise stage shared by the naive and NN-chain paths: a
-/// `cluster.pairwise` span with its chunk-lane recording and the
-/// distance-evaluation counter. Keeping one implementation guarantees both
-/// strategies emit an identical pairwise trace.
-pub(crate) fn pairwise_traced_with_policy(
+/// The traced pairwise stage: a `cluster.pairwise` span with its
+/// chunk-lane recording and the distance-evaluation counter.
+fn pairwise_traced(
     points: &Matrix,
     metric: Metric,
-    policy: KernelPolicy,
     collector: &Collector,
 ) -> Result<Matrix, ClusterError> {
     let _pairwise = collector.span(stages::CLUSTER_PAIRWISE);
@@ -224,10 +105,9 @@ pub(crate) fn pairwise_traced_with_policy(
     let mut lane_buf = collector
         .lane_clock()
         .map(|clock| (clock, LaneBuf::with_capacity(n_chunks)));
-    let dist = pairwise_with_policy_lanes(
+    let dist = pairwise_norm_trick(
         points,
         metric,
-        policy,
         lane_buf.as_mut().map(|(clock, buf)| (*clock, buf)),
     )?;
     if let Some((_, buf)) = lane_buf.as_ref() {
@@ -242,7 +122,15 @@ pub(crate) fn pairwise_traced_with_policy(
     Ok(dist)
 }
 
-/// Clusters from a precomputed symmetric distance matrix.
+/// Clusters from a precomputed symmetric distance matrix with the naive
+/// global-minimum merge loop.
+///
+/// This is the reference every NN-chain result is tested against, and
+/// the only algorithm for the non-reducible centroid and median linkages.
+/// The loop runs in a `cluster.merge_loop` span and records each merge
+/// distance as it happens, so the trace carries the full merge-distance
+/// trajectory the paper's "large jump in merging distance" heuristic
+/// inspects.
 ///
 /// # Errors
 ///
@@ -250,19 +138,7 @@ pub(crate) fn pairwise_traced_with_policy(
 /// * [`ClusterError::InvalidDistanceMatrix`] if the matrix is not square,
 ///   not symmetric, has a nonzero diagonal, or contains negative or
 ///   non-finite entries.
-pub fn cluster_from_distances(dist: &Matrix, linkage: Linkage) -> Result<Dendrogram, ClusterError> {
-    cluster_from_distances_traced(dist, linkage, &Collector::disabled())
-}
-
-/// [`cluster_from_distances`] with observability: wraps the merge loop in a
-/// `cluster.merge_loop` span and records each merge distance as it happens,
-/// so the trace carries the full merge-distance trajectory the paper's
-/// "large jump in merging distance" heuristic inspects.
-///
-/// # Errors
-///
-/// Same as [`cluster_from_distances`].
-pub fn cluster_from_distances_traced(
+pub fn cluster_from_distances(
     dist: &Matrix,
     linkage: Linkage,
     collector: &Collector,
@@ -392,13 +268,18 @@ mod tests {
     use super::*;
     use hiermeans_linalg::distance::pairwise;
 
+    /// [`cluster`] over Euclidean distances, untraced.
+    fn untraced(points: &Matrix, linkage: Linkage) -> Dendrogram {
+        cluster(points, Metric::Euclidean, linkage, &Collector::disabled()).unwrap()
+    }
+
     fn line_points() -> Matrix {
         Matrix::from_rows(&[vec![0.0], vec![1.0], vec![5.0], vec![6.0]]).unwrap()
     }
 
     #[test]
     fn complete_linkage_merge_order() {
-        let d = cluster(&line_points(), Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = untraced(&line_points(), Linkage::Complete);
         // Pairs (0,1) and (2,3) merge at 1.0 each; complete linkage joins the
         // two pairs at max distance = 6.0.
         assert_eq!(d.merges()[0].distance, 1.0);
@@ -408,16 +289,16 @@ mod tests {
 
     #[test]
     fn single_linkage_joins_at_gap() {
-        let d = cluster(&line_points(), Metric::Euclidean, Linkage::Single).unwrap();
+        let d = untraced(&line_points(), Linkage::Single);
         // Single linkage joins the two pairs at the nearest gap = 4.0.
         assert_eq!(d.merges()[2].distance, 4.0);
     }
 
     #[test]
     fn average_linkage_between_single_and_complete() {
-        let s = cluster(&line_points(), Metric::Euclidean, Linkage::Single).unwrap();
-        let a = cluster(&line_points(), Metric::Euclidean, Linkage::Average).unwrap();
-        let c = cluster(&line_points(), Metric::Euclidean, Linkage::Complete).unwrap();
+        let s = untraced(&line_points(), Linkage::Single);
+        let a = untraced(&line_points(), Linkage::Average);
+        let c = untraced(&line_points(), Linkage::Complete);
         let last = |d: &Dendrogram| d.merges().last().unwrap().distance;
         assert!(last(&s) <= last(&a));
         assert!(last(&a) <= last(&c));
@@ -437,7 +318,7 @@ mod tests {
         ])
         .unwrap();
         for linkage in Linkage::all() {
-            let d = cluster(&pts, Metric::Euclidean, linkage).unwrap();
+            let d = untraced(&pts, linkage);
             if linkage.is_monotone() {
                 assert!(d.is_monotone(), "{linkage} should be monotone");
             }
@@ -455,7 +336,7 @@ mod tests {
             vec![20.0, 0.0],
         ])
         .unwrap();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = untraced(&pts, Linkage::Complete);
         let a = d.cut_into(3).unwrap();
         assert!(a.same_cluster(0, 1) && a.same_cluster(1, 2));
         assert!(a.same_cluster(3, 4));
@@ -467,8 +348,8 @@ mod tests {
     fn deterministic_under_ties() {
         // Four equidistant-ish points with exact ties.
         let pts = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![3.0]]).unwrap();
-        let a = cluster(&pts, Metric::Euclidean, Linkage::Single).unwrap();
-        let b = cluster(&pts, Metric::Euclidean, Linkage::Single).unwrap();
+        let a = untraced(&pts, Linkage::Single);
+        let b = untraced(&pts, Linkage::Single);
         assert_eq!(a, b);
         // Tie broken toward the smallest pair: (0, 1) first.
         assert_eq!(a.merges()[0].left, 0);
@@ -479,21 +360,28 @@ mod tests {
     fn from_distances_validates() {
         let asym = Matrix::from_rows(&[vec![0.0, 1.0], vec![2.0, 0.0]]).unwrap();
         assert!(matches!(
-            cluster_from_distances(&asym, Linkage::Complete).unwrap_err(),
+            cluster_from_distances(&asym, Linkage::Complete, &Collector::disabled()).unwrap_err(),
             ClusterError::InvalidDistanceMatrix { .. }
         ));
         let nonzero_diag = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        assert!(cluster_from_distances(&nonzero_diag, Linkage::Complete).is_err());
+        assert!(
+            cluster_from_distances(&nonzero_diag, Linkage::Complete, &Collector::disabled())
+                .is_err()
+        );
         let negative = Matrix::from_rows(&[vec![0.0, -1.0], vec![-1.0, 0.0]]).unwrap();
-        assert!(cluster_from_distances(&negative, Linkage::Complete).is_err());
+        assert!(
+            cluster_from_distances(&negative, Linkage::Complete, &Collector::disabled()).is_err()
+        );
         let not_square = Matrix::zeros(2, 3);
-        assert!(cluster_from_distances(&not_square, Linkage::Complete).is_err());
+        assert!(
+            cluster_from_distances(&not_square, Linkage::Complete, &Collector::disabled()).is_err()
+        );
     }
 
     #[test]
     fn single_point_dendrogram() {
         let pts = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = untraced(&pts, Linkage::Complete);
         assert_eq!(d.n_leaves(), 1);
         assert!(d.merges().is_empty());
     }
@@ -501,7 +389,7 @@ mod tests {
     #[test]
     fn two_points() {
         let pts = Matrix::from_rows(&[vec![0.0], vec![3.0]]).unwrap();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Ward).unwrap();
+        let d = untraced(&pts, Linkage::Ward);
         assert_eq!(d.merges().len(), 1);
         assert!((d.merges()[0].distance - 3.0).abs() < 1e-12);
     }
@@ -510,7 +398,7 @@ mod tests {
     fn cophenetic_dominates_pairwise_for_complete_linkage() {
         // For complete linkage, cophenetic distance >= original distance.
         let pts = line_points();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = untraced(&pts, Linkage::Complete);
         let coph = d.cophenetic();
         let orig = pairwise(&pts, Metric::Euclidean).unwrap();
         for i in 0..4 {
@@ -524,7 +412,7 @@ mod tests {
     fn cophenetic_bounded_by_pairwise_for_single_linkage() {
         // For single linkage, cophenetic distance <= original distance.
         let pts = line_points();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Single).unwrap();
+        let d = untraced(&pts, Linkage::Single);
         let coph = d.cophenetic();
         let orig = pairwise(&pts, Metric::Euclidean).unwrap();
         for i in 0..4 {
@@ -533,6 +421,59 @@ mod tests {
                     assert!(coph[(i, j)] <= orig[(i, j)] + 1e-9);
                 }
             }
+        }
+    }
+
+    /// Deterministic pseudo-random points whose pairwise distances are
+    /// all distinct, so the naive loop and NN-chain give one dendrogram.
+    fn scattered(n: usize) -> Matrix {
+        let coord = |seed: u64| {
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            x ^= x >> 31;
+            x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x ^= x >> 29;
+            (x % 1_000_000) as f64 / 7_919.0
+        };
+        let rows: Vec<Vec<f64>> = (0..n as u64)
+            .map(|i| vec![coord(2 * i + 1), coord(2 * i + 2)])
+            .collect();
+        Matrix::from_rows(&rows).unwrap()
+    }
+
+    fn merge_bits(d: &Dendrogram) -> Vec<(usize, usize, u64, usize)> {
+        d.merges()
+            .iter()
+            .map(|m| (m.left, m.right, m.distance.to_bits(), m.size))
+            .collect()
+    }
+
+    #[test]
+    fn centroid_and_median_take_the_naive_loop_at_any_size() {
+        let pts = scattered(200);
+        let dist = pairwise_norm_trick(&pts, Metric::Euclidean, None).unwrap();
+        for linkage in [Linkage::Centroid, Linkage::Median] {
+            let d = untraced(&pts, linkage);
+            let naive = cluster_from_distances(&dist, linkage, &Collector::disabled()).unwrap();
+            assert_eq!(merge_bits(&d), merge_bits(&naive), "{linkage}");
+        }
+    }
+
+    #[test]
+    fn complete_linkage_matches_the_naive_loop_on_both_sides_of_the_threshold() {
+        for n in [NN_CHAIN_MIN_N - 1, NN_CHAIN_MIN_N] {
+            let pts = scattered(n);
+            let dist = pairwise_norm_trick(&pts, Metric::Euclidean, None).unwrap();
+            let traced = Collector::enabled();
+            let d = cluster(&pts, Metric::Euclidean, Linkage::Complete, &traced).unwrap();
+            let oracle_trace = Collector::enabled();
+            let naive = cluster_from_distances(&dist, Linkage::Complete, &oracle_trace).unwrap();
+            assert_eq!(merge_bits(&d), merge_bits(&naive), "n = {n}");
+            // The recorded merge trajectory is the naive loop's, bit for bit.
+            let bits = |c: &Collector| -> Vec<u64> {
+                let report = c.report().unwrap();
+                report.merge_distances.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&traced), bits(&oracle_trace), "n = {n}");
         }
     }
 }

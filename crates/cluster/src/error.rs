@@ -28,6 +28,12 @@ pub enum ClusterError {
         /// Why the labels were rejected.
         reason: &'static str,
     },
+    /// The algorithm does not support the requested linkage: NN-chain needs
+    /// a reducible linkage, which centroid and median are not.
+    UnsupportedLinkage {
+        /// The rejected linkage.
+        linkage: crate::Linkage,
+    },
     /// The iterative algorithm failed to make progress.
     NoConvergence {
         /// The routine that failed.
@@ -62,6 +68,9 @@ impl fmt::Display for ClusterError {
                 write!(f, "invalid distance matrix: {reason}")
             }
             ClusterError::InvalidLabels { reason } => write!(f, "invalid labels: {reason}"),
+            ClusterError::UnsupportedLinkage { linkage } => {
+                write!(f, "NN-chain requires a reducible linkage, not {linkage}")
+            }
             ClusterError::NoConvergence {
                 routine,
                 iterations,

@@ -11,8 +11,10 @@
 //!
 //! * [`linkage`] — Lance–Williams linkage rules (single, complete, average,
 //!   weighted, Ward, centroid, median).
-//! * [`agglomerative`] — the merge loop producing a [`Dendrogram`], plus
-//!   the [`AgglomerationStrategy`] switch between it and NN-chain.
+//! * [`agglomerative`] — the clustering entry point, [`agglomerative::cluster`],
+//!   and the naive merge loop producing a [`Dendrogram`]. `cluster` runs
+//!   NN-chain from 128 points on when the linkage is reducible, and the
+//!   naive loop otherwise.
 //! * [`nnchain`] — the O(n²) NN-chain algorithm for reducible linkages.
 //! * [`scalable`] — SLINK/CLINK single/complete linkage in O(n) memory
 //!   for corpora whose distance matrix does not fit.
@@ -27,12 +29,14 @@
 //! ```
 //! use hiermeans_cluster::{agglomerative::cluster, Linkage};
 //! use hiermeans_linalg::{distance::Metric, Matrix};
+//! use hiermeans_obs::Collector;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let points = Matrix::from_rows(&[
 //!     vec![0.0, 0.0], vec![0.2, 0.0], vec![5.0, 5.0], vec![5.2, 5.0],
 //! ])?;
-//! let dendrogram = cluster(&points, Metric::Euclidean, Linkage::Complete)?;
+//! let off = Collector::disabled();
+//! let dendrogram = cluster(&points, Metric::Euclidean, Linkage::Complete, &off)?;
 //! let two = dendrogram.cut_into(2)?;
 //! assert_eq!(two.n_clusters(), 2);
 //! assert_eq!(two.labels()[0], two.labels()[1]);
@@ -58,7 +62,6 @@ pub mod scalable;
 pub mod selection;
 pub mod validity;
 
-pub use agglomerative::AgglomerationStrategy;
 pub use assignment::ClusterAssignment;
 pub use dendrogram::{Dendrogram, Merge};
 pub use error::ClusterError;

@@ -12,15 +12,14 @@
 //! cluster closer to a third than the closer parent was; single, complete,
 //! average, weighted, and Ward linkage are reducible, centroid and median
 //! are not (NN-chain would be incorrect for them, and
-//! [`cluster_nn_chain`] rejects them).
+//! [`cluster_nn_chain_owned`] rejects them).
 //!
 //! NN-chain discovers merges in a different *order* than the global-minimum
-//! loop, but for reducible linkages the resulting dendrogram is equivalent:
-//! after sorting merges by distance, every cut produces identical clusters
-//! (verified against the naive implementation by property tests).
+//! loop, but for reducible linkages the resulting dendrogram is equivalent
+//! when merge distances are distinct: after sorting merges by distance,
+//! every cut produces identical clusters (verified against
+//! [`crate::agglomerative::cluster_from_distances`] by property tests).
 
-use hiermeans_linalg::distance::{pairwise_with_policy, Metric};
-use hiermeans_linalg::kernels::KernelPolicy;
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::{stages, Collector, LaneBuf};
 
@@ -34,160 +33,49 @@ pub fn is_reducible(linkage: Linkage) -> bool {
     !matches!(linkage, Linkage::Centroid | Linkage::Median)
 }
 
-/// How the nearest-neighbor and Lance–Williams scans enumerate candidate
-/// clusters.
+/// NN-chain over a precomputed distance matrix, consumed as working
+/// storage: the Lance–Williams updates run in place, so peak memory is the
+/// one matrix the caller already paid for — no clone at exactly the scale
+/// NN-chain exists for.
 ///
-/// Both scans produce bit-identical merge sequences: ties are broken toward
-/// the smallest slot index by explicit `(distance, slot)` comparison, not by
-/// iteration order, and the Lance–Williams updates are independent per
-/// slot. The variants exist so `bench-scale` can show the constant-factor
-/// win of skipping dead slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SlotScan {
-    /// Walk all `n` slots every scan, skipping merged-away (`None`) ones —
-    /// late merges traverse mostly-dead arrays.
-    Full,
-    /// Walk a compact list of live slots, maintained by swap-removal —
-    /// scan cost shrinks with every merge. The default.
-    #[default]
-    Active,
-}
-
-/// Clusters the rows of `points` with the NN-chain algorithm.
+/// The chain runs in a `cluster.merge_loop` span with one lane interval
+/// per merge step on worker 0 (the loop is serial, like the naive one).
+/// The merge trajectory is recorded in sorted-distance order, which is the
+/// order the naive loop discovers merges in, so a traced run records the
+/// same trajectory either way.
 ///
 /// # Errors
 ///
-/// * [`ClusterError::EmptyInput`] for an empty matrix.
-/// * [`ClusterError::InvalidLabels`] for a non-reducible linkage
-///   (centroid/median) — use [`crate::agglomerative::cluster`] instead.
+/// * [`ClusterError::UnsupportedLinkage`] for a non-reducible linkage
+///   (centroid/median) — use [`agglomerative::cluster_from_distances`].
+/// * Distance-matrix validation errors, as for
+///   [`agglomerative::cluster_from_distances`].
 ///
 /// # Example
 ///
 /// ```
-/// use hiermeans_cluster::{nnchain::cluster_nn_chain, Linkage};
-/// use hiermeans_linalg::{distance::Metric, Matrix};
+/// use hiermeans_cluster::{nnchain::cluster_nn_chain_owned, Linkage};
+/// use hiermeans_linalg::{distance::{pairwise, Metric}, Matrix};
+/// use hiermeans_obs::Collector;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let pts = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![10.0], vec![11.0]])?;
-/// let d = cluster_nn_chain(&pts, Metric::Euclidean, Linkage::Complete)?;
+/// let dist = pairwise(&pts, Metric::Euclidean)?;
+/// let d = cluster_nn_chain_owned(dist, Linkage::Complete, &Collector::disabled())?;
 /// let two = d.cut_into(2)?;
 /// assert!(two.same_cluster(0, 1) && two.same_cluster(2, 3));
 /// assert!(!two.same_cluster(0, 2));
 /// # Ok(())
 /// # }
 /// ```
-pub fn cluster_nn_chain(
-    points: &Matrix,
-    metric: Metric,
-    linkage: Linkage,
-) -> Result<Dendrogram, ClusterError> {
-    if points.is_empty() {
-        return Err(ClusterError::EmptyInput);
-    }
-    // Same default pairwise kernel as `agglomerative::cluster`, so the two
-    // algorithms see bitwise-identical distance matrices (the norm-trick
-    // and scalar kernels differ in final ULPs on non-integer coordinates).
-    let dist = pairwise_with_policy(points, metric, KernelPolicy::default())?;
-    cluster_nn_chain_owned(dist, linkage)
-}
-
-/// NN-chain over a borrowed precomputed distance matrix. Clones the matrix
-/// into working storage; callers that can give up their matrix should use
-/// [`cluster_nn_chain_owned`] instead, which needs no copy.
-///
-/// # Errors
-///
-/// Same as [`cluster_nn_chain`], plus distance-matrix validation errors.
-pub fn cluster_nn_chain_from_distances(
-    dist: &Matrix,
-    linkage: Linkage,
-) -> Result<Dendrogram, ClusterError> {
-    cluster_nn_chain_owned(dist.clone(), linkage)
-}
-
-/// NN-chain consuming its distance matrix: the Lance–Williams updates run
-/// in place, so peak memory is the one matrix the caller already paid for —
-/// no clone at exactly the scale NN-chain exists for.
-///
-/// # Errors
-///
-/// Same as [`cluster_nn_chain`], plus distance-matrix validation errors.
-pub fn cluster_nn_chain_owned(dist: Matrix, linkage: Linkage) -> Result<Dendrogram, ClusterError> {
-    cluster_nn_chain_owned_with_scan(dist, linkage, SlotScan::Active)
-}
-
-/// [`cluster_nn_chain_owned`] with an explicit [`SlotScan`]. Results are
-/// bit-identical across scans; the knob exists for benchmarking the
-/// active-list win.
-///
-/// # Errors
-///
-/// Same as [`cluster_nn_chain_owned`].
-pub fn cluster_nn_chain_owned_with_scan(
-    dist: Matrix,
-    linkage: Linkage,
-    scan: SlotScan,
-) -> Result<Dendrogram, ClusterError> {
-    check_reducible(linkage)?;
-    agglomerative::validate_distance_matrix(&dist)?;
-    let n = dist.nrows();
-    if n == 1 {
-        return Dendrogram::new(1, vec![]);
-    }
-    let raw = nn_chain_merges(dist, linkage, scan, &mut |_step| {})?;
-    sort_merges(n, raw)
-}
-
-/// [`cluster_nn_chain`] with a [`hiermeans_linalg::kernels::KernelPolicy`]
-/// for the pairwise stage and full observability, mirroring
-/// [`agglomerative::cluster_traced_with_policy`]'s trace shape exactly: a
-/// `cluster.agglomerate` span containing the shared `cluster.pairwise`
-/// stage (chunk lanes + distance-evaluation counter) and a
-/// `cluster.merge_loop` span with one serial lane interval per merge; the
-/// merge-distance trajectory is recorded in sorted order, which is the
-/// order the naive loop discovers merges in.
-///
-/// # Errors
-///
-/// Same as [`cluster_nn_chain`], plus [`ClusterError::InvalidData`] for
-/// non-finite coordinates.
-pub fn cluster_nn_chain_traced_with_policy(
-    points: &Matrix,
-    metric: Metric,
-    linkage: Linkage,
-    policy: KernelPolicy,
-    collector: &Collector,
-) -> Result<Dendrogram, ClusterError> {
-    check_reducible(linkage)?;
-    if points.is_empty() {
-        return Err(ClusterError::EmptyInput);
-    }
-    // Same stage-boundary guard as the naive entry point.
-    let report = hiermeans_linalg::validate::validate(points);
-    if report.has_fatal() {
-        return Err(ClusterError::InvalidData { report });
-    }
-    let span = collector.span(stages::CLUSTER_AGGLOMERATE);
-    let dist = agglomerative::pairwise_traced_with_policy(points, metric, policy, collector)?;
-    let result = cluster_nn_chain_owned_traced(dist, linkage, collector);
-    drop(span);
-    result
-}
-
-/// The traced merge stage over an owned distance matrix: a
-/// `cluster.merge_loop` span, one lane interval per merge step on worker 0
-/// (the loop is serial by construction, like the naive one), and the merge
-/// trajectory recorded in sorted-distance order.
-///
-/// # Errors
-///
-/// Same as [`cluster_nn_chain_owned`].
-pub fn cluster_nn_chain_owned_traced(
+pub fn cluster_nn_chain_owned(
     dist: Matrix,
     linkage: Linkage,
     collector: &Collector,
 ) -> Result<Dendrogram, ClusterError> {
-    check_reducible(linkage)?;
+    if !is_reducible(linkage) {
+        return Err(ClusterError::UnsupportedLinkage { linkage });
+    }
     let _span = collector.span(stages::CLUSTER_MERGE_LOOP);
     agglomerative::validate_distance_matrix(&dist)?;
     let n = dist.nrows();
@@ -197,7 +85,7 @@ pub fn cluster_nn_chain_owned_traced(
     let lane_clock = collector.lane_clock();
     let mut lane_buf = lane_clock.map(|_| LaneBuf::with_capacity(n - 1));
     let mut step_begin = lane_clock.map_or(0, |c| c.now_us());
-    let raw = nn_chain_merges(dist, linkage, SlotScan::Active, &mut |step| {
+    let raw = nn_chain_merges(dist, linkage, &mut |step| {
         if let (Some(clock), Some(lanes)) = (lane_clock, lane_buf.as_mut()) {
             let now = clock.now_us();
             lanes.record(step, 0, step_begin, now);
@@ -205,9 +93,6 @@ pub fn cluster_nn_chain_owned_traced(
         }
     })?;
     let dendrogram = sort_merges(n, raw)?;
-    // The naive loop discovers merges in ascending distance order; replaying
-    // the sorted sequence keeps the recorded trajectory (and its histogram)
-    // identical across strategies.
     for m in dendrogram.merges() {
         collector.record_merge(m.distance);
     }
@@ -218,23 +103,12 @@ pub fn cluster_nn_chain_owned_traced(
     Ok(dendrogram)
 }
 
-fn check_reducible(linkage: Linkage) -> Result<(), ClusterError> {
-    if is_reducible(linkage) {
-        Ok(())
-    } else {
-        Err(ClusterError::InvalidLabels {
-            reason: "NN-chain requires a reducible linkage (not centroid/median)",
-        })
-    }
-}
-
 /// The chain loop proper: consumes the working matrix, returns raw merges
 /// as `(smaller id, larger id, distance, size)` in discovery order, and
 /// calls `on_merge(step)` after each merge (for lane recording).
 fn nn_chain_merges(
     mut d: Matrix,
     linkage: Linkage,
-    scan: SlotScan,
     on_merge: &mut dyn FnMut(usize),
 ) -> Result<Vec<(usize, usize, f64, usize)>, ClusterError> {
     let n = d.nrows();
@@ -250,8 +124,7 @@ fn nn_chain_merges(
 
     while active.len() > 1 {
         if chain.is_empty() {
-            // Start from the smallest active slot, matching the full scan's
-            // first-`Some` selection.
+            // Start from the smallest active slot.
             let Some(start) = active.iter().copied().min() else {
                 return Err(ClusterError::Internal {
                     what: "NN-chain found no active cluster to start from",
@@ -266,35 +139,21 @@ fn nn_chain_merges(
                 });
             };
             // Nearest active neighbor of `top`. The smallest slot wins ties
-            // (explicit `(distance, slot)` comparison, so both scan orders
-            // find the same neighbor) and reciprocal pairs are found
-            // deterministically.
+            // (explicit `(distance, slot)` comparison, so the swap-removal
+            // order of the active list cannot change the neighbor) and
+            // reciprocal pairs are found deterministically.
             let mut nearest: Option<(usize, f64)> = None;
-            let consider = |nearest: &mut Option<(usize, f64)>, j: usize, dj: f64| {
-                let better = match *nearest {
+            for &j in &active {
+                if j == top {
+                    continue;
+                }
+                let dj = d[(top, j)];
+                let better = match nearest {
                     None => true,
                     Some((bj, bd)) => dj < bd || (dj == bd && j < bj),
                 };
                 if better {
-                    *nearest = Some((j, dj));
-                }
-            };
-            match scan {
-                SlotScan::Full => {
-                    for j in 0..n {
-                        if j == top || info[j].is_none() {
-                            continue;
-                        }
-                        consider(&mut nearest, j, d[(top, j)]);
-                    }
-                }
-                SlotScan::Active => {
-                    for &j in &active {
-                        if j == top {
-                            continue;
-                        }
-                        consider(&mut nearest, j, d[(top, j)]);
-                    }
+                    nearest = Some((j, dj));
                 }
             }
             let Some((nn, dnn)) = nearest else {
@@ -317,37 +176,18 @@ fn nn_chain_merges(
                 raw_merges.push((id_a.min(id_b), id_a.max(id_b), dnn, new_size));
                 // Lance-Williams update into slot a. Each slot's update is
                 // independent, so scan order cannot change any entry.
-                match scan {
-                    SlotScan::Full => {
-                        for k in 0..n {
-                            if k == a || k == b {
-                                continue;
-                            }
-                            let Some((_, size_k)) = info[k] else {
-                                continue;
-                            };
-                            let updated =
-                                linkage.update(d[(k, a)], d[(k, b)], dnn, size_a, size_b, size_k);
-                            d[(k, a)] = updated;
-                            d[(a, k)] = updated;
-                        }
+                for &k in &active {
+                    if k == a || k == b {
+                        continue;
                     }
-                    SlotScan::Active => {
-                        for &k in &active {
-                            if k == a || k == b {
-                                continue;
-                            }
-                            let Some((_, size_k)) = info[k] else {
-                                return Err(ClusterError::Internal {
-                                    what: "active list referenced a dead slot",
-                                });
-                            };
-                            let updated =
-                                linkage.update(d[(k, a)], d[(k, b)], dnn, size_a, size_b, size_k);
-                            d[(k, a)] = updated;
-                            d[(a, k)] = updated;
-                        }
-                    }
+                    let Some((_, size_k)) = info[k] else {
+                        return Err(ClusterError::Internal {
+                            what: "active list referenced a dead slot",
+                        });
+                    };
+                    let updated = linkage.update(d[(k, a)], d[(k, b)], dnn, size_a, size_b, size_k);
+                    d[(k, a)] = updated;
+                    d[(a, k)] = updated;
                 }
                 info[a] = Some((next_id, new_size));
                 info[b] = None;
@@ -406,8 +246,8 @@ fn sort_merges(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agglomerative;
-    use hiermeans_linalg::distance::pairwise;
+    use crate::agglomerative::cluster_from_distances;
+    use hiermeans_linalg::distance::{pairwise, Metric};
 
     fn grid_points(n: usize) -> Matrix {
         // Deterministic pseudo-random points with no structured distance
@@ -427,6 +267,18 @@ mod tests {
         Matrix::from_rows(&rows).unwrap()
     }
 
+    fn dist(pts: &Matrix) -> Matrix {
+        pairwise(pts, Metric::Euclidean).unwrap()
+    }
+
+    fn chain(pts: &Matrix, linkage: Linkage) -> Result<Dendrogram, ClusterError> {
+        cluster_nn_chain_owned(dist(pts), linkage, &Collector::disabled())
+    }
+
+    fn naive(pts: &Matrix, linkage: Linkage) -> Dendrogram {
+        cluster_from_distances(&dist(pts), linkage, &Collector::disabled()).unwrap()
+    }
+
     #[test]
     fn equivalent_cuts_to_naive_for_reducible_linkages() {
         let pts = grid_points(24);
@@ -436,8 +288,8 @@ mod tests {
             Linkage::Average,
             Linkage::Ward,
         ] {
-            let fast = cluster_nn_chain(&pts, Metric::Euclidean, linkage).unwrap();
-            let slow = agglomerative::cluster(&pts, Metric::Euclidean, linkage).unwrap();
+            let fast = chain(&pts, linkage).unwrap();
+            let slow = naive(&pts, linkage);
             for k in 1..=24 {
                 let a = fast.cut_into(k).unwrap();
                 let b = slow.cut_into(k).unwrap();
@@ -453,8 +305,8 @@ mod tests {
     fn merge_distances_match_naive() {
         let pts = grid_points(16);
         for linkage in [Linkage::Complete, Linkage::Average, Linkage::Ward] {
-            let fast = cluster_nn_chain(&pts, Metric::Euclidean, linkage).unwrap();
-            let slow = agglomerative::cluster(&pts, Metric::Euclidean, linkage).unwrap();
+            let fast = chain(&pts, linkage).unwrap();
+            let slow = naive(&pts, linkage);
             let mut df = fast.merge_distances();
             let mut ds = slow.merge_distances();
             df.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -474,7 +326,7 @@ mod tests {
             Linkage::Average,
             Linkage::Ward,
         ] {
-            let d = cluster_nn_chain(&pts, Metric::Euclidean, linkage).unwrap();
+            let d = chain(&pts, linkage).unwrap();
             assert!(d.is_monotone(), "{linkage}");
         }
     }
@@ -483,26 +335,29 @@ mod tests {
     fn rejects_non_reducible_linkages() {
         let pts = grid_points(5);
         for linkage in [Linkage::Centroid, Linkage::Median] {
-            assert!(matches!(
-                cluster_nn_chain(&pts, Metric::Euclidean, linkage).unwrap_err(),
-                ClusterError::InvalidLabels { .. }
-            ));
+            assert_eq!(
+                chain(&pts, linkage).unwrap_err(),
+                ClusterError::UnsupportedLinkage { linkage }
+            );
         }
     }
 
     #[test]
     fn trivial_inputs() {
         let one = Matrix::from_rows(&[vec![1.0]]).unwrap();
-        let d = cluster_nn_chain(&one, Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = chain(&one, Linkage::Complete).unwrap();
         assert_eq!(d.n_leaves(), 1);
-        let empty = Matrix::zeros(0, 2);
-        assert!(cluster_nn_chain(&empty, Metric::Euclidean, Linkage::Complete).is_err());
+        let empty = Matrix::zeros(0, 0);
+        assert_eq!(
+            cluster_nn_chain_owned(empty, Linkage::Complete, &Collector::disabled()).unwrap_err(),
+            ClusterError::EmptyInput
+        );
     }
 
     #[test]
     fn two_points() {
         let pts = Matrix::from_rows(&[vec![0.0], vec![5.0]]).unwrap();
-        let d = cluster_nn_chain(&pts, Metric::Euclidean, Linkage::Ward).unwrap();
+        let d = chain(&pts, Linkage::Ward).unwrap();
         assert_eq!(d.merges().len(), 1);
         assert!((d.merges()[0].distance - 5.0).abs() < 1e-12);
     }
@@ -525,75 +380,25 @@ mod tests {
             vec![1.0, 1.0],
         ])
         .unwrap();
-        let d = cluster_nn_chain(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = chain(&pts, Linkage::Complete).unwrap();
         assert_eq!(d.merges().len(), 3);
         assert!(d.is_monotone());
     }
 
     #[test]
-    fn active_scan_matches_full_scan_bitwise() {
-        // Tie-heavy integer lattice: the explicit (distance, slot) tie-break
-        // must make both scan orders produce identical dendrograms.
-        let lattice: Vec<Vec<f64>> = (0..5)
-            .flat_map(|x| (0..5).map(move |y| vec![f64::from(x), f64::from(y)]))
-            .collect();
-        let lattice = Matrix::from_rows(&lattice).unwrap();
-        for pts in [&lattice, &grid_points(40)] {
-            for linkage in [
-                Linkage::Single,
-                Linkage::Complete,
-                Linkage::Average,
-                Linkage::Weighted,
-                Linkage::Ward,
-            ] {
-                let dist = pairwise(pts, Metric::Euclidean).unwrap();
-                let full = cluster_nn_chain_owned_with_scan(dist.clone(), linkage, SlotScan::Full)
-                    .unwrap();
-                let active =
-                    cluster_nn_chain_owned_with_scan(dist, linkage, SlotScan::Active).unwrap();
-                assert_eq!(full, active, "{linkage} differs between scans");
-            }
-        }
-    }
-
-    #[test]
-    fn owned_matches_borrowed() {
-        let pts = grid_points(30);
-        let dist = pairwise(&pts, Metric::Euclidean).unwrap();
-        let borrowed = cluster_nn_chain_from_distances(&dist, Linkage::Complete).unwrap();
-        let owned = cluster_nn_chain_owned(dist, Linkage::Complete).unwrap();
-        assert_eq!(borrowed, owned);
-    }
-
-    #[test]
     fn traced_matches_untraced_and_naive_trace() {
-        use hiermeans_obs::Collector;
-
         let pts = grid_points(32);
         let traced_collector = Collector::enabled();
-        let traced = cluster_nn_chain_traced_with_policy(
-            &pts,
-            Metric::Euclidean,
-            Linkage::Complete,
-            KernelPolicy::default(),
-            &traced_collector,
-        )
-        .unwrap();
-        let plain = cluster_nn_chain(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
-        assert_eq!(traced, plain);
+        let traced =
+            cluster_nn_chain_owned(dist(&pts), Linkage::Complete, &traced_collector).unwrap();
+        assert_eq!(traced, chain(&pts, Linkage::Complete).unwrap());
 
         // Complete linkage's Lance–Williams update is a pure max selection,
         // so the naive loop sees the same merge distances bit for bit and
-        // the two strategies must fingerprint identically.
+        // the two loops must fingerprint identically.
         let naive_collector = Collector::enabled();
-        let naive = agglomerative::cluster_traced_with_policy(
-            &pts,
-            Metric::Euclidean,
-            Linkage::Complete,
-            KernelPolicy::default(),
-            &naive_collector,
-        )
-        .unwrap();
+        let naive =
+            cluster_from_distances(&dist(&pts), Linkage::Complete, &naive_collector).unwrap();
         assert_eq!(traced, naive);
         assert_eq!(
             traced_collector.report().unwrap().fingerprint(),

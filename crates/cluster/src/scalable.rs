@@ -11,8 +11,8 @@
 //!   attachment rule.
 //!
 //! Both stream one distance row-strip at a time from a
-//! [`TiledDistances`] provider (which reuses the PR-4 norm-trick kernels
-//! under [`KernelPolicy::Blocked`]), so peak memory is O(n): a handful of
+//! [`TiledDistances`] provider (which uses the norm-trick kernels for a
+//! (squared) Euclidean metric), so peak memory is O(n): a handful of
 //! length-n working arrays plus the strip buffer. Time stays O(n²).
 //!
 //! # Exactness
@@ -41,7 +41,6 @@
 //! skips n²/2 − n square roots.
 
 use hiermeans_linalg::distance::{Metric, TiledDistances};
-use hiermeans_linalg::kernels::KernelPolicy;
 use hiermeans_linalg::Matrix;
 
 use crate::dendrogram::{Dendrogram, Merge};
@@ -73,18 +72,14 @@ fn validate_points(points: &Matrix) -> Result<(), ClusterError> {
 /// * [`ClusterError::EmptyInput`] for an empty matrix.
 /// * [`ClusterError::InvalidData`] for non-finite coordinates.
 /// * [`ClusterError::Linalg`] if the metric rejects the data.
-pub fn cluster_slink(
-    points: &Matrix,
-    metric: Metric,
-    policy: KernelPolicy,
-) -> Result<Dendrogram, ClusterError> {
+pub fn cluster_slink(points: &Matrix, metric: Metric) -> Result<Dendrogram, ClusterError> {
     validate_points(points)?;
     let n = points.nrows();
     if n == 1 {
         return Dendrogram::new(1, vec![]);
     }
     let (metric, sqrt_heights) = inner_metric(metric);
-    let tiles = TiledDistances::new(points, metric, policy);
+    let tiles = TiledDistances::new(points, metric);
 
     // Sibson's pointer representation: pi[j] is the largest-index member of
     // the cluster j joins at level lambda[j].
@@ -205,7 +200,6 @@ struct TreeNode {
 pub fn cluster_sequential_complete(
     points: &Matrix,
     metric: Metric,
-    policy: KernelPolicy,
 ) -> Result<Dendrogram, ClusterError> {
     validate_points(points)?;
     let n = points.nrows();
@@ -213,7 +207,7 @@ pub fn cluster_sequential_complete(
         return Dendrogram::new(1, vec![]);
     }
     let (metric, sqrt_heights) = inner_metric(metric);
-    let tiles = TiledDistances::new(points, metric, policy);
+    let tiles = TiledDistances::new(points, metric);
 
     // Node ids are creation-ordered: leaves are created when their point is
     // inserted, merge nodes right after; a leaf's `rep_leaf` is its point.
@@ -409,7 +403,16 @@ fn tree_to_dendrogram(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{agglomerative, Linkage};
+    use crate::agglomerative::cluster_from_distances;
+    use crate::Linkage;
+    use hiermeans_linalg::distance::pairwise;
+    use hiermeans_obs::Collector;
+
+    /// The naive loop over exact scalar distances: the oracle.
+    fn naive(pts: &Matrix, metric: Metric, linkage: Linkage) -> Dendrogram {
+        let dist = pairwise(pts, metric).unwrap();
+        cluster_from_distances(&dist, linkage, &Collector::disabled()).unwrap()
+    }
 
     fn scatter(n: usize) -> Matrix {
         // Deterministic tie-free pseudo-random points.
@@ -454,29 +457,29 @@ mod tests {
 
     #[test]
     fn slink_is_exact_single_linkage() {
-        for policy in [KernelPolicy::Scalar, KernelPolicy::Blocked] {
-            for n in [2, 3, 17, 60] {
-                let pts = scatter(n);
-                let slink = cluster_slink(&pts, Metric::Euclidean, policy).unwrap();
-                let naive =
-                    agglomerative::cluster(&pts, Metric::Euclidean, Linkage::Single).unwrap();
-                for k in 1..=n {
-                    let a = slink.cut_into(k).unwrap();
-                    let b = naive.cut_into(k).unwrap();
-                    assert!(
-                        (a.rand_index(&b).unwrap() - 1.0).abs() < 1e-12,
-                        "n={n} k={k} differs"
-                    );
-                }
-                // Same merge heights too (up to sort): single linkage
-                // heights are unique to the hierarchy.
-                let mut ha: Vec<f64> = slink.merges().iter().map(|m| m.distance).collect();
-                let mut hb: Vec<f64> = naive.merges().iter().map(|m| m.distance).collect();
-                ha.sort_by(f64::total_cmp);
-                hb.sort_by(f64::total_cmp);
-                for (x, y) in ha.iter().zip(&hb) {
-                    assert!((x - y).abs() < 1e-9, "height mismatch {x} vs {y}");
-                }
+        // The oracle is the naive loop over exact scalar distances; SLINK
+        // streams norm-trick distances, so this also checks that the
+        // trick's rounding never changes a single-linkage cut.
+        for n in [2, 3, 17, 60] {
+            let pts = scatter(n);
+            let slink = cluster_slink(&pts, Metric::Euclidean).unwrap();
+            let naive = naive(&pts, Metric::Euclidean, Linkage::Single);
+            for k in 1..=n {
+                let a = slink.cut_into(k).unwrap();
+                let b = naive.cut_into(k).unwrap();
+                assert!(
+                    (a.rand_index(&b).unwrap() - 1.0).abs() < 1e-12,
+                    "n={n} k={k} differs"
+                );
+            }
+            // Same merge heights too (up to sort): single linkage
+            // heights are unique to the hierarchy.
+            let mut ha: Vec<f64> = slink.merges().iter().map(|m| m.distance).collect();
+            let mut hb: Vec<f64> = naive.merges().iter().map(|m| m.distance).collect();
+            ha.sort_by(f64::total_cmp);
+            hb.sort_by(f64::total_cmp);
+            for (x, y) in ha.iter().zip(&hb) {
+                assert!((x - y).abs() < 1e-9, "height mismatch {x} vs {y}");
             }
         }
     }
@@ -487,8 +490,7 @@ mod tests {
         // the exact max pairwise distance of the cluster it creates.
         for n in [2, 5, 23, 40] {
             let pts = scatter(n);
-            let d =
-                cluster_sequential_complete(&pts, Metric::Euclidean, KernelPolicy::Scalar).unwrap();
+            let d = cluster_sequential_complete(&pts, Metric::Euclidean).unwrap();
             assert!(d.is_monotone());
             // Recover each merge's member set by replaying merges.
             let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
@@ -509,41 +511,12 @@ mod tests {
     #[test]
     fn sequential_complete_recovers_planted_blobs() {
         let pts = blobs();
-        for policy in [KernelPolicy::Scalar, KernelPolicy::Blocked] {
-            let d = cluster_sequential_complete(&pts, Metric::Euclidean, policy).unwrap();
-            let cut = d.cut_into(3).unwrap();
-            let naive = agglomerative::cluster(&pts, Metric::Euclidean, Linkage::Complete)
-                .unwrap()
-                .cut_into(3)
-                .unwrap();
-            assert!((cut.rand_index(&naive).unwrap() - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn scalar_and_blocked_policies_agree() {
-        let pts = scatter(50);
-        let a = cluster_slink(&pts, Metric::Euclidean, KernelPolicy::Scalar).unwrap();
-        let b = cluster_slink(&pts, Metric::Euclidean, KernelPolicy::Blocked).unwrap();
-        for k in 1..=50 {
-            let r = a
-                .cut_into(k)
-                .unwrap()
-                .rand_index(&b.cut_into(k).unwrap())
-                .unwrap();
-            assert!((r - 1.0).abs() < 1e-12, "slink k={k}");
-        }
-        let a = cluster_sequential_complete(&pts, Metric::Euclidean, KernelPolicy::Scalar).unwrap();
-        let b =
-            cluster_sequential_complete(&pts, Metric::Euclidean, KernelPolicy::Blocked).unwrap();
-        for k in 1..=50 {
-            let r = a
-                .cut_into(k)
-                .unwrap()
-                .rand_index(&b.cut_into(k).unwrap())
-                .unwrap();
-            assert!((r - 1.0).abs() < 1e-12, "sequential complete k={k}");
-        }
+        let d = cluster_sequential_complete(&pts, Metric::Euclidean).unwrap();
+        let cut = d.cut_into(3).unwrap();
+        let naive = naive(&pts, Metric::Euclidean, Linkage::Complete)
+            .cut_into(3)
+            .unwrap();
+        assert!((cut.rand_index(&naive).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -554,8 +527,8 @@ mod tests {
             Metric::Chebyshev,
             Metric::SquaredEuclidean,
         ] {
-            let slink = cluster_slink(&pts, metric, KernelPolicy::Scalar).unwrap();
-            let naive = agglomerative::cluster(&pts, metric, Linkage::Single).unwrap();
+            let slink = cluster_slink(&pts, metric).unwrap();
+            let naive = naive(&pts, metric, Linkage::Single);
             for k in 1..=20 {
                 let r = slink
                     .cut_into(k)
@@ -570,20 +543,15 @@ mod tests {
     #[test]
     fn trivial_inputs() {
         assert!(matches!(
-            cluster_slink(
-                &Matrix::zeros(0, 0),
-                Metric::Euclidean,
-                KernelPolicy::Scalar
-            ),
+            cluster_slink(&Matrix::zeros(0, 0), Metric::Euclidean),
             Err(ClusterError::EmptyInput)
         ));
         let one = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
-        let d = cluster_slink(&one, Metric::Euclidean, KernelPolicy::Scalar).unwrap();
+        let d = cluster_slink(&one, Metric::Euclidean).unwrap();
         assert_eq!(d.n_leaves(), 1);
         assert!(d.merges().is_empty());
         let two = Matrix::from_rows(&[vec![0.0], vec![3.0]]).unwrap();
-        let d =
-            cluster_sequential_complete(&two, Metric::Euclidean, KernelPolicy::Blocked).unwrap();
+        let d = cluster_sequential_complete(&two, Metric::Euclidean).unwrap();
         assert_eq!(d.merges().len(), 1);
         assert!((d.merges()[0].distance - 3.0).abs() < 1e-12);
     }

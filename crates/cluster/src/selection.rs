@@ -9,6 +9,7 @@
 
 use hiermeans_linalg::distance::{pairwise, Metric};
 use hiermeans_linalg::{LinalgError, Matrix};
+use hiermeans_obs::Collector;
 
 use crate::validity::{wcss_from_distances, CellDistances};
 use crate::{ClusterError, Dendrogram};
@@ -33,12 +34,14 @@ use crate::{ClusterError, Dendrogram};
 /// ```
 /// use hiermeans_cluster::{agglomerative::cluster, selection, Linkage};
 /// use hiermeans_linalg::{distance::Metric, Matrix};
+/// use hiermeans_obs::Collector;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let pts = Matrix::from_rows(&[
 ///     vec![0.0], vec![0.1], vec![0.2], vec![9.0], vec![9.1], vec![9.2],
 /// ])?;
-/// let d = cluster(&pts, Metric::Euclidean, Linkage::Complete)?;
+/// let off = Collector::disabled();
+/// let d = cluster(&pts, Metric::Euclidean, Linkage::Complete, &off)?;
 /// assert_eq!(selection::elbow_k(&d, 2..=5)?, 2);
 /// # Ok(())
 /// # }
@@ -224,8 +227,11 @@ pub fn gap_statistic_k(
                 *v = v.sqrt();
             }
         }
-        let reference_dendrogram =
-            crate::agglomerative::cluster_from_distances(&euclid, crate::Linkage::Complete)?;
+        let reference_dendrogram = crate::agglomerative::cluster_from_distances(
+            &euclid,
+            crate::Linkage::Complete,
+            &Collector::disabled(),
+        )?;
         drop(euclid);
         for (i, &k) in ks.iter().enumerate() {
             let w = log_wcss(&sq, &reference_dendrogram.cut_into(k)?)?;
@@ -339,6 +345,11 @@ mod tests {
     use crate::agglomerative::cluster;
     use crate::Linkage;
 
+    /// [`cluster`] over Euclidean distances, untraced.
+    fn untraced(points: &Matrix, linkage: Linkage) -> Dendrogram {
+        cluster(points, Metric::Euclidean, linkage, &Collector::disabled()).unwrap()
+    }
+
     fn three_blobs() -> Matrix {
         Matrix::from_rows(&[
             vec![0.0, 0.0],
@@ -354,21 +365,21 @@ mod tests {
 
     #[test]
     fn elbow_finds_planted_count() {
-        let d = cluster(&three_blobs(), Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = untraced(&three_blobs(), Linkage::Complete);
         assert_eq!(elbow_k(&d, 2..=6).unwrap(), 3);
     }
 
     #[test]
     fn silhouette_finds_planted_count() {
         let pts = three_blobs();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = untraced(&pts, Linkage::Complete);
         assert_eq!(silhouette_k(&d, &pts, 2..=6).unwrap(), 3);
     }
 
     #[test]
     fn gap_statistic_finds_planted_count() {
         let pts = three_blobs();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = untraced(&pts, Linkage::Complete);
         let k = gap_statistic_k(&d, &pts, 2..=6, 8, 42).unwrap();
         // The gap statistic can defensibly pick 2 (two super-groups) or 3
         // (the planted blobs); it must not over-segment.
@@ -378,7 +389,7 @@ mod tests {
     #[test]
     fn gap_statistic_validation() {
         let pts = three_blobs();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = untraced(&pts, Linkage::Complete);
         assert!(gap_statistic_k(&d, &pts, 1..=3, 4, 1).is_err());
         assert!(gap_statistic_k(&d, &pts, 2..=7, 4, 1).is_err()); // k = n
         assert!(gap_statistic_k(&d, &pts, 2..=4, 0, 1).is_err());
@@ -387,7 +398,7 @@ mod tests {
     #[test]
     fn gap_statistic_deterministic() {
         let pts = three_blobs();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = untraced(&pts, Linkage::Complete);
         let a = gap_statistic_k(&d, &pts, 2..=6, 6, 9).unwrap();
         let b = gap_statistic_k(&d, &pts, 2..=6, 6, 9).unwrap();
         assert_eq!(a, b);
@@ -396,7 +407,7 @@ mod tests {
     #[test]
     fn cophenetic_correlation_high_for_well_separated() {
         let pts = three_blobs();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Average).unwrap();
+        let d = untraced(&pts, Linkage::Average);
         let c = cophenetic_correlation(&d, &pts, Metric::Euclidean).unwrap();
         assert!(c > 0.95, "c={c}");
     }
@@ -410,7 +421,7 @@ mod tests {
             vec![3.5, 0.8],
         ])
         .unwrap();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Single).unwrap();
+        let d = untraced(&pts, Linkage::Single);
         let c = cophenetic_correlation(&d, &pts, Metric::Euclidean).unwrap();
         assert!((-1.0..=1.0).contains(&c));
     }
@@ -422,7 +433,7 @@ mod tests {
         // all-singleton cut.
         let pts = three_blobs();
         let n = pts.nrows();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = untraced(&pts, Linkage::Complete);
         // Structured data: the planted count must still win over k = n.
         assert_eq!(elbow_k(&d, 2..=n).unwrap(), 3);
         assert_eq!(silhouette_k(&d, &pts, 2..=n).unwrap(), 3);
@@ -432,14 +443,14 @@ mod tests {
         // (the k = n "gap") is the largest and k = n must be chosen. The
         // clamped sweep returned `lo` here.
         let uniform = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![3.0]]).unwrap();
-        let du = cluster(&uniform, Metric::Euclidean, Linkage::Single).unwrap();
+        let du = untraced(&uniform, Linkage::Single);
         assert_eq!(elbow_k(&du, 2..=4).unwrap(), 4);
     }
 
     #[test]
     fn range_validation() {
         let pts = three_blobs();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = untraced(&pts, Linkage::Complete);
         assert!(elbow_k(&d, 1..=3).is_err());
         assert!(elbow_k(&d, 2..=20).is_err());
         assert!(silhouette_k(&d, &pts, 0..=2).is_err());
@@ -451,7 +462,7 @@ mod tests {
         let pts = three_blobs();
         let n = pts.nrows();
         for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
-            let d = cluster(&pts, Metric::Euclidean, linkage).unwrap();
+            let d = untraced(&pts, linkage);
             let streamed = cophenetic_correlation(&d, &pts, Metric::Euclidean).unwrap();
             let original = pairwise(&pts, Metric::Euclidean).unwrap();
             let coph = d.cophenetic();
@@ -476,14 +487,20 @@ mod tests {
         // Points exactly equidistant under Chebyshev: every pairwise and
         // cophenetic distance is identical, so the correlation is undefined.
         let pts = Matrix::from_rows(&[vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
-        let d = cluster(&pts, Metric::Chebyshev, Linkage::Single).unwrap();
+        let d = cluster(
+            &pts,
+            Metric::Chebyshev,
+            Linkage::Single,
+            &Collector::disabled(),
+        )
+        .unwrap();
         assert!(cophenetic_correlation(&d, &pts, Metric::Chebyshev).is_err());
     }
 
     #[test]
     fn cophenetic_needs_matching_points() {
         let pts = three_blobs();
-        let d = cluster(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
+        let d = untraced(&pts, Linkage::Complete);
         let wrong = Matrix::zeros(4, 2);
         assert!(cophenetic_correlation(&d, &wrong, Metric::Euclidean).is_err());
     }

@@ -1,16 +1,19 @@
 //! NN-chain ≡ naive merge loop, property-tested.
 //!
-//! For every *reducible* linkage the nearest-neighbor-chain algorithm must
-//! produce exactly the hierarchy the naive closest-pair loop produces —
-//! same merge pairs, same merge distances, same cuts — on arbitrary
-//! continuous inputs, under both of the pipeline's Euclidean metrics. This
-//! is the property that lets `AgglomerationStrategy::Auto` switch
-//! algorithms by size without changing a single downstream number.
+//! For every *reducible* linkage the nearest-neighbor-chain algorithm
+//! ([`cluster_nn_chain_owned`]) must produce exactly the hierarchy the
+//! naive closest-pair loop ([`cluster_from_distances`], the oracle)
+//! produces — same merge pairs, same merge distances, same cuts — on
+//! arbitrary continuous inputs, under both of the pipeline's Euclidean
+//! metrics. This is the property that lets `agglomerative::cluster` switch
+//! to NN-chain at 128 points without changing a single downstream number.
 
-use hiermeans_cluster::nnchain::{cluster_nn_chain, cluster_nn_chain_owned_with_scan, SlotScan};
-use hiermeans_cluster::{agglomerative, Linkage};
-use hiermeans_linalg::distance::{pairwise, Metric};
+use hiermeans_cluster::agglomerative::{cluster, cluster_from_distances};
+use hiermeans_cluster::nnchain::cluster_nn_chain_owned;
+use hiermeans_cluster::{ClusterError, Dendrogram, Linkage};
+use hiermeans_linalg::distance::{pairwise, pairwise_norm_trick, Metric};
 use hiermeans_linalg::Matrix;
+use hiermeans_obs::Collector;
 use proptest::prelude::*;
 
 /// The linkages NN-chain supports (reducible under Lance–Williams).
@@ -25,6 +28,15 @@ const REDUCIBLE: [Linkage; 5] = [
 fn points(n: usize, dim: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-1e2..1e2f64, n * dim)
         .prop_map(move |data| Matrix::from_vec(n, dim, data).expect("len matches"))
+}
+
+/// Naive and NN-chain dendrograms over the distance matrix `cluster`
+/// computes for `pts`.
+fn naive_and_chain(pts: &Matrix, metric: Metric, linkage: Linkage) -> (Dendrogram, Dendrogram) {
+    let dist = pairwise_norm_trick(pts, metric, None).unwrap();
+    let naive = cluster_from_distances(&dist, linkage, &Collector::disabled()).unwrap();
+    let chain = cluster_nn_chain_owned(dist, linkage, &Collector::disabled()).unwrap();
+    (naive, chain)
 }
 
 fn any_case() -> impl Strategy<Value = (Matrix, Linkage, Metric)> {
@@ -43,14 +55,13 @@ proptest! {
 
     #[test]
     fn nn_chain_matches_naive((pts, linkage, metric) in any_case()) {
-        let naive = agglomerative::cluster(&pts, metric, linkage).unwrap();
-        let chain = cluster_nn_chain(&pts, metric, linkage).unwrap();
+        let (naive, chain) = naive_and_chain(&pts, metric, linkage);
         match linkage {
             // Single and complete linkage are pure min/max *selections* of
             // original pairwise distances: merge order cannot change a
             // single bit, so the sorted NN-chain history is the naive
-            // history exactly. (This is what keeps the paper studies'
-            // trace fingerprints identical across strategies.)
+            // history exactly. (This is what keeps trace fingerprints
+            // identical on both sides of the size threshold.)
             Linkage::Single | Linkage::Complete => prop_assert_eq!(&naive, &chain),
             // Average/weighted/Ward distances are weighted-average
             // arithmetic whose floating-point association follows the
@@ -80,21 +91,11 @@ proptest! {
             prop_assert_eq!(naive_cut.labels(), chain_cut.labels(), "cut at k={} diverged", k);
         }
     }
-
-    #[test]
-    fn active_scan_is_pure_speedup((pts, linkage, metric) in any_case()) {
-        let dist = pairwise(&pts, metric).unwrap();
-        let full =
-            cluster_nn_chain_owned_with_scan(dist.clone(), linkage, SlotScan::Full).unwrap();
-        let active =
-            cluster_nn_chain_owned_with_scan(dist, linkage, SlotScan::Active).unwrap();
-        prop_assert_eq!(full, active);
-    }
 }
 
 /// A larger deterministic instance than proptest should shrink over:
-/// n = 200 as the issue's target size, complete linkage (the paper's),
-/// both metrics.
+/// n = 200, past the size at which `cluster` runs NN-chain, complete
+/// linkage (the paper's), both metrics.
 #[test]
 fn matches_naive_at_n_200() {
     let n = 200;
@@ -110,9 +111,10 @@ fn matches_naive_at_n_200() {
         .collect();
     let pts = Matrix::from_vec(n, dim, data).unwrap();
     for metric in [Metric::Euclidean, Metric::SquaredEuclidean] {
-        let naive = agglomerative::cluster(&pts, metric, Linkage::Complete).unwrap();
-        let chain = cluster_nn_chain(&pts, metric, Linkage::Complete).unwrap();
+        let (naive, chain) = naive_and_chain(&pts, metric, Linkage::Complete);
         assert_eq!(naive, chain, "{metric:?}");
+        let dispatched = cluster(&pts, metric, Linkage::Complete, &Collector::disabled()).unwrap();
+        assert_eq!(dispatched, chain, "{metric:?}");
     }
 }
 
@@ -120,7 +122,12 @@ fn matches_naive_at_n_200() {
 #[test]
 fn centroid_and_median_rejected() {
     let pts = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![3.0]]).unwrap();
+    let dist = pairwise(&pts, Metric::Euclidean).unwrap();
     for linkage in [Linkage::Centroid, Linkage::Median] {
-        assert!(cluster_nn_chain(&pts, Metric::Euclidean, linkage).is_err());
+        let err = cluster_nn_chain_owned(dist.clone(), linkage, &Collector::disabled());
+        assert_eq!(
+            err.unwrap_err(),
+            ClusterError::UnsupportedLinkage { linkage }
+        );
     }
 }

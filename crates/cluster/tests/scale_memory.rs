@@ -20,7 +20,6 @@ use hiermeans_cluster::nnchain::cluster_nn_chain_owned;
 use hiermeans_cluster::scalable::{cluster_sequential_complete, cluster_slink};
 use hiermeans_cluster::Linkage;
 use hiermeans_linalg::distance::{pairwise, Metric};
-use hiermeans_linalg::kernels::KernelPolicy;
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::memhook::{self, TrackingAlloc};
 use hiermeans_obs::{Collector, ObsConfig};
@@ -65,7 +64,7 @@ fn scalable_paths_never_materialize_n_squared() {
     });
     let (slink, slink_peak) = measured(|| {
         let _span = collector.span("pipeline.cluster");
-        cluster_slink(&pts, Metric::Euclidean, KernelPolicy::Blocked).unwrap()
+        cluster_slink(&pts, Metric::Euclidean).unwrap()
     });
     assert_eq!(slink.merges().len(), n - 1);
     assert!(
@@ -86,9 +85,8 @@ fn scalable_paths_never_materialize_n_squared() {
         stage.peak_bytes
     );
 
-    let (seq, seq_peak) = measured(|| {
-        cluster_sequential_complete(&pts, Metric::Euclidean, KernelPolicy::Blocked).unwrap()
-    });
+    let (seq, seq_peak) =
+        measured(|| cluster_sequential_complete(&pts, Metric::Euclidean).unwrap());
     assert_eq!(seq.merges().len(), n - 1);
     assert!(
         seq_peak < ceiling,
@@ -103,8 +101,9 @@ fn scalable_paths_never_materialize_n_squared() {
     let small = lcg_points(m, 4, 0xDEAD_BEEF);
     let dist = pairwise(&small, Metric::Euclidean).unwrap();
     let matrix_bytes = (m * m * std::mem::size_of::<f64>()) as i64;
-    let (dendro, chain_peak) =
-        measured(|| cluster_nn_chain_owned(dist, Linkage::Complete).unwrap());
+    let (dendro, chain_peak) = measured(|| {
+        cluster_nn_chain_owned(dist, Linkage::Complete, &Collector::disabled()).unwrap()
+    });
     assert_eq!(dendro.merges().len(), m - 1);
     assert!(
         chain_peak < matrix_bytes / 2,

@@ -70,8 +70,8 @@ impl SuiteAnalysis {
     }
 
     /// [`SuiteAnalysis::paper_with`] with the full pipeline configuration
-    /// exposed — used to run the paper study under a non-default
-    /// [`hiermeans_linalg::kernels::KernelPolicy`] or training mode.
+    /// exposed — used to run the paper study under a non-default training
+    /// mode or warm-start setting.
     /// Observability flows through `config.collector`.
     ///
     /// # Errors

@@ -6,9 +6,8 @@
 //! neighborhood, Euclidean distances, complete linkage.
 
 use hiermeans_cluster::agglomerative;
-use hiermeans_cluster::{AgglomerationStrategy, ClusterAssignment, Dendrogram, Linkage};
+use hiermeans_cluster::{ClusterAssignment, Dendrogram, Linkage};
 use hiermeans_linalg::distance::Metric;
-use hiermeans_linalg::kernels::KernelPolicy;
 use hiermeans_linalg::parallel::{self, Chunking};
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::{stages, Collector, Counter, CounterBuf, LaneBuf};
@@ -45,14 +44,11 @@ pub struct PipelineConfig {
     pub training: hiermeans_som::TrainingMode,
     /// Linkage rule (the paper uses complete linkage).
     pub linkage: Linkage,
-    /// Point-to-point metric (the paper uses Euclidean).
+    /// Point-to-point metric (the paper uses Euclidean). A (squared)
+    /// Euclidean metric runs the norm-trick kernels for the SOM's BMU
+    /// searches and the clustering stage's pairwise distances; other
+    /// metrics run the scalar per-pair loops.
     pub metric: Metric,
-    /// Compute-kernel policy for the SOM's BMU searches and the clustering
-    /// stage's pairwise distance matrix. [`KernelPolicy::Blocked`] (the
-    /// default) routes Euclidean hot paths through the norm-trick kernels;
-    /// results are identical to [`KernelPolicy::Scalar`] — same cluster
-    /// assignments, same trace fingerprint — just faster.
-    pub kernel_policy: KernelPolicy,
     /// Whether batch SOM training may reuse previous-epoch BMUs under the
     /// drift bound ([`hiermeans_som::WarmStart::Enabled`], the default) or
     /// must rescan exactly every epoch. The trained map, cluster
@@ -60,14 +56,6 @@ pub struct PipelineConfig {
     /// — the warm path only skips searches it can prove redundant. Online
     /// training (the paper's default) ignores the knob.
     pub warm_start: hiermeans_som::WarmStart,
-    /// How the agglomerative stage runs its merge loop.
-    /// [`AgglomerationStrategy::Auto`] (the default) keeps the naive
-    /// closest-pair loop for small inputs — the paper's 13-workload studies
-    /// are bit-for-bit unchanged — and switches to the NN-chain algorithm
-    /// once the input is large enough that the naive loop's cubic scan
-    /// dominates, provided the linkage is reducible. The dendrogram and the
-    /// trace fingerprint are identical either way.
-    pub agglomeration: AgglomerationStrategy,
     /// Observability collector. The default is the disabled no-op handle,
     /// which costs one branch per instrumentation point; pass
     /// [`Collector::enabled`] to capture spans, counters, per-epoch SOM
@@ -86,9 +74,7 @@ impl Default for PipelineConfig {
             training: hiermeans_som::TrainingMode::Online,
             linkage: Linkage::Complete,
             metric: Metric::Euclidean,
-            kernel_policy: KernelPolicy::default(),
             warm_start: hiermeans_som::WarmStart::default(),
-            agglomeration: AgglomerationStrategy::default(),
             collector: Collector::disabled(),
         }
     }
@@ -99,9 +85,9 @@ impl PipelineConfig {
     /// paper's fixed 13: the SOM grid grows as `≈5·√n` units
     /// ([`hiermeans_som::heuristic_map_size`]), training switches to batch
     /// mode with a short epoch budget (each batch epoch sees every row, so
-    /// dozens of passes converge where online needed hundreds), and the
-    /// agglomeration strategy stays [`AgglomerationStrategy::Auto`] so large
-    /// inputs take the NN-chain path.
+    /// dozens of passes converge where online needed hundreds). Clustering
+    /// runs NN-chain for inputs of 128 rows or more
+    /// ([`agglomerative::cluster`]).
     pub fn scaled(n: usize) -> Self {
         let (som_width, som_height) = hiermeans_som::heuristic_map_size(n);
         PipelineConfig {
@@ -248,7 +234,6 @@ pub fn run_pipeline(
                 end: config.sigma_end,
             })
             .mode(config.training)
-            .kernel_policy(config.kernel_policy)
             .warm_start(config.warm_start)
             .train_traced(vectors, collector)?
     };
@@ -258,14 +243,7 @@ pub fn run_pipeline(
     };
     let dendrogram = {
         let _cluster_span = collector.span(stages::PIPELINE_CLUSTER);
-        agglomerative::cluster_with_strategy_traced(
-            &positions,
-            config.metric,
-            config.linkage,
-            config.kernel_policy,
-            config.agglomeration,
-            collector,
-        )?
+        agglomerative::cluster(&positions, config.metric, config.linkage, collector)?
     };
     drop(span);
     Ok(PipelineResult {
@@ -280,7 +258,7 @@ pub fn run_pipeline(
 /// [`hiermeans_linalg::rows::RowSource`] in fixed strips instead of a
 /// resident `n × dim` matrix, so training memory is bounded by the codebook
 /// and one strip regardless of `n`. The builder wiring (grid, schedule,
-/// metric, kernel policy, warm start) is exactly [`run_pipeline`]'s, and a
+/// metric, warm start) is exactly [`run_pipeline`]'s, and a
 /// random-initialized streamed run is bitwise identical to the resident
 /// trainer on the same rows (PCA-plane initialization needs the resident
 /// matrix, so streaming falls back to random). Requires
@@ -318,24 +296,22 @@ pub fn train_som_streaming(
             end: config.sigma_end,
         })
         .mode(config.training)
-        .kernel_policy(config.kernel_policy)
         .warm_start(config.warm_start)
         .train_stream_traced(source, collector)?)
 }
 
 /// Skips the SOM and clusters directly on the raw characteristic vectors —
-/// the ablation baseline for "is the SOM stage useful?".
+/// the ablation baseline for "is the SOM stage useful?". Runs untraced.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Cluster`] if clustering fails.
 pub fn run_without_som(vectors: &Matrix, config: &PipelineConfig) -> Result<Dendrogram, CoreError> {
-    Ok(agglomerative::cluster_with_strategy(
+    Ok(agglomerative::cluster(
         vectors,
         config.metric,
         config.linkage,
-        config.kernel_policy,
-        config.agglomeration,
+        &Collector::disabled(),
     )?)
 }
 
@@ -397,22 +373,19 @@ mod tests {
 
     #[test]
     fn naive_and_nn_chain_agree_end_to_end() {
-        let naive = PipelineConfig {
-            agglomeration: AgglomerationStrategy::Naive,
-            ..Default::default()
+        use hiermeans_cluster::nnchain::cluster_nn_chain_owned;
+        use hiermeans_linalg::distance::pairwise_norm_trick;
+
+        let chain = |points: &Matrix| {
+            let dist = pairwise_norm_trick(points, Metric::Euclidean, None).unwrap();
+            cluster_nn_chain_owned(dist, Linkage::Complete, &Collector::disabled()).unwrap()
         };
-        let chain = PipelineConfig {
-            agglomeration: AgglomerationStrategy::NnChain,
-            ..Default::default()
-        };
-        let a = run_pipeline(&blob_vectors(), &naive).unwrap();
-        let b = run_pipeline(&blob_vectors(), &chain).unwrap();
-        assert_eq!(a.positions(), b.positions());
-        assert_eq!(a.dendrogram(), b.dendrogram());
-        assert_eq!(
-            run_without_som(&blob_vectors(), &naive).unwrap(),
-            run_without_som(&blob_vectors(), &chain).unwrap()
-        );
+        // Six rows take the naive loop; NN-chain on the same input must
+        // give the same dendrogram.
+        let res = run_pipeline(&blob_vectors(), &PipelineConfig::default()).unwrap();
+        assert_eq!(res.dendrogram(), &chain(res.positions()));
+        let raw = run_without_som(&blob_vectors(), &PipelineConfig::default()).unwrap();
+        assert_eq!(raw, chain(&blob_vectors()));
     }
 
     #[test]
@@ -421,7 +394,6 @@ mod tests {
         let big = PipelineConfig::scaled(10_000);
         assert!(big.som_width > small.som_width);
         assert_eq!(small.training, hiermeans_som::TrainingMode::Batch);
-        assert_eq!(small.agglomeration, AgglomerationStrategy::Auto);
         // The defaults the scaling rule does not touch stay the paper's.
         assert_eq!(small.linkage, Linkage::Complete);
         assert_eq!(small.metric, Metric::Euclidean);

@@ -315,7 +315,13 @@ mod tests {
         .unwrap();
         let pts =
             Matrix::from_rows(&pos.iter().map(|p| vec![p[0], p[1]]).collect::<Vec<_>>()).unwrap();
-        let dend = agglomerative::cluster(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
+        let dend = agglomerative::cluster(
+            &pts,
+            Metric::Euclidean,
+            Linkage::Complete,
+            &Collector::disabled(),
+        )
+        .unwrap();
         let table = ScoreTable::from_dendrogram(&speedups, &dend, 8, Mean::Geometric).unwrap();
         assert_eq!(table.rows().len(), 7);
         // The latent geometry reproduces the recovered chain, so this table

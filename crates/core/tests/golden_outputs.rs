@@ -213,7 +213,8 @@ fn raw_space_dendrograms_match_golden_digests() {
         // The exact scalar kernel gives a different dendrogram on these
         // inputs, so the digest above also pins which kernel ran.
         let exact = pairwise(vectors.matrix(), Metric::Euclidean).unwrap();
-        let oracle = cluster_from_distances(&exact, Linkage::Complete).unwrap();
+        let oracle =
+            cluster_from_distances(&exact, Linkage::Complete, &Collector::disabled()).unwrap();
         assert_eq!(dendrogram_digest(&oracle), scalar, "{characterization:?}");
     }
 }

@@ -15,6 +15,7 @@ use hiermeans_core::analysis::{recommend_k, SuiteAnalysis, K_RANGE};
 use hiermeans_core::pipeline::{run_pipeline, PipelineConfig};
 use hiermeans_linalg::distance::Metric;
 use hiermeans_linalg::Matrix;
+use hiermeans_obs::Collector;
 use hiermeans_workload::measurement::Characterization;
 use hiermeans_workload::synthetic::{gaussian_mixture, MixtureSpec};
 
@@ -50,7 +51,13 @@ fn assert_matches_oracle(positions: &Matrix, dendrogram: &Dendrogram, max_k: usi
 }
 
 fn complete(points: &Matrix) -> Dendrogram {
-    agglomerative::cluster(points, Metric::Euclidean, Linkage::Complete).unwrap()
+    agglomerative::cluster(
+        points,
+        Metric::Euclidean,
+        Linkage::Complete,
+        &Collector::disabled(),
+    )
+    .unwrap()
 }
 
 #[test]

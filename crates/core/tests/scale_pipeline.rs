@@ -1,20 +1,23 @@
-//! End-to-end agglomeration-strategy equivalence and large-n recovery.
+//! End-to-end naive ≡ NN-chain equivalence and large-n recovery.
 //!
-//! Two gates for the NN-chain wiring:
+//! Two gates for the NN-chain path:
 //!
-//! 1. The paper's three studies must be bit-for-bit identical under
-//!    [`AgglomerationStrategy::Naive`] and a forced
-//!    [`AgglomerationStrategy::NnChain`] — positions, dendrogram, every
-//!    paper cut, and the full observability trace fingerprint. Complete
-//!    linkage is a pure max selection, so the sorted NN-chain history is
-//!    the naive history exactly.
-//! 2. At n ≈ 2k — far past where the naive loop is practical as a default —
-//!    the scaled pipeline under NN-chain must still recover planted
-//!    structure from a synthetic Gaussian mixture.
+//! 1. On the map positions of the paper's three studies, the naive loop
+//!    ([`cluster_from_distances`], the one the 13-row studies run) and
+//!    NN-chain ([`cluster_nn_chain_owned`], the one `cluster` runs from 128
+//!    rows on) must be bit-for-bit identical — dendrogram, every paper
+//!    cut, and the merge-loop trace fingerprint. Complete linkage is a
+//!    pure max selection, so the sorted NN-chain history is the naive
+//!    history exactly.
+//! 2. At n ≈ 2k — far past where the naive loop is practical — the scaled
+//!    pipeline, which runs NN-chain, must still recover planted structure
+//!    from a synthetic Gaussian mixture.
 
-use hiermeans_cluster::AgglomerationStrategy;
+use hiermeans_cluster::agglomerative::cluster_from_distances;
+use hiermeans_cluster::nnchain::cluster_nn_chain_owned;
 use hiermeans_core::analysis::{SuiteAnalysis, K_RANGE};
 use hiermeans_core::pipeline::{run_pipeline, PipelineConfig};
+use hiermeans_linalg::distance::pairwise_norm_trick;
 use hiermeans_obs::Collector;
 use hiermeans_workload::measurement::Characterization;
 use hiermeans_workload::synthetic::{gaussian_mixture, MixtureSpec};
@@ -28,57 +31,37 @@ fn paper_studies() -> Vec<(&'static str, Characterization)> {
     ]
 }
 
-fn run_study(
-    characterization: Characterization,
-    agglomeration: AgglomerationStrategy,
-) -> (SuiteAnalysis, String) {
-    let collector = Collector::enabled();
-    let config = PipelineConfig {
-        agglomeration,
-        collector: collector.clone(),
-        ..PipelineConfig::default()
-    };
-    let analysis =
-        SuiteAnalysis::paper_with_config(characterization, &config).expect("paper study runs");
-    let fingerprint = collector
-        .report()
-        .expect("enabled collector yields a report")
-        .fingerprint();
-    (analysis, fingerprint)
-}
-
 #[test]
 fn nn_chain_matches_naive_on_all_paper_studies() {
     for (label, characterization) in paper_studies() {
-        let (naive, naive_fp) = run_study(characterization, AgglomerationStrategy::Naive);
-        let (chain, chain_fp) = run_study(characterization, AgglomerationStrategy::NnChain);
+        let analysis = SuiteAnalysis::paper(characterization).expect("paper study runs");
+        let pipeline = analysis.pipeline();
+        let config = PipelineConfig::default();
+        let dist = pairwise_norm_trick(pipeline.positions(), config.metric, None).unwrap();
+
+        let naive_trace = Collector::enabled();
+        let naive = cluster_from_distances(&dist, config.linkage, &naive_trace).unwrap();
+        let chain_trace = Collector::enabled();
+        let chain = cluster_nn_chain_owned(dist, config.linkage, &chain_trace).unwrap();
 
         assert_eq!(
-            naive.pipeline().positions(),
-            chain.pipeline().positions(),
-            "{label}: SOM positions diverged across agglomeration strategies"
+            &naive,
+            pipeline.dendrogram(),
+            "{label}: the naive loop is not the pipeline's path"
         );
-        assert_eq!(
-            naive.pipeline().dendrogram(),
-            chain.pipeline().dendrogram(),
-            "{label}: dendrograms diverged across agglomeration strategies"
-        );
-        assert_eq!(
-            naive.recommended_k(),
-            chain.recommended_k(),
-            "{label}: recommended k diverged across agglomeration strategies"
-        );
-        let max_k = (*K_RANGE.end()).min(naive.suite().len());
+        assert_eq!(naive, chain, "{label}: dendrograms diverged");
+        let max_k = (*K_RANGE.end()).min(analysis.suite().len());
         for k in *K_RANGE.start()..=max_k {
             assert_eq!(
-                naive.pipeline().clusters(k).unwrap(),
-                chain.pipeline().clusters(k).unwrap(),
-                "{label}: cluster assignment at k={k} diverged across agglomeration strategies"
+                naive.cut_into(k).unwrap(),
+                chain.cut_into(k).unwrap(),
+                "{label}: cluster assignment at k={k} diverged"
             );
         }
         assert_eq!(
-            naive_fp, chain_fp,
-            "{label}: trace fingerprints diverged across agglomeration strategies"
+            naive_trace.report().unwrap().fingerprint(),
+            chain_trace.report().unwrap().fingerprint(),
+            "{label}: merge-loop trace fingerprints diverged"
         );
     }
 }
@@ -108,11 +91,8 @@ fn scaled_pipeline_recovers_planted_clusters_at_2k() {
     let planted =
         gaussian_mixture(&MixtureSpec::separated(n, 8, k, 42)).expect("valid mixture spec");
 
-    let config = PipelineConfig {
-        agglomeration: AgglomerationStrategy::NnChain,
-        ..PipelineConfig::scaled(n)
-    };
-    let result = run_pipeline(&planted.points, &config).expect("scaled pipeline runs");
+    let result =
+        run_pipeline(&planted.points, &PipelineConfig::scaled(n)).expect("scaled pipeline runs");
     assert_eq!(result.positions().nrows(), n);
 
     let cut = result.clusters(k).expect("cut at the planted k");

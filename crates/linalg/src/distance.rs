@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::{self, KernelPolicy};
+use crate::kernels;
 use crate::LinalgError;
 
 /// A point-to-point distance metric over `f64` vectors.
@@ -119,12 +119,12 @@ pub const PAIRWISE_CHUNKING: crate::parallel::Chunking = crate::parallel::Chunki
 /// Computes the full pairwise distance matrix between the rows of `points`,
 /// parallelizing over row chunks for large inputs.
 ///
-/// The result is a symmetric `n x n` [`crate::Matrix`] with zero diagonal,
-/// and is bit-for-bit identical to [`pairwise_serial`] regardless of the
-/// worker count: each entry is computed independently by the same
-/// expression, so scheduling cannot change any value. Small inputs and
-/// single-worker environments dispatch straight to the serial loop, which
-/// avoids the parallel path's gather overhead when there is nothing to win.
+/// Every entry is [`Metric::distance`] of its two rows: this is the exact
+/// scalar path, and it is bit-for-bit identical to [`pairwise_serial`]
+/// regardless of the worker count, because each entry is computed
+/// independently by the same expression. Small inputs and single-worker
+/// environments dispatch straight to the serial loop, which avoids the
+/// parallel path's gather overhead when there is nothing to win.
 ///
 /// # Errors
 ///
@@ -149,11 +149,71 @@ pub fn pairwise_lanes(
     metric: Metric,
     lanes: crate::parallel::Lanes<'_>,
 ) -> Result<crate::Matrix, LinalgError> {
-    let n = points.nrows();
+    pairwise_by(points.nrows(), lanes, |i, j| {
+        metric.distance(points.row(i), points.row(j))
+    })
+}
+
+/// The pairwise distance matrix the clustering stage uses, with optional
+/// worker-lane recording (see [`pairwise_lanes`]).
+///
+/// For a (squared) Euclidean metric each entry is computed by the norm
+/// trick `‖a‖² + ‖b‖² − 2·a·b` with precomputed row norms and unrolled dot
+/// products — roughly half the memory traffic of the subtract-square loop.
+/// The trick reassociates floating-point sums, so entries agree with
+/// [`pairwise`] only to ULP tolerance (exactly when the inputs are
+/// integer-valued, e.g. SOM grid positions, where every intermediate is
+/// exact); values are still deterministic for a given input and
+/// independent of the worker count. Every other metric takes the exact
+/// scalar path of [`pairwise_lanes`].
+///
+/// # Errors
+///
+/// Propagates errors from [`Metric::distance`].
+pub fn pairwise_norm_trick(
+    points: &crate::Matrix,
+    metric: Metric,
+    lanes: crate::parallel::Lanes<'_>,
+) -> Result<crate::Matrix, LinalgError> {
+    let squared = match metric {
+        Metric::Euclidean => false,
+        Metric::SquaredEuclidean => true,
+        _ => return pairwise_lanes(points, metric, lanes),
+    };
+    let mut norms = vec![0.0; points.nrows()];
+    kernels::row_sq_norms_into(points, &mut norms);
+    pairwise_by(points.nrows(), lanes, |i, j| {
+        let d2 =
+            (norms[i] + norms[j] - 2.0 * kernels::dot_fast(points.row(i), points.row(j))).max(0.0);
+        Ok(if squared { d2 } else { d2.sqrt() })
+    })
+}
+
+/// The symmetric `n x n` matrix with zero diagonal whose strict upper
+/// triangle is `entry(i, j)`. Runs the serial loop for small inputs on
+/// one worker (unless lanes are recorded), and otherwise the chunked strip
+/// decomposition of [`PAIRWISE_CHUNKING`]. Entries are a pure function of
+/// `(i, j)`, so the result is identical for any worker count.
+fn pairwise_by<F>(
+    n: usize,
+    lanes: crate::parallel::Lanes<'_>,
+    entry: F,
+) -> Result<crate::Matrix, LinalgError>
+where
+    F: Fn(usize, usize) -> Result<f64, LinalgError> + Sync,
+{
+    let mut d = crate::Matrix::zeros(n, n);
     if lanes.is_none()
         && (n < PAIRWISE_CHUNKING.min_parallel_len || crate::parallel::worker_count() <= 1)
     {
-        return pairwise_serial(points, metric);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let v = entry(i, j)?;
+                d[(i, j)] = v;
+                d[(j, i)] = v;
+            }
+        }
+        return Ok(d);
     }
     // Each chunk of rows yields its strict-upper-triangle strip
     // `(i, j > i, distance)` as one contiguous vector.
@@ -162,7 +222,7 @@ pub fn pairwise_lanes(
         let mut strip = Vec::with_capacity(rows.clone().map(|i| n - i - 1).sum());
         for i in rows {
             for j in (i + 1)..n {
-                strip.push(metric.distance(points.row(i), points.row(j))?);
+                strip.push(entry(i, j)?);
             }
         }
         Ok::<_, LinalgError>(strip)
@@ -171,7 +231,6 @@ pub fn pairwise_lanes(
     // Scatter each strip into the upper triangle with row-contiguous
     // copies; per-entry iteration here would cost as much as the distance
     // computation itself.
-    let mut d = crate::Matrix::zeros(n, n);
     for (c, strip) in strips.iter().enumerate() {
         let start = c * chunk_size;
         let end = ((c + 1) * chunk_size).min(n);
@@ -210,125 +269,29 @@ fn mirror_upper_to_lower(d: &mut crate::Matrix) {
     }
 }
 
-/// Computes the pairwise distance matrix with an explicit [`KernelPolicy`].
-///
-/// Under [`KernelPolicy::Blocked`] with a (squared) Euclidean metric, each
-/// entry is computed by the norm trick `‖a‖² + ‖b‖² − 2·a·b` with
-/// precomputed row norms and unrolled dot products — roughly half the
-/// memory traffic of the subtract-square loop. The trick reassociates
-/// floating-point sums, so entries agree with [`pairwise`] only to ULP
-/// tolerance (exactly when the inputs are integer-valued, e.g. SOM grid
-/// positions, where every intermediate is exact); values are still
-/// deterministic for a given input and independent of the worker count.
-/// Other metrics, and [`KernelPolicy::Scalar`], fall back to [`pairwise`].
-///
-/// # Errors
-///
-/// Propagates errors from [`Metric::distance`].
-pub fn pairwise_with_policy(
-    points: &crate::Matrix,
-    metric: Metric,
-    policy: KernelPolicy,
-) -> Result<crate::Matrix, LinalgError> {
-    pairwise_with_policy_lanes(points, metric, policy, None)
-}
-
-/// [`pairwise_with_policy`] with worker-lane recording; like
-/// [`pairwise_lanes`], lane recording pins the chunked strip decomposition
-/// so the lane structure depends only on `n` (and is identical under either
-/// [`KernelPolicy`]).
-///
-/// # Errors
-///
-/// Propagates errors from [`Metric::distance`].
-pub fn pairwise_with_policy_lanes(
-    points: &crate::Matrix,
-    metric: Metric,
-    policy: KernelPolicy,
-    lanes: crate::parallel::Lanes<'_>,
-) -> Result<crate::Matrix, LinalgError> {
-    let squared = match (policy, metric) {
-        (KernelPolicy::Blocked, Metric::Euclidean) => false,
-        (KernelPolicy::Blocked, Metric::SquaredEuclidean) => true,
-        _ => return pairwise_lanes(points, metric, lanes),
-    };
-    let n = points.nrows();
-    let mut norms = vec![0.0; n];
-    kernels::row_sq_norms_into(points, &mut norms);
-    let entry = |i: usize, j: usize| {
-        let d2 =
-            (norms[i] + norms[j] - 2.0 * kernels::dot_fast(points.row(i), points.row(j))).max(0.0);
-        if squared {
-            d2
-        } else {
-            d2.sqrt()
-        }
-    };
-    let mut d = crate::Matrix::zeros(n, n);
-    if lanes.is_none()
-        && (n < PAIRWISE_CHUNKING.min_parallel_len || crate::parallel::worker_count() <= 1)
-    {
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let v = entry(i, j);
-                d[(i, j)] = v;
-                d[(j, i)] = v;
-            }
-        }
-        return Ok(d);
-    }
-    // Same strip decomposition as `pairwise`: per-entry values are a pure
-    // function of (i, j), so the result is identical for any worker count.
-    let chunk_size = PAIRWISE_CHUNKING.chunk_size;
-    let strips = crate::parallel::try_map_chunks_lanes(n, PAIRWISE_CHUNKING, lanes, |rows| {
-        let mut strip = Vec::with_capacity(rows.clone().map(|i| n - i - 1).sum());
-        for i in rows {
-            for j in (i + 1)..n {
-                strip.push(entry(i, j));
-            }
-        }
-        Ok::<_, LinalgError>(strip)
-    })
-    .map_err(LinalgError::from)?;
-    for (c, strip) in strips.iter().enumerate() {
-        let start = c * chunk_size;
-        let end = ((c + 1) * chunk_size).min(n);
-        let mut offset = 0;
-        for i in start..end {
-            let len = n - i - 1;
-            d.row_mut(i)[(i + 1)..n].copy_from_slice(&strip[offset..offset + len]);
-            offset += len;
-        }
-    }
-    mirror_upper_to_lower(&mut d);
-    Ok(d)
-}
-
 /// A tiled distance provider: row strips of the pairwise distance matrix
 /// computed on the fly, without ever materializing the `n x n` matrix.
 ///
 /// This is the memory backbone of the large-`n` clustering path: SLINK- and
 /// CLINK-style algorithms consume one row strip at a time, so their peak
 /// memory is O(n) while the distances themselves stay exactly what
-/// [`pairwise_with_policy`] would have produced. Under
-/// [`KernelPolicy::Blocked`] with a (squared) Euclidean metric, rows are
-/// filled with the norm trick `‖a‖² + ‖b‖² − 2·a·b` over row norms
-/// precomputed once (O(n)) — the same expression as the dense blocked path,
-/// so entries agree bit for bit with it. Every other metric/policy
-/// combination falls back to [`Metric::distance`] per entry, matching
-/// [`pairwise`] bit for bit.
+/// [`pairwise_norm_trick`] would have produced. For a (squared) Euclidean
+/// metric, rows are filled with the norm trick `‖a‖² + ‖b‖² − 2·a·b` over
+/// row norms precomputed once (O(n)) — the same expression as the dense
+/// path, so entries agree bit for bit with it. Every other metric falls
+/// back to [`Metric::distance`] per entry, matching [`pairwise`] bit for
+/// bit.
 ///
 /// # Example
 ///
 /// ```
 /// use hiermeans_linalg::distance::{pairwise, Metric, TiledDistances};
-/// use hiermeans_linalg::kernels::KernelPolicy;
 /// use hiermeans_linalg::Matrix;
 ///
 /// # fn main() -> Result<(), hiermeans_linalg::LinalgError> {
 /// let pts = Matrix::from_rows(&[vec![0.0, 0.0], vec![3.0, 4.0], vec![6.0, 8.0]])?;
-/// let tiled = TiledDistances::new(&pts, Metric::Euclidean, KernelPolicy::Scalar);
-/// let dense = pairwise(&pts, Metric::Euclidean)?;
+/// let tiled = TiledDistances::new(&pts, Metric::Manhattan);
+/// let dense = pairwise(&pts, Metric::Manhattan)?;
 /// let mut row = vec![0.0; 3];
 /// tiled.fill_row(1, &mut row)?;
 /// assert_eq!(&row, &[dense[(1, 0)], 0.0, dense[(1, 2)]]);
@@ -339,20 +302,18 @@ pub fn pairwise_with_policy_lanes(
 pub struct TiledDistances<'a> {
     points: &'a crate::Matrix,
     metric: Metric,
-    /// Squared row norms, precomputed once when the norm-trick fast path
-    /// applies (Blocked policy + (squared) Euclidean metric).
+    /// Squared row norms, precomputed once when the norm trick applies
+    /// (a (squared) Euclidean metric).
     norms: Option<Vec<f64>>,
     squared: bool,
 }
 
 impl<'a> TiledDistances<'a> {
     /// Builds a provider over the rows of `points`. Precomputes O(n) row
-    /// norms when `policy`/`metric` select the norm-trick fast path; does no
-    /// per-pair work.
-    pub fn new(points: &'a crate::Matrix, metric: Metric, policy: KernelPolicy) -> Self {
+    /// norms when `metric` is (squared) Euclidean; does no per-pair work.
+    pub fn new(points: &'a crate::Matrix, metric: Metric) -> Self {
         let squared = matches!(metric, Metric::SquaredEuclidean);
-        let trick = matches!(policy, KernelPolicy::Blocked)
-            && matches!(metric, Metric::Euclidean | Metric::SquaredEuclidean);
+        let trick = matches!(metric, Metric::Euclidean | Metric::SquaredEuclidean);
         let norms = trick.then(|| {
             let mut norms = vec![0.0; points.nrows()];
             kernels::row_sq_norms_into(points, &mut norms);
@@ -576,7 +537,7 @@ mod tests {
         }
         let pts = Matrix::from_rows(&rows).unwrap();
         for metric in [Metric::Euclidean, Metric::SquaredEuclidean] {
-            let blocked = pairwise_with_policy(&pts, metric, KernelPolicy::Blocked).unwrap();
+            let blocked = pairwise_norm_trick(&pts, metric, None).unwrap();
             let scalar = pairwise(&pts, metric).unwrap();
             assert_eq!(blocked, scalar, "{metric:?}");
         }
@@ -585,8 +546,7 @@ mod tests {
     #[test]
     fn blocked_pairwise_within_ulp_band_on_real_data() {
         let pts = big_matrix(70, 9);
-        let blocked =
-            pairwise_with_policy(&pts, Metric::SquaredEuclidean, KernelPolicy::Blocked).unwrap();
+        let blocked = pairwise_norm_trick(&pts, Metric::SquaredEuclidean, None).unwrap();
         let scalar = pairwise(&pts, Metric::SquaredEuclidean).unwrap();
         let mut norms = vec![0.0; 70];
         crate::kernels::row_sq_norms_into(&pts, &mut norms);
@@ -607,21 +567,20 @@ mod tests {
     fn blocked_pairwise_worker_count_invariant() {
         let pts = big_matrix(80, 5);
         crate::parallel::set_worker_override(Some(4));
-        let par = pairwise_with_policy(&pts, Metric::Euclidean, KernelPolicy::Blocked).unwrap();
+        let par = pairwise_norm_trick(&pts, Metric::Euclidean, None).unwrap();
         crate::parallel::set_worker_override(Some(1));
-        let ser = pairwise_with_policy(&pts, Metric::Euclidean, KernelPolicy::Blocked).unwrap();
+        let ser = pairwise_norm_trick(&pts, Metric::Euclidean, None).unwrap();
         crate::parallel::set_worker_override(None);
         assert_eq!(par, ser);
     }
 
     #[test]
-    fn scalar_policy_and_foreign_metric_fall_back() {
+    fn foreign_metrics_fall_back_to_the_scalar_path() {
         let pts = big_matrix(20, 4);
-        let scalar = pairwise_with_policy(&pts, Metric::Euclidean, KernelPolicy::Scalar).unwrap();
-        assert_eq!(scalar, pairwise(&pts, Metric::Euclidean).unwrap());
-        let manhattan =
-            pairwise_with_policy(&pts, Metric::Manhattan, KernelPolicy::Blocked).unwrap();
-        assert_eq!(manhattan, pairwise(&pts, Metric::Manhattan).unwrap());
+        for metric in [Metric::Manhattan, Metric::Chebyshev, Metric::Cosine] {
+            let trick = pairwise_norm_trick(&pts, metric, None).unwrap();
+            assert_eq!(trick, pairwise(&pts, metric).unwrap(), "{metric:?}");
+        }
     }
 
     #[test]
@@ -650,27 +609,17 @@ mod tests {
     }
 
     #[test]
-    fn policy_lanes_share_the_chunk_structure() {
+    fn norm_trick_lanes_share_the_chunk_structure() {
         let pts = big_matrix(70, 5);
         let clock = hiermeans_obs::Collector::enabled()
             .lane_clock()
             .expect("enabled collector has a lane clock");
         let mut blocked_buf = crate::parallel::LaneBuf::new();
         let mut scalar_buf = crate::parallel::LaneBuf::new();
-        let blocked = pairwise_with_policy_lanes(
-            &pts,
-            Metric::Euclidean,
-            KernelPolicy::Blocked,
-            Some((clock, &mut blocked_buf)),
-        )
-        .unwrap();
-        let scalar = pairwise_with_policy_lanes(
-            &pts,
-            Metric::Euclidean,
-            KernelPolicy::Scalar,
-            Some((clock, &mut scalar_buf)),
-        )
-        .unwrap();
+        let blocked =
+            pairwise_norm_trick(&pts, Metric::Euclidean, Some((clock, &mut blocked_buf))).unwrap();
+        let scalar =
+            pairwise_lanes(&pts, Metric::Euclidean, Some((clock, &mut scalar_buf))).unwrap();
         assert_eq!(blocked.shape(), scalar.shape());
         let chunks = |buf: &crate::parallel::LaneBuf| {
             let mut c: Vec<u32> = buf.intervals().iter().map(|iv| iv.chunk).collect();
@@ -682,26 +631,24 @@ mod tests {
     }
 
     #[test]
-    fn tiled_rows_match_dense_bitwise_under_both_policies() {
+    fn tiled_rows_match_dense_bitwise() {
         let pts = big_matrix(60, 7);
         for metric in [
             Metric::Euclidean,
             Metric::SquaredEuclidean,
             Metric::Manhattan,
         ] {
-            for policy in [KernelPolicy::Scalar, KernelPolicy::Blocked] {
-                let dense = pairwise_with_policy(&pts, metric, policy).unwrap();
-                let tiled = TiledDistances::new(&pts, metric, policy);
-                let mut row = vec![0.0; 60];
-                for i in 0..60 {
-                    tiled.fill_row(i, &mut row).unwrap();
-                    for j in 0..60 {
-                        assert_eq!(
-                            row[j].to_bits(),
-                            dense[(i, j)].to_bits(),
-                            "{metric:?}/{policy:?} ({i},{j})"
-                        );
-                    }
+            let dense = pairwise_norm_trick(&pts, metric, None).unwrap();
+            let tiled = TiledDistances::new(&pts, metric);
+            let mut row = vec![0.0; 60];
+            for i in 0..60 {
+                tiled.fill_row(i, &mut row).unwrap();
+                for j in 0..60 {
+                    assert_eq!(
+                        row[j].to_bits(),
+                        dense[(i, j)].to_bits(),
+                        "{metric:?} ({i},{j})"
+                    );
                 }
             }
         }
@@ -710,10 +657,10 @@ mod tests {
     #[test]
     fn tiled_prefix_strips_work() {
         let pts = big_matrix(20, 3);
-        let tiled = TiledDistances::new(&pts, Metric::Euclidean, KernelPolicy::Blocked);
+        let tiled = TiledDistances::new(&pts, Metric::Euclidean);
         assert_eq!(tiled.len(), 20);
         assert!(!tiled.is_empty());
-        let dense = pairwise_with_policy(&pts, Metric::Euclidean, KernelPolicy::Blocked).unwrap();
+        let dense = pairwise_norm_trick(&pts, Metric::Euclidean, None).unwrap();
         // SLINK-style consumption: row i's strict prefix only.
         for i in 1..20 {
             let mut strip = vec![0.0; i];
@@ -727,11 +674,11 @@ mod tests {
     #[test]
     fn tiled_rejects_bad_shapes_and_bad_metrics() {
         let pts = big_matrix(5, 2);
-        let tiled = TiledDistances::new(&pts, Metric::Euclidean, KernelPolicy::Blocked);
+        let tiled = TiledDistances::new(&pts, Metric::Euclidean);
         let mut too_long = vec![0.0; 6];
         assert!(tiled.fill_row(0, &mut too_long).is_err());
         assert!(tiled.fill_row(5, &mut [0.0; 2]).is_err());
-        let bad = TiledDistances::new(&pts, Metric::Minkowski(0.5), KernelPolicy::Blocked);
+        let bad = TiledDistances::new(&pts, Metric::Minkowski(0.5));
         assert!(bad.fill_row(0, &mut [0.0; 2]).is_err());
     }
 

@@ -23,12 +23,9 @@
 //!   conservative error band ([`candidate_band`]), which restores *exact*
 //!   agreement with a scalar scan — same unit indices, same distance bits.
 //!
-//! [`KernelPolicy`] selects between the scalar reference path and the
-//! blocked path for the distance kernels; the default is
-//! [`KernelPolicy::Blocked`]. The matrix-product kernels need no policy:
-//! they are bit-for-bit interchangeable with the loops they replaced.
-
-use serde::{Deserialize, Serialize};
+//! The norm-trick path runs whenever the metric is (squared) Euclidean;
+//! other metrics take the scalar per-pair loops. The matrix-product
+//! kernels are bit-for-bit interchangeable with the loops they replaced.
 
 use crate::{LinalgError, Matrix};
 
@@ -225,25 +222,6 @@ mod x86 {
     }
 }
 
-/// Which implementation the distance-shaped hot paths use.
-///
-/// `Blocked` computes batched squared distances with the norm trick
-/// (GEMM-backed, reassociated sums) and recovers exact scalar agreement for
-/// argmin consumers via a refinement pass; `Scalar` runs the reference
-/// per-pair loops. Outputs that feed determinism guarantees (BMU indices,
-/// BMU distances, and therefore trained maps and trace fingerprints) are
-/// identical under both policies; raw batched *distance values* agree to ULP
-/// tolerance only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum KernelPolicy {
-    /// Reference per-pair scalar loops.
-    Scalar,
-    /// Cache-blocked, norm-trick kernels (the default).
-    #[default]
-    Blocked,
-}
-
 /// Output tile width for [`syrk_rows`]. A pair of `J_TILE`-wide row slices
 /// plus the output tile stays L1-resident while all rows stream through.
 const J_TILE: usize = 64;
@@ -289,7 +267,7 @@ pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
 /// columns in strips of at most 64 held entirely in zmm accumulators across
 /// the whole shared dimension, with each `b` panel load shared across a
 /// block of 3–4 output rows. Elsewhere it falls back to full-width
-/// bounds-check-free column sweeps folding [`K_UNROLL`] (then four, then
+/// bounds-check-free column sweeps folding `K_UNROLL` (then four, then
 /// one) `k` contributions per pass. Both paths apply the contributions for
 /// each output cell *sequentially in ascending `k`* with a separate
 /// rounding for every multiply and add — exactly the association the naive
@@ -741,11 +719,6 @@ mod tests {
         if full.0 .0 != 24 && full.1 .0 != 24 {
             assert_eq!(full, subset);
         }
-    }
-
-    #[test]
-    fn policy_default_is_blocked() {
-        assert_eq!(KernelPolicy::default(), KernelPolicy::Blocked);
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //!   components) and as the dimension-reduction baseline the paper compares
 //!   SOM against.
 //! * [`kernels`] — cache-blocked compute kernels (matmul/syrk, norm-trick
-//!   batched distances) behind the hot paths, selected by
-//!   [`kernels::KernelPolicy`].
+//!   batched distances) behind the hot paths.
 //!
 //! # Example
 //!

@@ -6,8 +6,8 @@
 //! distance is only used for candidate pruning and must stay inside the
 //! documented error band.
 
-use hiermeans_linalg::distance::{pairwise, pairwise_with_policy, Metric};
-use hiermeans_linalg::kernels::{self, KernelPolicy};
+use hiermeans_linalg::distance::{pairwise, pairwise_norm_trick, Metric};
+use hiermeans_linalg::kernels;
 use hiermeans_linalg::Matrix;
 use proptest::prelude::*;
 
@@ -87,8 +87,7 @@ proptest! {
         points in any_shape_matrix(2..24, 1..8),
     ) {
         let scalar = pairwise(&points, Metric::Euclidean).unwrap();
-        let blocked =
-            pairwise_with_policy(&points, Metric::Euclidean, KernelPolicy::Blocked).unwrap();
+        let blocked = pairwise_norm_trick(&points, Metric::Euclidean, None).unwrap();
         let scale: f64 = scalar.as_slice().iter().fold(1.0f64, |m, v| m.max(v.abs()));
         for (s, b) in scalar.as_slice().iter().zip(blocked.as_slice()) {
             prop_assert!(
@@ -112,7 +111,7 @@ proptest! {
         let points = Matrix::from_rows(&rows).unwrap();
         for metric in [Metric::Euclidean, Metric::SquaredEuclidean] {
             let scalar = pairwise(&points, metric).unwrap();
-            let blocked = pairwise_with_policy(&points, metric, KernelPolicy::Blocked).unwrap();
+            let blocked = pairwise_norm_trick(&points, metric, None).unwrap();
             prop_assert_eq!(scalar.as_slice(), blocked.as_slice());
         }
     }

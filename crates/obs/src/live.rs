@@ -96,7 +96,7 @@ pub enum ProgressEvent {
         /// Wall-clock duration of this epoch in microseconds.
         epoch_duration_us: u64,
         /// Estimated microseconds until training completes: mean of the
-        /// trailing [`ETA_WINDOW`] epoch durations times remaining epochs.
+        /// trailing `ETA_WINDOW` epoch durations times remaining epochs.
         #[serde(default)]
         eta_us: Option<u64>,
     },

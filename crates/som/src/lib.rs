@@ -58,7 +58,6 @@ pub mod warm;
 
 pub use error::SomError;
 pub use grid::{Grid, GridTopology};
-pub use hiermeans_linalg::kernels::KernelPolicy;
 pub use kernel::NeighborhoodKernel;
 pub use schedule::{DecaySchedule, ScheduleError};
 pub use train::{heuristic_map_size, Initializer, Som, SomBuilder, TrainingMode};

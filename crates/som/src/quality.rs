@@ -39,9 +39,8 @@ pub struct BmuTable {
 
 impl BmuTable {
     /// Runs one best-two search pass over every row of `data` via
-    /// [`Som::bmu_batch`] — parallelized over row chunks and routed through
-    /// the map's [`hiermeans_linalg::kernels::KernelPolicy`] (bitwise
-    /// identical for any worker count and either policy).
+    /// [`Som::bmu_batch`] — parallelized over row chunks (bitwise identical
+    /// for any worker count).
     ///
     /// # Errors
     ///

@@ -20,7 +20,7 @@
 use std::time::Instant;
 
 use hiermeans_linalg::distance::Metric;
-use hiermeans_linalg::kernels::{self, KernelPolicy};
+use hiermeans_linalg::kernels;
 use hiermeans_linalg::parallel::{self, Chunking};
 use hiermeans_linalg::pca::Pca;
 use hiermeans_linalg::rows::RowSource;
@@ -124,8 +124,6 @@ pub struct SomBuilder {
     mode: TrainingMode,
     metric: Metric,
     #[serde(default)]
-    kernel_policy: KernelPolicy,
-    #[serde(default)]
     warm_start: WarmStart,
 }
 
@@ -147,7 +145,7 @@ impl SomBuilder {
     /// Starts a builder for a `width x height` map with the paper's defaults:
     /// rectangular grid, Gaussian kernel, linear α from 0.5 to 0.01, σ from
     /// half the map diameter to 0.5, 100 epochs, online training, PCA-plane
-    /// initialization, Euclidean BMU metric, blocked compute kernels.
+    /// initialization, Euclidean BMU metric.
     pub fn new(width: usize, height: usize) -> Self {
         SomBuilder {
             width,
@@ -164,7 +162,6 @@ impl SomBuilder {
             initializer: Initializer::PcaPlane,
             mode: TrainingMode::Online,
             metric: Metric::Euclidean,
-            kernel_policy: KernelPolicy::default(),
             warm_start: WarmStart::Enabled,
         }
     }
@@ -231,22 +228,12 @@ impl SomBuilder {
         self
     }
 
-    /// Sets the BMU distance metric.
+    /// Sets the BMU distance metric. A (squared) Euclidean metric runs the
+    /// norm-trick BMU search, whose winners are re-ranked with the exact
+    /// scalar metric, so the trained map is bitwise identical to a plain
+    /// scalar scan; every other metric runs that scalar scan directly.
     pub fn metric(mut self, metric: Metric) -> Self {
         self.metric = metric;
-        self
-    }
-
-    /// Selects the compute-kernel implementation for the BMU hot paths
-    /// (defaults to [`KernelPolicy::Blocked`]).
-    ///
-    /// The trained map is **bitwise identical** under either policy: the
-    /// blocked path's norm-trick distances are only used to prune BMU
-    /// candidates, and the winners are re-ranked with the exact scalar
-    /// metric. The policy knob exists for benchmarking the two paths against
-    /// each other and as an escape hatch.
-    pub fn kernel_policy(mut self, policy: KernelPolicy) -> Self {
-        self.kernel_policy = policy;
         self
     }
 
@@ -377,7 +364,6 @@ impl SomBuilder {
             grid,
             weights,
             metric: self.metric,
-            kernel_policy: self.kernel_policy,
         };
         let mut telemetry = Telemetry::new(collector, self.epochs);
         match self.mode {
@@ -538,7 +524,6 @@ impl SomBuilder {
             grid,
             weights,
             metric: self.metric,
-            kernel_policy: self.kernel_policy,
         };
         let mut telemetry = Telemetry::new(collector, self.epochs);
         som.train_batch_stream(source, self, sigma, &mut strip, &mut telemetry)?;
@@ -834,28 +819,12 @@ pub struct Som {
     grid: Grid,
     weights: Matrix,
     metric: Metric,
-    #[serde(default)]
-    kernel_policy: KernelPolicy,
 }
 
 impl Som {
     /// The unit lattice.
     pub fn grid(&self) -> &Grid {
         &self.grid
-    }
-
-    /// The compute-kernel policy used by the batched BMU search.
-    pub fn kernel_policy(&self) -> KernelPolicy {
-        self.kernel_policy
-    }
-
-    /// Returns the map with a different [`KernelPolicy`]. All BMU results
-    /// (indices *and* distances) are identical under either policy; this
-    /// only switches which implementation computes them.
-    #[must_use]
-    pub fn with_kernel_policy(mut self, policy: KernelPolicy) -> Self {
-        self.kernel_policy = policy;
-        self
     }
 
     /// The unit weight matrix (`units x dim`).
@@ -916,7 +885,7 @@ impl Som {
     }
 
     /// The reference scalar best-two scan over every unit in ascending
-    /// index order. Both policies must reproduce this result exactly.
+    /// index order. The blocked search must reproduce this result exactly.
     fn scalar_best_two(&self, x: &[f64]) -> Result<BestTwo, SomError> {
         kernels::refine_best_two(x, &self.weights, 0..self.grid.len(), |a, b| {
             self.metric.distance(a, b)
@@ -928,9 +897,7 @@ impl Som {
     /// (squared) Euclidean metrics and needs a second unit for the
     /// candidate threshold.
     fn blocked_applicable(&self) -> bool {
-        self.kernel_policy == KernelPolicy::Blocked
-            && matches!(self.metric, Metric::Euclidean | Metric::SquaredEuclidean)
-            && self.grid.len() >= 2
+        matches!(self.metric, Metric::Euclidean | Metric::SquaredEuclidean) && self.grid.len() >= 2
     }
 
     /// Blocked best-two search: norm-trick squared distances prune the
@@ -985,6 +952,11 @@ impl Som {
     /// conservative candidate collection inside the error band, and exact
     /// scalar refinement (with the full scalar scan as the fallback when
     /// the band arithmetic is not finite).
+    ///
+    /// Unit-test builds check every result against
+    /// [`Som::scalar_best_two`] on the current weights, so each training
+    /// step's search — including the online loop's incrementally maintained
+    /// unit norms — is held to the scalar oracle.
     fn refine_from_trick(
         &self,
         x: &[f64],
@@ -1016,23 +988,27 @@ impl Som {
                 scratch.candidates.push(u);
             }
         }
-        kernels::refine_best_two(
+        let hit = kernels::refine_best_two(
             x,
             &self.weights,
             scratch.candidates.iter().copied(),
             |a, b| self.metric.distance(a, b),
         )
-        .map_err(SomError::Linalg)
+        .map_err(SomError::Linalg)?;
+        #[cfg(test)]
+        tests::assert_matches_scalar(self, x, hit);
+        Ok(hit)
     }
 
     /// One best-two BMU search per row of `data`, batched — the primitive
     /// behind [`Som::map_rows`], [`Som::project`], and
     /// [`crate::quality::BmuTable`]. Parallelizes over row chunks for large
-    /// inputs; under [`KernelPolicy::Blocked`] each chunk runs the
+    /// inputs; for a (squared) Euclidean metric each chunk runs the
     /// norm-trick search with per-chunk scratch buffers.
     ///
-    /// Results (unit indices and distances) are identical under either
-    /// policy and for any worker count.
+    /// Results (unit indices and distances) are identical to the per-row
+    /// scalar scan behind [`Som::bmu`] and [`Som::bmu2`], for any worker
+    /// count.
     ///
     /// # Errors
     ///
@@ -1045,7 +1021,7 @@ impl Som {
     /// worker stamps one interval per 64-row chunk into the supplied
     /// [`LaneBuf`] (one run per call). The chunk grid is the map-reduce
     /// helper's, so the recorded structure depends only on the row count,
-    /// never on the worker count or the [`KernelPolicy`].
+    /// never on the worker count or the search path.
     pub(crate) fn bmu_batch_lanes(
         &self,
         data: &Matrix,
@@ -1931,6 +1907,65 @@ fn write_batch_weights(weights: &mut Matrix, numer: &Matrix, denom: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Blocked searches checked against the scalar scan so far, across all
+    /// test threads (the count only grows, so a test can read its own
+    /// searches as a lower bound on the difference).
+    static SCALAR_CHECKS: AtomicU64 = AtomicU64::new(0);
+
+    /// The oracle behind [`Som::refine_from_trick`] in test builds: a
+    /// blocked search must return the scalar scan's best and runner-up
+    /// units and both distances' bits.
+    pub(super) fn assert_matches_scalar(som: &Som, x: &[f64], hit: BestTwo) {
+        let bits = |((b, db), (s, ds)): BestTwo| (b, db.to_bits(), s, ds.to_bits());
+        let scalar = som.scalar_best_two(x).expect("scalar scan");
+        assert_eq!(bits(hit), bits(scalar), "blocked search != scalar scan");
+        SCALAR_CHECKS.fetch_add(1, Ordering::Relaxed);
+    }
+
+    proptest! {
+        /// Every BMU search of online training (one per step, against unit
+        /// norms the loop maintains as weights move) and of batch training
+        /// (against the per-epoch prepared codebook) passes the scalar
+        /// oracle. Variant bits pick the metric, the mode, and integer
+        /// data, whose duplicate rows and equidistant units exercise ties.
+        #[test]
+        fn training_searches_match_the_scalar_scan(
+            values in prop::collection::vec(-1e2..1e2f64, 8 * 3),
+            width in 2usize..5,
+            height in 1usize..5,
+            seed in 0u64..1000,
+            variant in 0u8..8,
+        ) {
+            let values = if variant & 4 == 0 {
+                values
+            } else {
+                values.iter().map(|v| (v / 25.0).round()).collect()
+            };
+            let data = Matrix::from_vec(8, 3, values).unwrap();
+            let metric = if variant & 1 == 0 { Metric::Euclidean } else { Metric::SquaredEuclidean };
+            let mode = if variant & 2 == 0 { TrainingMode::Online } else { TrainingMode::Batch };
+            let epochs = 12;
+            let before = SCALAR_CHECKS.load(Ordering::Relaxed);
+            SomBuilder::new(width, height)
+                .seed(seed)
+                .epochs(epochs)
+                .metric(metric)
+                .mode(mode)
+                .train(&data)
+                .unwrap();
+            let checked = SCALAR_CHECKS.load(Ordering::Relaxed) - before;
+            // Online searches once per step; batch scans every row exactly
+            // at least in the first epoch, before any warm certificate.
+            let searches = match mode {
+                TrainingMode::Online => epochs * data.nrows(),
+                TrainingMode::Batch => data.nrows(),
+            };
+            prop_assert!(checked >= searches as u64, "{checked} < {searches}");
+        }
+    }
 
     fn blobs() -> Matrix {
         Matrix::from_rows(&[

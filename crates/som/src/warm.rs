@@ -3,7 +3,7 @@
 //! Batch SOM training recomputes every row's best matching unit every
 //! epoch, yet late in training BMUs almost never change: the codebook
 //! settles and each update moves units by ever smaller amounts.
-//! [`WarmState`] exploits that temporal coherence without giving up the
+//! `WarmState` exploits that temporal coherence without giving up the
 //! repo's exactness bar — BMU indices stay **bitwise identical** to the
 //! cold full scan:
 //!

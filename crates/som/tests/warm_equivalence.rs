@@ -4,15 +4,15 @@
 //! scan only when the drift bound *proves* the cached BMU is the strict
 //! argmin the scan would return, so every observable output — weights, BMU
 //! indices, distance bits — must be **bitwise** identical to the cold path
-//! ([`WarmStart::Disabled`]), for any seed, epoch budget, kernel policy,
-//! and worker count. Likewise the out-of-core streaming trainer walks the
+//! ([`WarmStart::Disabled`]), for any seed, epoch budget and worker
+//! count. Likewise the out-of-core streaming trainer walks the
 //! resident trainer's exact chunk grid, so (under random initialization,
 //! the only initializer streaming supports) it must reproduce the resident
 //! weights bit for bit, including across its 4096-row strip boundary.
 
 use hiermeans_linalg::{parallel, Matrix};
 use hiermeans_obs::Collector;
-use hiermeans_som::{Initializer, KernelPolicy, SomBuilder, TrainingMode, WarmStart};
+use hiermeans_som::{Initializer, SomBuilder, TrainingMode, WarmStart};
 use proptest::prelude::*;
 
 fn finite_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -42,26 +42,23 @@ proptest! {
         seed in 0u64..1000,
         epochs in 1usize..16,
     ) {
-        for policy in [KernelPolicy::Blocked, KernelPolicy::Scalar] {
-            let train = |warm| {
-                SomBuilder::new(3, 4)
-                    .seed(seed)
-                    .epochs(epochs)
-                    .mode(TrainingMode::Batch)
-                    .kernel_policy(policy)
-                    .warm_start(warm)
-                    .train(&data)
-                    .unwrap()
-            };
-            let cold = train(WarmStart::Disabled);
-            let warm = train(WarmStart::Enabled);
-            prop_assert_eq!(cold.weights().as_slice(), warm.weights().as_slice());
-            // Same BMU indices and the same distance bits after training.
-            prop_assert_eq!(
-                cold.bmu_batch(&data).unwrap(),
-                warm.bmu_batch(&data).unwrap()
-            );
-        }
+        let train = |warm| {
+            SomBuilder::new(3, 4)
+                .seed(seed)
+                .epochs(epochs)
+                .mode(TrainingMode::Batch)
+                .warm_start(warm)
+                .train(&data)
+                .unwrap()
+        };
+        let cold = train(WarmStart::Disabled);
+        let warm = train(WarmStart::Enabled);
+        prop_assert_eq!(cold.weights().as_slice(), warm.weights().as_slice());
+        // Same BMU indices and the same distance bits after training.
+        prop_assert_eq!(
+            cold.bmu_batch(&data).unwrap(),
+            warm.bmu_batch(&data).unwrap()
+        );
     }
 
     #[test]

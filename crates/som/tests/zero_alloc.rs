@@ -15,10 +15,11 @@
 //! not race into the measurement window. Training is pinned serial, so its
 //! allocations all happen on this thread.
 
+use hiermeans_linalg::distance::Metric;
 use hiermeans_linalg::{parallel, Matrix};
 use hiermeans_obs::memhook::{self, TrackingAlloc};
 use hiermeans_obs::{Collector, ObsConfig};
-use hiermeans_som::{Initializer, KernelPolicy, SomBuilder, TrainingMode, WarmStart};
+use hiermeans_som::{Initializer, SomBuilder, TrainingMode, WarmStart};
 
 #[global_allocator]
 static ALLOCATOR: TrackingAlloc = TrackingAlloc;
@@ -41,21 +42,21 @@ fn sample_data() -> Matrix {
     Matrix::from_rows(&rows).unwrap()
 }
 
-fn allocations_for(mode: TrainingMode, policy: KernelPolicy, epochs: usize) -> u64 {
+fn allocations_for(mode: TrainingMode, metric: Metric, epochs: usize) -> u64 {
     let data = sample_data();
     allocations_during(|| {
         let som = SomBuilder::new(4, 4)
             .seed(11)
             .epochs(epochs)
             .mode(mode)
-            .kernel_policy(policy)
+            .metric(metric)
             .train(&data)
             .unwrap();
         std::hint::black_box(&som);
     })
 }
 
-fn allocations_for_lanes(mode: TrainingMode, policy: KernelPolicy, epochs: usize) -> u64 {
+fn allocations_for_lanes(mode: TrainingMode, metric: Metric, epochs: usize) -> u64 {
     let data = sample_data();
     allocations_during(|| {
         // Lanes on, quality sampling off: the configuration `repro profile`
@@ -74,7 +75,7 @@ fn allocations_for_lanes(mode: TrainingMode, policy: KernelPolicy, epochs: usize
             .seed(11)
             .epochs(epochs)
             .mode(mode)
-            .kernel_policy(policy)
+            .metric(metric)
             .train_traced(&data, &collector)
             .unwrap();
         std::hint::black_box(&som);
@@ -119,21 +120,23 @@ fn steady_state_epochs_allocate_nothing() {
     // Pin to one worker so the serial path is taken regardless of the
     // machine the test runs on.
     parallel::set_worker_override(Some(1));
+    // Euclidean runs the blocked norm-trick search, Manhattan the scalar
+    // scan.
     let configs = [
-        (TrainingMode::Online, KernelPolicy::Blocked),
-        (TrainingMode::Online, KernelPolicy::Scalar),
-        (TrainingMode::Batch, KernelPolicy::Blocked),
-        (TrainingMode::Batch, KernelPolicy::Scalar),
+        (TrainingMode::Online, Metric::Euclidean),
+        (TrainingMode::Online, Metric::Manhattan),
+        (TrainingMode::Batch, Metric::Euclidean),
+        (TrainingMode::Batch, Metric::Manhattan),
     ];
-    for (mode, policy) in configs {
+    for (mode, metric) in configs {
         // Warm-up run absorbs one-time lazy initialization anywhere in the
         // process (thread-local RNG state, allocator internals).
-        allocations_for(mode, policy, 1);
-        let one = allocations_for(mode, policy, 1);
-        let many = allocations_for(mode, policy, 51);
+        allocations_for(mode, metric, 1);
+        let one = allocations_for(mode, metric, 1);
+        let many = allocations_for(mode, metric, 51);
         assert_eq!(
             many, one,
-            "{mode:?}/{policy:?}: 51 epochs allocated {many}, 1 epoch {one} — \
+            "{mode:?}/{metric:?}: 51 epochs allocated {many}, 1 epoch {one} — \
              steady-state epochs must not allocate"
         );
     }
@@ -146,19 +149,21 @@ fn steady_state_epochs_allocate_nothing() {
 #[test]
 fn steady_state_epochs_allocate_nothing_with_lanes_enabled() {
     parallel::set_worker_override(Some(1));
+    // Euclidean runs the blocked norm-trick search, Manhattan the scalar
+    // scan.
     let configs = [
-        (TrainingMode::Online, KernelPolicy::Blocked),
-        (TrainingMode::Online, KernelPolicy::Scalar),
-        (TrainingMode::Batch, KernelPolicy::Blocked),
-        (TrainingMode::Batch, KernelPolicy::Scalar),
+        (TrainingMode::Online, Metric::Euclidean),
+        (TrainingMode::Online, Metric::Manhattan),
+        (TrainingMode::Batch, Metric::Euclidean),
+        (TrainingMode::Batch, Metric::Manhattan),
     ];
-    for (mode, policy) in configs {
-        allocations_for_lanes(mode, policy, 1);
-        let one = allocations_for_lanes(mode, policy, 1);
-        let many = allocations_for_lanes(mode, policy, 51);
+    for (mode, metric) in configs {
+        allocations_for_lanes(mode, metric, 1);
+        let one = allocations_for_lanes(mode, metric, 1);
+        let many = allocations_for_lanes(mode, metric, 51);
         assert_eq!(
             many, one,
-            "{mode:?}/{policy:?} with lanes: 51 epochs allocated {many}, 1 epoch {one} — \
+            "{mode:?}/{metric:?} with lanes: 51 epochs allocated {many}, 1 epoch {one} — \
              lane recording must not allocate in steady state"
         );
     }

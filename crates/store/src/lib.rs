@@ -17,7 +17,7 @@
 //!   `write`; merges and repairs go through temp-file + rename. A writer
 //!   killed mid-append leaves at worst one torn trailing record, which the
 //!   next append truncates and the tolerant reader skips.
-//! * **Verification and repair** ([`fsck`]) — classifies every line,
+//! * **Verification and repair** ([`fsck()`]) — classifies every line,
 //!   distinguishes expected crash damage (torn tail) from mid-file
 //!   corruption, and optionally rewrites the store while preserving every
 //!   bad line in quarantine.

@@ -1,7 +1,7 @@
 //! Microarchitecture-independent characterization (MICA-style features).
 //!
-//! Extracts the feature families of Eeckhout et al. [5] and Hoste &
-//! Eeckhout [6] — the characterizations the paper recommends for non-Java
+//! Extracts the feature families of Eeckhout et al. \[5\] and Hoste &
+//! Eeckhout \[6\] — the characterizations the paper recommends for non-Java
 //! workloads — from an instruction trace:
 //!
 //! * instruction mix (5 fractions),

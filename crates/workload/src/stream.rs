@@ -125,7 +125,7 @@ const HEADER_LEN: u64 = 8 + 8 + 8;
 
 /// A characteristic-vector matrix on disk, read one strip at a time.
 ///
-/// Format: [`MAGIC`], `nrows: u64 LE`, `ncols: u64 LE`, then
+/// Format: the 8-byte `MAGIC` tag, `nrows: u64 LE`, `ncols: u64 LE`, then
 /// `nrows · ncols` row-major `f64 LE` values. Writers:
 /// [`CharVecFile::write_matrix`] for a resident matrix,
 /// [`CharVecFile::copy_from`] to spool any other [`RowSource`] to disk

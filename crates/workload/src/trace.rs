@@ -2,7 +2,7 @@
 //!
 //! The paper points beyond its two characterizations: "For non-Java
 //! workloads, other microarchitecture independent workload features such as
-//! instruction mix, memory strides, etc. [5], [6] can be used instead"
+//! instruction mix, memory strides, etc. \[5\], \[6\] can be used instead"
 //! (Section IV-C). Those features are extracted from instruction traces, so
 //! this module provides the trace substrate: a deterministic generator that
 //! turns a per-workload *behaviour profile* (instruction mix, stride

@@ -13,6 +13,7 @@ use hiermeans::core::means::{geometric_mean, Mean};
 use hiermeans::linalg::distance::Metric;
 use hiermeans::linalg::scale::Standardizer;
 use hiermeans::linalg::Matrix;
+use hiermeans::obs::Collector;
 use hiermeans::workload::machine::Machine;
 use hiermeans::workload::timing::{DemandProfile, TimingModel};
 
@@ -56,7 +57,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>(),
     )?;
     let vectors = Standardizer::fit_transform(&raw)?;
-    let dendrogram = agglomerative::cluster(&vectors, Metric::Euclidean, Linkage::Complete)?;
+    let dendrogram = agglomerative::cluster(
+        &vectors,
+        Metric::Euclidean,
+        Linkage::Complete,
+        &Collector::disabled(),
+    )?;
 
     println!("workload speedups over the reference machine:");
     for (i, (name, _)) in workloads.iter().enumerate() {

@@ -12,6 +12,7 @@ use hiermeans::core::hierarchical::hierarchical_mean_of;
 use hiermeans::core::means::{geometric_mean, Mean};
 use hiermeans::linalg::distance::Metric;
 use hiermeans::linalg::Matrix;
+use hiermeans::obs::Collector;
 use hiermeans::viz::table::TextTable;
 use hiermeans::workload::merger::MergeScenario;
 use hiermeans::workload::Machine;
@@ -41,7 +42,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .map(|p| vec![p[0], p[1]])
                     .collect::<Vec<_>>(),
             )?;
-            let dendrogram = agglomerative::cluster(&pts, Metric::Euclidean, Linkage::Complete)?;
+            let dendrogram = agglomerative::cluster(
+                &pts,
+                Metric::Euclidean,
+                Linkage::Complete,
+                &Collector::disabled(),
+            )?;
             let n = merged.suite().len();
             let k = selection::elbow_k(&dendrogram, 2..=(n - 1))?;
             let cut = dendrogram.cut_into(k)?;

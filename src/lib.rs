@@ -17,6 +17,8 @@
 //!   SAR counter generation, and hprof-style method-utilization profiling.
 //! * [`linalg`] — dense linear algebra, PCA, scalers, and distances.
 //! * [`viz`] — ASCII renderings of SOM maps, U-matrices, and dendrograms.
+//! * [`obs`] — observability: the trace collector every pipeline stage
+//!   records into ([`obs::Collector::disabled`] for untraced runs).
 //!
 //! # Quickstart
 //!
@@ -42,6 +44,7 @@
 pub use hiermeans_cluster as cluster;
 pub use hiermeans_core as core;
 pub use hiermeans_linalg as linalg;
+pub use hiermeans_obs as obs;
 pub use hiermeans_som as som;
 pub use hiermeans_viz as viz;
 pub use hiermeans_workload as workload;

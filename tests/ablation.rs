@@ -6,6 +6,7 @@ use hiermeans::cluster::{agglomerative, ClusterAssignment, Linkage};
 use hiermeans::core::pipeline::{run_pipeline, run_without_som, PipelineConfig};
 use hiermeans::linalg::distance::Metric;
 use hiermeans::linalg::pca::Pca;
+use hiermeans::obs::Collector;
 use hiermeans::workload::charvec::CharacteristicVectors;
 use hiermeans::workload::hprof::HprofCollector;
 use hiermeans::workload::measurement::{reference_clustering, Characterization};
@@ -91,7 +92,13 @@ fn pca_baseline_works_but_som_handles_bit_vectors() {
     let v = vectors(ch);
     let pca = Pca::fit(&v, 2).unwrap();
     let reduced = pca.transform(&v).unwrap();
-    let dend = agglomerative::cluster(&reduced, Metric::Euclidean, Linkage::Complete).unwrap();
+    let dend = agglomerative::cluster(
+        &reduced,
+        Metric::Euclidean,
+        Linkage::Complete,
+        &Collector::disabled(),
+    )
+    .unwrap();
     let pca_agreement = chain_agreement(ch, |k| dend.cut_into(k).unwrap());
 
     let res = run_pipeline(&v, &PipelineConfig::default()).unwrap();
@@ -123,7 +130,8 @@ fn linkage_ablation_all_monotone_rules_recover_the_structure() {
         Linkage::Average,
         Linkage::Ward,
     ] {
-        let d = agglomerative::cluster(&v, Metric::Euclidean, linkage).unwrap();
+        let d =
+            agglomerative::cluster(&v, Metric::Euclidean, linkage, &Collector::disabled()).unwrap();
         let agreement = chain_agreement(ch, |k| d.cut_into(k).unwrap());
         assert!(agreement > 0.85, "{linkage}: agreement {agreement}");
     }
@@ -148,8 +156,20 @@ fn single_linkage_chains_where_complete_does_not() {
         vec![7.1, 0.0],
     ];
     let pts = hiermeans::linalg::Matrix::from_rows(&rows).unwrap();
-    let single = agglomerative::cluster(&pts, Metric::Euclidean, Linkage::Single).unwrap();
-    let complete = agglomerative::cluster(&pts, Metric::Euclidean, Linkage::Complete).unwrap();
+    let single = agglomerative::cluster(
+        &pts,
+        Metric::Euclidean,
+        Linkage::Single,
+        &Collector::disabled(),
+    )
+    .unwrap();
+    let complete = agglomerative::cluster(
+        &pts,
+        Metric::Euclidean,
+        Linkage::Complete,
+        &Collector::disabled(),
+    )
+    .unwrap();
     // Under single linkage the root merge happens at the largest gap (1.1);
     // under complete linkage the two halves only merge at diameter scale.
     let root = |d: &hiermeans::cluster::Dendrogram| d.merges().last().unwrap().distance;

@@ -9,6 +9,7 @@ use hiermeans::core::CoreError;
 use hiermeans::linalg::distance::Metric;
 use hiermeans::linalg::scale::Standardizer;
 use hiermeans::linalg::{LinalgError, Matrix};
+use hiermeans::obs::Collector;
 use hiermeans::som::{SomBuilder, SomError};
 use hiermeans::workload::execution::{ExecutionSimulator, SpeedupTable};
 use hiermeans::workload::BenchmarkSuite;
@@ -92,11 +93,18 @@ fn som_rejects_degenerate_inputs() {
 fn clustering_rejects_bad_distance_matrices() {
     let bad = Matrix::from_rows(&[vec![0.0, 1.0], vec![2.0, 0.0]]).unwrap();
     assert!(matches!(
-        agglomerative::cluster_from_distances(&bad, Linkage::Complete).unwrap_err(),
+        agglomerative::cluster_from_distances(&bad, Linkage::Complete, &Collector::disabled())
+            .unwrap_err(),
         ClusterError::InvalidDistanceMatrix { .. }
     ));
     let nan_pts = Matrix::from_rows(&[vec![f64::NAN], vec![1.0]]).unwrap();
-    assert!(agglomerative::cluster(&nan_pts, Metric::Euclidean, Linkage::Complete).is_err());
+    assert!(agglomerative::cluster(
+        &nan_pts,
+        Metric::Euclidean,
+        Linkage::Complete,
+        &Collector::disabled()
+    )
+    .is_err());
 }
 
 #[test]

@@ -9,6 +9,7 @@ use hiermeans::core::analysis::SuiteAnalysis;
 use hiermeans::core::report::StudyReport;
 use hiermeans::linalg::distance::Metric;
 use hiermeans::linalg::Matrix;
+use hiermeans::obs::Collector;
 use hiermeans::som::{Som, SomBuilder};
 use hiermeans::workload::execution::SpeedupTable;
 use hiermeans::workload::measurement::Characterization;
@@ -52,7 +53,13 @@ fn trained_som_roundtrip() {
 
 #[test]
 fn dendrogram_roundtrip() {
-    let d = agglomerative::cluster(&points(), Metric::Euclidean, Linkage::Complete).unwrap();
+    let d = agglomerative::cluster(
+        &points(),
+        Metric::Euclidean,
+        Linkage::Complete,
+        &Collector::disabled(),
+    )
+    .unwrap();
     let json = serde_json::to_string(&d).unwrap();
     let back: Dendrogram = serde_json::from_str(&json).unwrap();
     assert_eq!(d, back);
