@@ -118,14 +118,17 @@ fn check_every_cut(pts: &Matrix, raw: &[usize]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    #[test]
     fn lattice_with_duplicates_matches_oracle((pts, raw) in with_partition(lattice())) {
         check_every_cut(&pts, &raw)?;
     }
 
+    #[test]
     fn all_distinct_points_match_oracle((pts, raw) in with_partition(distinct())) {
         check_every_cut(&pts, &raw)?;
     }
 
+    #[test]
     fn single_cell_matches_oracle((pts, raw) in with_partition(one_cell())) {
         check_every_cut(&pts, &raw)?;
         // Every distance is zero, so every cut scores exactly 0 and the

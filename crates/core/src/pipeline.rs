@@ -263,7 +263,8 @@ pub fn run_pipeline(
 /// trainer on the same rows (PCA-plane initialization needs the resident
 /// matrix, so streaming falls back to random). Requires
 /// [`hiermeans_som::TrainingMode::Batch`] (the [`PipelineConfig::scaled`]
-/// default); streaming runs serially.
+/// default). Each strip's BMU search and accumulation run on every worker,
+/// with the same result for any worker count.
 ///
 /// The downstream stages (projection, clustering) still need per-row
 /// outputs; callers at streaming scale project strip-wise themselves or

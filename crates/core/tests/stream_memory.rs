@@ -10,7 +10,10 @@
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide.
 
+use std::sync::{Mutex, PoisonError};
+
 use hiermeans_core::pipeline::{train_som_streaming, PipelineConfig};
+use hiermeans_linalg::parallel;
 use hiermeans_obs::memhook::{self, TrackingAlloc};
 use hiermeans_som::WarmStart;
 use hiermeans_workload::stream::SyntheticRowSource;
@@ -19,7 +22,13 @@ use hiermeans_workload::synthetic::MixtureSpec;
 #[global_allocator]
 static ALLOCATOR: TrackingAlloc = TrackingAlloc;
 
-fn ceiling_run(n: usize, dim: usize, ceiling_bytes: i64) {
+/// Held by every ceiling run: the measurement window and the worker
+/// override are both process-wide, so runs must not overlap.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn ceiling_run(n: usize, dim: usize, ceiling_bytes: i64, workers: Option<usize>) {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    parallel::set_worker_override(workers);
     let spec = MixtureSpec::separated(n, dim, 8, 0x5CA1E);
     let config = PipelineConfig {
         som_width: 4,
@@ -35,6 +44,7 @@ fn ceiling_run(n: usize, dim: usize, ceiling_bytes: i64) {
         let mut source = SyntheticRowSource::new(spec).expect("valid spec");
         train_som_streaming(&mut source, &config).expect("streaming training succeeds")
     });
+    parallel::set_worker_override(None);
     assert_eq!(som.weights().nrows(), 16, "4x4 codebook");
     let dense_bytes = (n * dim * std::mem::size_of::<f64>()) as i64;
     assert!(
@@ -53,7 +63,15 @@ fn ceiling_run(n: usize, dim: usize, ceiling_bytes: i64) {
 /// streaming must stay under 8 MiB.
 #[test]
 fn streaming_som_trains_under_a_fixed_memory_ceiling() {
-    ceiling_run(1 << 16, 64, 8 << 20);
+    ceiling_run(1 << 16, 64, 8 << 20, None);
+}
+
+/// The same case on four workers, under the same ceiling: each worker
+/// adds one search buffer and one `units × dim` partial, nothing that
+/// grows with `n` or with the chunk count.
+#[test]
+fn streaming_som_on_four_workers_stays_under_the_same_ceiling() {
+    ceiling_run(1 << 16, 64, 8 << 20, Some(4));
 }
 
 /// The acceptance-scale run: one million rows (512 MiB dense) under the
@@ -63,5 +81,5 @@ fn streaming_som_trains_under_a_fixed_memory_ceiling() {
 #[test]
 #[ignore = "release-scale acceptance run; dense equivalent is 512 MiB"]
 fn streaming_som_trains_a_million_rows_under_ceiling() {
-    ceiling_run(1_000_000, 64, 16 << 20);
+    ceiling_run(1_000_000, 64, 16 << 20, None);
 }

@@ -27,12 +27,17 @@
 //! Results are gathered through a channel of `(chunk_index, result)` pairs
 //! scattered into a pre-sized slot vector — no locks, and no reliance on
 //! arrival order.
+//!
+//! [`try_fold_ordered`] is the exception for per-chunk results too large to
+//! hold all at once (the batch SOM's accumulator partials): each worker
+//! keeps one state and folds it into the caller's accumulator, one chunk
+//! at a time in chunk order, under a lock.
 
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
 
 pub use hiermeans_obs::{LaneBuf, LaneClock, LaneInterval};
 
@@ -418,53 +423,151 @@ where
     Ok(chunks.into_iter().flatten().collect())
 }
 
-/// Maps each chunk of `0..len` to a partial result, then folds the partials
-/// **in ascending chunk order** — the ordered reduction that keeps
-/// floating-point accumulation deterministic (e.g. the SOM batch epoch's
-/// per-chunk numerator/denominator partials).
+/// Runs `compute` over a sequence of chunk work items on `workers.len()`
+/// workers and hands every finished chunk to `fold` **in ascending chunk
+/// order** — for per-chunk results too large for [`try_map_chunks`], which
+/// holds one result per chunk until all are done.
+///
+/// Each worker owns one state from `workers` for the whole call (the first
+/// on the calling thread, the rest on scoped threads): `compute` fills the
+/// state from one chunk, then the worker waits its turn and `fold` drains
+/// the state into the caller's accumulator. Memory therefore scales with
+/// the worker count, not the chunk count. Chunks are claimed from `parts`
+/// in order, so chunk `i` is the `i`-th item; a work item may carry
+/// disjoint `&mut` slots for its chunk's rows. Folds run one at a time, in
+/// chunk order, whatever the worker count — so a fold that adds
+/// floating-point partials yields the same bits as a serial walk. One
+/// worker runs the identical loop on the calling thread, without spawning
+/// or allocating.
 ///
 /// # Errors
 ///
-/// Returns the first failure in chunk order, as serial execution would; a
-/// panicking worker surfaces as [`ParallelError::WorkerPanic`].
-pub fn try_map_reduce<T, E, A, F, R>(
-    len: usize,
-    chunking: Chunking,
-    map: F,
-    init: A,
-    reduce: R,
-) -> Result<A, ParallelError<E>>
+/// Returns the first failure in chunk order, as serial execution would:
+/// a chunk whose `compute` returns `Err` yields [`ParallelError::Task`],
+/// and a panic in `compute` or `fold` yields
+/// [`ParallelError::WorkerPanic`]. Once a chunk fails, no later chunk is
+/// folded and unclaimed items are never computed.
+///
+/// # Panics
+///
+/// Panics if `workers` is empty.
+pub fn try_fold_ordered<S, P, E, I, F, R>(
+    workers: &mut [S],
+    parts: I,
+    compute: F,
+    fold: R,
+) -> Result<(), ParallelError<E>>
 where
-    T: Send,
+    S: Send,
     E: Send,
-    F: Fn(Range<usize>) -> Result<T, E> + Sync,
-    R: FnMut(A, T) -> A,
+    I: Iterator<Item = P> + Send,
+    F: Fn(&mut S, usize, P) -> Result<(), E> + Sync,
+    R: FnMut(&mut S, usize) + Send,
 {
-    try_map_reduce_lanes(len, chunking, None, map, init, reduce)
+    let (first, rest) = workers.split_at_mut(1);
+    let first = &mut first[0];
+    let ticket = Mutex::new(Ticket {
+        parts: parts.enumerate(),
+        folded: 0,
+        fold,
+        failure: None,
+    });
+    let turn = Condvar::new();
+    if rest.is_empty() {
+        fold_ordered_worker(first, &ticket, &turn, &compute);
+    } else {
+        std::thread::scope(|scope| {
+            for state in rest {
+                let (ticket, turn, compute) = (&ticket, &turn, &compute);
+                scope.spawn(move || {
+                    // Same memory-telemetry fold-in as the chunk mappers.
+                    let tally = hiermeans_obs::memhook::worker_tally_begin();
+                    fold_ordered_worker(state, ticket, turn, compute);
+                    hiermeans_obs::memhook::worker_tally_end(tally);
+                });
+            }
+            fold_ordered_worker(first, &ticket, &turn, &compute);
+        });
+    }
+    let ticket = ticket.into_inner().unwrap_or_else(PoisonError::into_inner);
+    ticket.failure.map_or(Ok(()), Err)
 }
 
-/// [`try_map_reduce`] with worker-lane recording (see
-/// [`try_map_chunks_lanes`]). The fold still runs in ascending chunk order.
-///
-/// # Errors
-///
-/// Identical to [`try_map_reduce`].
-pub fn try_map_reduce_lanes<T, E, A, F, R>(
-    len: usize,
-    chunking: Chunking,
-    lanes: Lanes<'_>,
-    map: F,
-    init: A,
-    reduce: R,
-) -> Result<A, ParallelError<E>>
-where
-    T: Send,
-    E: Send,
-    F: Fn(Range<usize>) -> Result<T, E> + Sync,
-    R: FnMut(A, T) -> A,
+/// The shared state of one [`try_fold_ordered`] call: the unclaimed work
+/// items with their chunk indices, how many chunks were folded, the
+/// caller's fold, and the first failure.
+struct Ticket<I, R, E> {
+    parts: std::iter::Enumerate<I>,
+    folded: usize,
+    fold: R,
+    failure: Option<ParallelError<E>>,
+}
+
+/// Locks the ticket, recovering it from poisoning. Recovery is sound:
+/// `compute` and `fold` run under `catch_unwind`, so only the caller's
+/// `parts` iterator can panic while the lock is held, and the ticket's
+/// counters change only after it returns — a poisoned ticket is still
+/// consistent, and that panic reaches the caller when the scope joins.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One worker's loop: claim the next chunk, compute it into `state`, wait
+/// until every earlier chunk is folded, fold. Failures are recorded only
+/// at the failing chunk's turn, so the recorded one is the first in chunk
+/// order, and every waiter wakes and stops once one is.
+fn fold_ordered_worker<S, P, E, I, F, R>(
+    state: &mut S,
+    ticket: &Mutex<Ticket<I, R, E>>,
+    turn: &Condvar,
+    compute: &F,
+) where
+    I: Iterator<Item = P>,
+    F: Fn(&mut S, usize, P) -> Result<(), E>,
+    R: FnMut(&mut S, usize),
 {
-    let partials = try_map_chunks_lanes(len, chunking, lanes, map)?;
-    Ok(partials.into_iter().fold(init, reduce))
+    loop {
+        let (chunk, part) = {
+            let mut t = lock(ticket);
+            if t.failure.is_some() {
+                return;
+            }
+            let Some(claimed) = t.parts.next() else {
+                return;
+            };
+            claimed
+        };
+        let computed = catch_unwind(AssertUnwindSafe(|| compute(&mut *state, chunk, part)));
+        let mut t = lock(ticket);
+        while t.folded != chunk && t.failure.is_none() {
+            t = turn.wait(t).unwrap_or_else(PoisonError::into_inner);
+        }
+        if t.failure.is_some() {
+            return;
+        }
+        let panicked = |payload: Box<dyn std::any::Any + Send>| ParallelError::WorkerPanic {
+            chunk,
+            payload: panic_payload_text(payload.as_ref()),
+        };
+        let outcome = match computed {
+            Ok(Ok(())) => {
+                let fold = &mut t.fold;
+                catch_unwind(AssertUnwindSafe(|| fold(&mut *state, chunk))).map_err(panicked)
+            }
+            Ok(Err(e)) => Err(ParallelError::Task(e)),
+            Err(payload) => Err(panicked(payload)),
+        };
+        let failed = outcome.is_err();
+        match outcome {
+            Ok(()) => t.folded += 1,
+            Err(e) => t.failure = Some(e),
+        }
+        drop(t);
+        turn.notify_all();
+        if failed {
+            return;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -610,17 +713,80 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
-    #[test]
-    fn map_reduce_folds_in_chunk_order() {
-        let concat = try_map_reduce(
-            12,
-            SMALL,
-            |r| Ok::<_, ()>(format!("[{}..{})", r.start, r.end)),
-            String::new(),
-            |acc, part| acc + &part,
+    /// Folds 40 chunks of `len` floats into one running sum per slot; each
+    /// worker also bumps the chunk's `&mut` tag slot. Returns the sums' bits
+    /// and the tags.
+    fn ordered_sums(workers: usize) -> (Vec<u64>, Vec<usize>) {
+        let len = 5;
+        let mut states: Vec<Vec<f64>> = vec![vec![0.0; len]; workers];
+        let mut tags = vec![0usize; 40];
+        let mut sums = vec![0.0f64; len];
+        try_fold_ordered(
+            &mut states,
+            tags.iter_mut().enumerate(),
+            |partial: &mut Vec<f64>, chunk, (i, tag): (usize, &mut usize)| {
+                assert_eq!(chunk, i, "items arrive in chunk order");
+                *tag += chunk + 1;
+                for (k, p) in partial.iter_mut().enumerate() {
+                    // Magnitudes spanning many binades make the sum order
+                    // visible in the bits.
+                    *p = (1.0 + chunk as f64).powi(7) / (k + 3) as f64 * 1e-3;
+                }
+                Ok::<_, ()>(())
+            },
+            |partial, _| {
+                for (acc, p) in sums.iter_mut().zip(partial.iter()) {
+                    *acc += p;
+                }
+            },
         )
         .unwrap();
-        assert_eq!(concat, "[0..4)[4..8)[8..12)");
+        (sums.iter().map(|s| s.to_bits()).collect(), tags)
+    }
+
+    #[test]
+    fn ordered_fold_is_bitwise_identical_for_all_worker_counts() {
+        let serial = ordered_sums(1);
+        assert_eq!(serial.1, (1..=40).collect::<Vec<_>>());
+        for workers in [2, 3, 7, 64] {
+            assert_eq!(ordered_sums(workers), serial, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn ordered_fold_stops_at_the_first_failure_in_chunk_order() {
+        for workers in [1, 2, 4] {
+            let mut states = vec![(); workers];
+            let mut folded = Vec::new();
+            let err = try_fold_ordered(
+                &mut states,
+                0..32usize,
+                |(), chunk, _| match chunk {
+                    3 => panic!("injected fault in chunk 3"),
+                    9 => Err("chunk 9 failed".to_owned()),
+                    _ => Ok(()),
+                },
+                |(), chunk| folded.push(chunk),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                ParallelError::WorkerPanic {
+                    chunk: 3,
+                    payload: "injected fault in chunk 3".to_owned()
+                },
+                "workers = {workers}"
+            );
+            assert_eq!(folded, vec![0, 1, 2], "workers = {workers}");
+        }
+        let err = try_fold_ordered(
+            &mut [(), ()],
+            0..8usize,
+            |(), chunk, _| if chunk == 2 { Err(chunk) } else { Ok(()) },
+            |(), _| {},
+        )
+        .unwrap_err();
+        assert_eq!(err, ParallelError::Task(2));
     }
 
     #[test]
@@ -686,31 +852,6 @@ mod tests {
         assert_eq!(buf.intervals().len(), 6);
         assert_eq!(buf.intervals()[2].run, 1);
         assert_eq!(buf.intervals()[5].run, 2);
-    }
-
-    #[test]
-    fn lanes_none_records_nothing_and_reduce_matches() {
-        let clock = lane_clock();
-        let mut buf = LaneBuf::new();
-        let with_lanes = try_map_reduce_lanes(
-            12,
-            SMALL,
-            Some((clock, &mut buf)),
-            |r| Ok::<_, ()>(r.sum::<usize>()),
-            0usize,
-            |a, b| a + b,
-        )
-        .unwrap();
-        let without = try_map_reduce(
-            12,
-            SMALL,
-            |r| Ok::<_, ()>(r.sum::<usize>()),
-            0usize,
-            |a, b| a + b,
-        )
-        .unwrap();
-        assert_eq!(with_lanes, without);
-        assert_eq!(buf.intervals().len(), 3);
     }
 
     #[test]

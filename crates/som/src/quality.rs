@@ -47,28 +47,11 @@ impl BmuTable {
     /// Returns [`SomError::EmptyData`] for empty data and propagates
     /// dimension mismatches.
     pub fn compute(som: &Som, data: &Matrix) -> Result<Self, SomError> {
-        Self::compute_prepared(som, data, None)
-    }
-
-    /// [`BmuTable::compute`] reusing an already-prepared codebook (the
-    /// transposed weights and unit norms the batch trainer maintains per
-    /// epoch), so the per-epoch quality pass does not rebuild them. With
-    /// `None` the pass prepares its own, exactly like [`BmuTable::compute`];
-    /// the hits are bitwise identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BmuTable::compute`].
-    pub(crate) fn compute_prepared(
-        som: &Som,
-        data: &Matrix,
-        prep: Option<&crate::train::PreparedCodebook>,
-    ) -> Result<Self, SomError> {
         if data.is_empty() {
             return Err(SomError::EmptyData);
         }
         Ok(BmuTable {
-            hits: som.bmu_batch_prepared(data, prep, None)?,
+            hits: som.bmu_batch(data)?,
         })
     }
 

@@ -27,6 +27,7 @@ use hiermeans_linalg::rows::RowSource;
 use hiermeans_linalg::{stats, Matrix};
 use hiermeans_obs::{
     convergence, stages, Collector, Counter, CounterBuf, EpochRecord, HistogramId, LaneBuf,
+    LaneClock,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,7 +37,7 @@ use crate::grid::{Grid, GridTopology};
 use crate::kernel::NeighborhoodKernel;
 use crate::quality::BmuTable;
 use crate::schedule::DecaySchedule;
-use crate::warm::{WarmStart, WarmState};
+use crate::warm::{WarmBounds, WarmRow, WarmStart, WarmState};
 use crate::SomError;
 
 /// Chunking for the BMU search: one row's search is cheap, so chunks of 64
@@ -44,8 +45,9 @@ use crate::SomError;
 /// threshold the old hand-rolled thread pool used).
 const BMU_CHUNKING: Chunking = Chunking::new(64, 256);
 
-/// Chunking for the batch-epoch weight accumulation: each chunk of samples
-/// yields a `(numerator, denominator)` partial, folded in chunk order.
+/// Chunking for the batch epoch: each 64-row chunk gets its BMU search and
+/// a `(numerator, denominator)` partial, folded in ascending chunk order;
+/// inputs under 256 rows stay on the calling thread.
 const BATCH_CHUNKING: Chunking = Chunking::new(64, 256);
 
 /// Unit-count ceiling for the per-epoch neighborhood-kernel table
@@ -57,11 +59,12 @@ const BATCH_CHUNKING: Chunking = Chunking::new(64, 256);
 /// either way.
 const KERNEL_TABLE_MAX_UNITS: usize = 1024;
 
-/// Rows per streamed strip. A multiple of both hot-loop chunk sizes, so
-/// the streaming trainer's per-strip chunk walks land on exactly the same
-/// global chunk grid as the resident trainer's — which is what keeps the
-/// two paths bitwise identical.
+/// Rows per strip of the batch trainer, which reads resident and streamed
+/// input alike through [`RowSource`]. A multiple of the batch chunk size,
+/// so every strip's chunks land on one global 64-row grid and the partials
+/// fold in the same order however the rows are split into strips.
 const STREAM_STRIP_ROWS: usize = 4096;
+const _: () = assert!(STREAM_STRIP_ROWS.is_multiple_of(BATCH_CHUNKING.chunk_size));
 
 /// How unit weight vectors are initialized before training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,8 +86,9 @@ pub enum TrainingMode {
     /// One random sample per step; the paper's competitive-learning loop.
     Online,
     /// Per-epoch kernel-weighted recomputation of every unit from all
-    /// samples; deterministic given the initialization, and parallelized
-    /// across samples.
+    /// samples; deterministic given the initialization. Rows are read in
+    /// strips, and each strip's BMU search and accumulation run on every
+    /// worker with bitwise-identical results for any worker count.
     Batch,
 }
 
@@ -310,12 +314,9 @@ impl SomBuilder {
         Ok((som, history))
     }
 
-    fn train_impl(
-        &self,
-        data: &Matrix,
-        mut history: Option<&mut Vec<f64>>,
-        collector: &Collector,
-    ) -> Result<(Som, bool), SomError> {
+    /// Checks what both entry points share: a non-empty grid, a positive
+    /// epoch count and valid schedules.
+    fn validate_config(&self) -> Result<(), SomError> {
         if self.width == 0 || self.height == 0 {
             return Err(SomError::InvalidConfig {
                 name: "grid",
@@ -338,6 +339,25 @@ impl SomBuilder {
                 source,
             })?;
         }
+        Ok(())
+    }
+
+    /// The σ schedule: the configured one, or half the map diameter down
+    /// to 0.5.
+    fn sigma_schedule(&self, grid: &Grid) -> DecaySchedule {
+        self.sigma.unwrap_or(DecaySchedule::Linear {
+            start: grid.diameter() / 2.0,
+            end: 0.5,
+        })
+    }
+
+    fn train_impl(
+        &self,
+        data: &Matrix,
+        mut history: Option<&mut Vec<f64>>,
+        collector: &Collector,
+    ) -> Result<(Som, bool), SomError> {
+        self.validate_config()?;
         if data.is_empty() {
             return Err(SomError::EmptyData);
         }
@@ -351,10 +371,7 @@ impl SomBuilder {
 
         let span = collector.span(stages::SOM_TRAIN);
         let grid = Grid::new(self.width, self.height, self.topology);
-        let sigma = self.sigma.unwrap_or(DecaySchedule::Linear {
-            start: grid.diameter() / 2.0,
-            end: 0.5,
-        });
+        let sigma = self.sigma_schedule(&grid);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let weights = {
             let _init = collector.span(stages::SOM_INIT);
@@ -376,11 +393,9 @@ impl SomBuilder {
                 &mut telemetry,
             )?,
             TrainingMode::Batch => som.train_batch(
-                data,
-                self.kernel,
-                self.epochs,
+                &mut &*data,
+                self,
                 sigma,
-                self.warm_start,
                 history.as_deref_mut(),
                 &mut telemetry,
             )?,
@@ -403,21 +418,23 @@ impl SomBuilder {
     /// full `n × dim` matrix resident: every pass (range scan for
     /// initialization, per-epoch BMU search + accumulation, sampled quality
     /// telemetry) consumes fixed-size strips through one reusable buffer,
-    /// so training memory is bounded by the map size and the strip — not by
-    /// `n`.
+    /// so training memory is bounded by the map size, the strip and the
+    /// per-worker scratch (one search buffer and one `units × dim` partial
+    /// per worker) — not by `n`.
     ///
-    /// Restrictions relative to [`SomBuilder::train`]:
+    /// Batch training has one implementation: [`SomBuilder::train`] runs
+    /// the same strip-wise trainer over its resident matrix. Each strip's
+    /// BMU search and accumulation run on every worker, and the per-chunk
+    /// partials fold in ascending chunk order, so the result does not
+    /// depend on the worker count. Restrictions relative to
+    /// [`SomBuilder::train`]:
     ///
     /// * Batch mode only ([`TrainingMode::Online`] samples rows at random,
     ///   which a sequential source cannot serve).
     /// * [`Initializer::PcaPlane`] falls back to [`Initializer::Random`]
     ///   (PCA needs the resident matrix). With [`Initializer::Random`] the
     ///   result is **bitwise identical** to the resident trainer's on the
-    ///   same rows: the strip walks land on the resident path's exact chunk
-    ///   grid.
-    /// * The epoch loop is serial (workers cannot share a sequential
-    ///   source); determinism needs no worker fan-out here because the
-    ///   whole point is that per-strip work is bandwidth-bound.
+    ///   same rows.
     /// * Epoch-warm BMU reuse works and is on by default, but its cache is
     ///   `O(n)`; pass [`WarmStart::Disabled`] for a strictly `n`-free
     ///   memory ceiling.
@@ -452,33 +469,12 @@ impl SomBuilder {
         source: &mut dyn RowSource,
         collector: &Collector,
     ) -> Result<Som, SomError> {
-        if self.width == 0 || self.height == 0 {
-            return Err(SomError::InvalidConfig {
-                name: "grid",
-                reason: "width and height must be positive",
-            });
-        }
-        if self.epochs == 0 {
-            return Err(SomError::InvalidConfig {
-                name: "epochs",
-                reason: "must be positive",
-            });
-        }
+        self.validate_config()?;
         if self.mode != TrainingMode::Batch {
             return Err(SomError::InvalidConfig {
                 name: "mode",
                 reason: "streaming training requires TrainingMode::Batch",
             });
-        }
-        self.alpha.validate().map_err(|source| SomError::Schedule {
-            name: "alpha",
-            source,
-        })?;
-        if let Some(sigma) = self.sigma {
-            sigma.validate().map_err(|source| SomError::Schedule {
-                name: "sigma",
-                source,
-            })?;
         }
         let n = source.nrows();
         let dim = source.ncols();
@@ -487,12 +483,8 @@ impl SomBuilder {
         }
         let span = collector.span(stages::SOM_TRAIN);
         let grid = Grid::new(self.width, self.height, self.topology);
-        let sigma = self.sigma.unwrap_or(DecaySchedule::Linear {
-            start: grid.diameter() / 2.0,
-            end: 0.5,
-        });
+        let sigma = self.sigma_schedule(&grid);
         let mut rng = StdRng::seed_from_u64(self.seed);
-        // One strip buffer serves every pass below.
         let mut strip = vec![0.0f64; STREAM_STRIP_ROWS.min(n) * dim];
         // Pass 0: per-column ranges for the random initializer, folded in
         // row order exactly like `stats::min_max` over a resident column,
@@ -525,8 +517,11 @@ impl SomBuilder {
             weights,
             metric: self.metric,
         };
+        // The range pass's strip is freed before the trainer allocates its
+        // own, so the two never sit on the heap together.
+        drop(strip);
         let mut telemetry = Telemetry::new(collector, self.epochs);
-        som.train_batch_stream(source, self, sigma, &mut strip, &mut telemetry)?;
+        som.train_batch(source, self, sigma, None, &mut telemetry)?;
         telemetry.finish();
         drop(span);
         Ok(som)
@@ -561,61 +556,18 @@ impl<'a> Telemetry<'a> {
         self.enabled.then(Instant::now)
     }
 
-    fn sample_now(&self, epoch: usize) -> bool {
-        self.stride > 0 && (epoch % self.stride == self.stride - 1 || epoch + 1 == self.epochs)
+    /// Whether `epoch` gets a quality record: telemetry is on and the epoch
+    /// falls on the sampling stride (or is the last one).
+    fn wants_record(&self, epoch: usize) -> bool {
+        self.enabled
+            && self.stride > 0
+            && (epoch % self.stride == self.stride - 1 || epoch + 1 == self.epochs)
     }
 
-    /// Closes one epoch: stamps its duration (training work only, excluding
-    /// the quality pass below), flushes the per-epoch counter buffer, and at
-    /// the sampling stride runs one shared best-two BMU pass for QE and TE
-    /// (reusing the trainer's prepared codebook when one is supplied, so the
-    /// pass does not rebuild the transpose and norms the epoch already has).
-    #[allow(clippy::too_many_arguments)]
+    /// Closes one epoch: stamps its duration, counts the epoch, stores the
+    /// sampled quality record (computed by the trainer's own best-two pass)
+    /// if any, and flushes the per-epoch counter buffer.
     fn epoch_end(
-        &mut self,
-        som: &Som,
-        data: &Matrix,
-        epoch: usize,
-        sigma: f64,
-        started: Option<Instant>,
-        buf: &mut CounterBuf,
-        prep: Option<&PreparedCodebook>,
-        warm_hit_rate: Option<f64>,
-    ) -> Result<(), SomError> {
-        if !self.enabled {
-            return Ok(());
-        }
-        let record = if self.sample_now(epoch) {
-            let n = data.nrows() as u64;
-            let units = som.grid.len() as u64;
-            let table = BmuTable::compute_prepared(som, data, prep)?;
-            buf.add(Counter::BmuSearches, n);
-            buf.add(Counter::DistanceEvaluations, n * units);
-            let topographic_error = if som.grid.len() < 2 {
-                0.0
-            } else {
-                table.topographic_error(som)?
-            };
-            Some(EpochRecord {
-                epoch,
-                quantization_error: table.quantization_error(),
-                topographic_error,
-                sigma,
-                warm_hit_rate,
-            })
-        } else {
-            None
-        };
-        self.close_epoch(epoch, started, buf, record, warm_hit_rate);
-        Ok(())
-    }
-
-    /// The record-agnostic tail of [`Telemetry::epoch_end`], shared with the
-    /// streaming trainer (which computes its sampled quality record by a
-    /// streamed pass instead of a resident [`BmuTable`]): stamps the epoch
-    /// duration, counts the epoch, stores the sampled record if any, and
-    /// flushes the counter buffer.
-    fn close_epoch(
         &mut self,
         epoch: usize,
         started: Option<Instant>,
@@ -650,10 +602,11 @@ impl<'a> Telemetry<'a> {
         *buf = CounterBuf::new();
     }
 
-    /// Publishes one streaming-strip progress beat to an attached live
-    /// plane (no-op without one, like every live hook).
+    /// Publishes one strip progress beat to an attached live plane (no-op
+    /// without one, like every live hook). An epoch that fits in one strip
+    /// has no progress inside it to report, so it publishes none.
     fn strip(&self, epoch: usize, strip: usize, total_strips: usize) {
-        if self.enabled {
+        if self.enabled && total_strips > 1 {
             self.collector.live_strip(epoch, strip, total_strips);
         }
     }
@@ -758,16 +711,15 @@ impl SearchScratch {
 ///
 /// The batch trainer builds one before the epoch loop and refreshes it in
 /// place after each weight update, so the transpose and norms are computed
-/// once per *epoch* and shared by the BMU-search pass, the epoch-warm
-/// fallback, and the sampled quality pass — instead of being rebuilt by
-/// every batched search call.
-pub(crate) struct PreparedCodebook {
-    pub(crate) wt: Matrix,
-    pub(crate) unit_norms: Vec<f64>,
+/// once per *epoch* and shared by every worker's BMU search, the epoch-warm
+/// fallback, and the sampled quality pass.
+struct PreparedCodebook {
+    wt: Matrix,
+    unit_norms: Vec<f64>,
 }
 
 impl PreparedCodebook {
-    pub(crate) fn new(som: &Som) -> Self {
+    fn new(som: &Som) -> Self {
         let mut prep = PreparedCodebook {
             wt: Matrix::zeros(som.weights.ncols(), som.weights.nrows()),
             unit_norms: vec![0.0; som.weights.nrows()],
@@ -778,35 +730,113 @@ impl PreparedCodebook {
 
     /// Rebuilds the transpose and norms in place from the map's current
     /// weights (no allocation).
-    pub(crate) fn refresh(&mut self, som: &Som) {
+    fn refresh(&mut self, som: &Som) {
         som.weights.transpose_into(&mut self.wt);
         kernels::row_sq_norms_into(&som.weights, &mut self.unit_norms);
     }
 }
 
-/// Reusable buffers for the batch-epoch accumulator: the per-row BMU table,
-/// the running numerator/denominator totals, and one partial-chunk
-/// accumulator pair. The partial buffers emulate the parallel path's
-/// per-chunk partials — zeroed, filled, then folded into the totals in
-/// ascending chunk order — which keeps the serial scratch path bitwise
-/// identical to the threaded one while allocating nothing per epoch.
-struct BatchScratch {
+/// One batch worker's scratch, allocated once per run: its BMU search
+/// buffers, the chunk in flight's BMUs (or, in a quality pass, best
+/// distances), and that chunk's accumulator partial. A worker holds one
+/// chunk at a time and folds it before claiming the next, so batch memory
+/// grows with the worker count, not with `n`.
+struct BatchWorker {
+    /// Lane index (0 is the calling thread).
+    id: usize,
+    search: Option<SearchScratch>,
     bmus: Vec<usize>,
-    numer: Matrix,
-    denom: Vec<f64>,
+    dists: Vec<f64>,
+    /// Rows in the chunk in flight.
+    rows: usize,
     part_numer: Matrix,
     part_denom: Vec<f64>,
+    warm_hits: u64,
+    rescans: u64,
+    topographic_errors: usize,
+    /// Lane stamps of the chunk in flight: search start, accumulation
+    /// start, accumulation end.
+    stamps: [u64; 3],
 }
 
-impl BatchScratch {
-    fn new(n: usize, units: usize, dim: usize) -> Self {
-        BatchScratch {
-            bmus: vec![0; n],
-            numer: Matrix::zeros(units, dim),
-            denom: vec![0.0; units],
+impl BatchWorker {
+    fn new(id: usize, units: usize, dim: usize, prep: Option<&PreparedCodebook>) -> Self {
+        let chunk = BATCH_CHUNKING.chunk_size;
+        BatchWorker {
+            id,
+            search: prep.map(|p| SearchScratch::with_norms(p.unit_norms.clone())),
+            bmus: vec![0; chunk],
+            dists: vec![0.0; chunk],
+            rows: 0,
             part_numer: Matrix::zeros(units, dim),
             part_denom: vec![0.0; units],
+            warm_hits: 0,
+            rescans: 0,
+            topographic_errors: 0,
+            stamps: [0; 3],
         }
+    }
+
+    /// Searches the BMUs of one chunk's rows `xs` — through the warm cache
+    /// when the chunk comes with its rows' slots — and accumulates the
+    /// chunk into this worker's partial, stamping both phases for the lanes.
+    fn train_chunk(
+        &mut self,
+        som: &Som,
+        xs: &[f64],
+        mut warm: Option<(&mut [WarmRow], WarmBounds)>,
+        prep: Option<&PreparedCodebook>,
+        ctx: &EpochKernel<'_>,
+        clock: Option<LaneClock>,
+    ) -> Result<(), SomError> {
+        let now = || clock.map_or(0, |c| c.now_us());
+        self.stamps[0] = now();
+        for (i, x) in xs.chunks_exact(som.dim()).enumerate() {
+            self.bmus[i] = match warm.as_mut() {
+                Some((slots, bounds)) => match bounds.try_hit(&slots[i]) {
+                    Some(bmu) => {
+                        self.warm_hits += 1;
+                        bmu
+                    }
+                    None => {
+                        self.rescans += 1;
+                        let exact = som.exact_best_two(x, prep, self.search.as_mut())?;
+                        bounds.refresh(&mut slots[i], exact);
+                        exact.0 .0
+                    }
+                },
+                None => som.exact_best_two(x, prep, self.search.as_mut())?.0 .0,
+            };
+        }
+        self.stamps[1] = now();
+        self.part_numer.fill(0.0);
+        self.part_denom.fill(0.0);
+        for (x, &bmu) in xs.chunks_exact(som.dim()).zip(&self.bmus) {
+            accumulate_sample(x, bmu, ctx, &mut self.part_numer, &mut self.part_denom);
+        }
+        self.stamps[2] = now();
+        Ok(())
+    }
+
+    /// One exact best-two search per row of `xs`, keeping each best
+    /// distance for the ordered quantization-error sum and counting the
+    /// rows whose best two units are not lattice neighbors.
+    fn quality_chunk(
+        &mut self,
+        som: &Som,
+        xs: &[f64],
+        prep: Option<&PreparedCodebook>,
+    ) -> Result<(), SomError> {
+        self.rows = 0;
+        for x in xs.chunks_exact(som.dim()) {
+            let ((best, d), (second, _)) = som.exact_best_two(x, prep, self.search.as_mut())?;
+            self.dists[self.rows] = d;
+            self.rows += 1;
+            if som.grid.len() >= 2 && !som.grid.are_neighbors(best, second) {
+                self.topographic_errors += 1;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1004,7 +1034,8 @@ impl Som {
     /// behind [`Som::map_rows`], [`Som::project`], and
     /// [`crate::quality::BmuTable`]. Parallelizes over row chunks for large
     /// inputs; for a (squared) Euclidean metric each chunk runs the
-    /// norm-trick search with per-chunk scratch buffers.
+    /// norm-trick search against one transposed codebook, with per-chunk
+    /// scratch buffers.
     ///
     /// Results (unit indices and distances) are identical to the per-row
     /// scalar scan behind [`Som::bmu`] and [`Som::bmu2`], for any worker
@@ -1014,32 +1045,6 @@ impl Som {
     ///
     /// Returns [`SomError::DimensionMismatch`] if the column count differs.
     pub fn bmu_batch(&self, data: &Matrix) -> Result<Vec<crate::quality::BmuHit>, SomError> {
-        self.bmu_batch_lanes(data, None)
-    }
-
-    /// [`Som::bmu_batch`] with optional per-chunk lane recording: each
-    /// worker stamps one interval per 64-row chunk into the supplied
-    /// [`LaneBuf`] (one run per call). The chunk grid is the map-reduce
-    /// helper's, so the recorded structure depends only on the row count,
-    /// never on the worker count or the search path.
-    pub(crate) fn bmu_batch_lanes(
-        &self,
-        data: &Matrix,
-        lanes: parallel::Lanes<'_>,
-    ) -> Result<Vec<crate::quality::BmuHit>, SomError> {
-        self.bmu_batch_prepared(data, None, lanes)
-    }
-
-    /// [`Som::bmu_batch_lanes`] reusing an already-prepared codebook when
-    /// the caller has one (the batch trainer maintains one per epoch);
-    /// `None` prepares a fresh one for this batch. The hits are bitwise
-    /// identical either way.
-    pub(crate) fn bmu_batch_prepared(
-        &self,
-        data: &Matrix,
-        prep: Option<&PreparedCodebook>,
-        lanes: parallel::Lanes<'_>,
-    ) -> Result<Vec<crate::quality::BmuHit>, SomError> {
         if data.nrows() == 0 {
             return Ok(Vec::new());
         }
@@ -1049,40 +1054,40 @@ impl Som {
                 actual: data.ncols(),
             });
         }
-        let to_hit = |((best, best_distance), (second, _)): BestTwo| crate::quality::BmuHit {
-            best,
-            second,
-            best_distance,
-        };
-        if !self.blocked_applicable() {
-            return parallel::try_map_items_lanes(data.nrows(), BMU_CHUNKING, lanes, |r| {
-                self.scalar_best_two(data.row(r)).map(to_hit)
-            })
-            .map_err(SomError::from);
-        }
-        // One transposed codebook per batch (unless the caller already
-        // maintains one): its column-major layout lets the trick-distance
-        // kernel stream 64 units at a time per chunk row.
-        let owned;
-        let prep = match prep {
-            Some(p) => p,
-            None => {
-                owned = PreparedCodebook::new(self);
-                &owned
-            }
-        };
-        let chunks = parallel::try_map_chunks_lanes(data.nrows(), BMU_CHUNKING, lanes, |rows| {
-            // One scratch per chunk: 64 rows amortize the allocation, and
-            // workers never share mutable state.
-            let mut scratch = SearchScratch::with_norms(prep.unit_norms.clone());
+        let prep = self
+            .blocked_applicable()
+            .then(|| PreparedCodebook::new(self));
+        let chunks = parallel::try_map_chunks(data.nrows(), BMU_CHUNKING, |rows| {
+            let mut search = prep
+                .as_ref()
+                .map(|p| SearchScratch::with_norms(p.unit_norms.clone()));
             rows.map(|r| {
-                self.blocked_best_two_wt(data.row(r), &prep.wt, &mut scratch)
-                    .map(to_hit)
+                let ((best, best_distance), (second, _)) =
+                    self.exact_best_two(data.row(r), prep.as_ref(), search.as_mut())?;
+                Ok(crate::quality::BmuHit {
+                    best,
+                    second,
+                    best_distance,
+                })
             })
             .collect::<Result<Vec<_>, SomError>>()
         })
         .map_err(SomError::from)?;
         Ok(chunks.into_iter().flatten().collect())
+    }
+
+    /// One exact best-two search: the blocked search against a prepared
+    /// codebook when the metric allows it, the scalar scan otherwise.
+    fn exact_best_two(
+        &self,
+        x: &[f64],
+        prep: Option<&PreparedCodebook>,
+        search: Option<&mut SearchScratch>,
+    ) -> Result<BestTwo, SomError> {
+        match (prep, search) {
+            (Some(p), Some(scratch)) => self.blocked_best_two_wt(x, &p.wt, scratch),
+            _ => self.scalar_best_two(x),
+        }
     }
 
     /// Squared L2 norms of every unit weight vector (the precomputed half of
@@ -1201,16 +1206,13 @@ impl Som {
                 if let (Some(clock), Some(lanes)) = (lane_clock, lane_buf.as_mut()) {
                     lanes.record(step / n, 0, lane_begin, clock.now_us());
                 }
-                telemetry.epoch_end(
-                    self,
-                    data,
-                    step / n,
-                    last_sigma,
-                    epoch_started,
-                    &mut buf,
-                    None,
-                    None,
-                )?;
+                let epoch = step / n;
+                let record = if telemetry.wants_record(epoch) {
+                    Some(self.resident_record(data, epoch, last_sigma, &mut buf)?)
+                } else {
+                    None
+                };
+                telemetry.epoch_end(epoch, epoch_started, &mut buf, record, None);
                 epoch_started = telemetry.epoch_start();
                 lane_begin = lane_clock.map_or(0, |c| c.now_us());
             }
@@ -1227,36 +1229,37 @@ impl Som {
     /// Batch training: per epoch, every unit's weight is recomputed as the
     /// kernel-weighted mean of all samples. The learning-rate schedule plays
     /// no role here (batch updates jump straight to the weighted mean), so
-    /// only the kernel and epoch count are taken from the builder.
+    /// only the kernel, epoch count and warm start are taken from `cfg`.
     ///
-    /// Both hot loops go through the shared chunked map-reduce helper: the
-    /// BMU search maps rows independently, and the numerator/denominator
-    /// accumulation produces one partial per fixed-size sample chunk, folded
-    /// in ascending chunk order — so the summation order, and therefore
-    /// every bit of the result, is independent of the worker count.
+    /// Resident and streamed input take this one path: rows arrive strip by
+    /// strip from `source` into one reusable buffer. Within a strip, each
+    /// worker claims the next 64-row chunk, searches its BMUs and
+    /// accumulates it into the worker's own partial; the partials then fold
+    /// into the running totals in ascending chunk order. The strips tile
+    /// one global chunk grid, so the summation order, and therefore every
+    /// bit of the result, depends neither on the worker count nor on how
+    /// the rows are split into strips.
     ///
     /// Under [`WarmStart::Enabled`] (and the triangle-inequality metric,
     /// [`Metric::Euclidean`]), rows whose cached BMU is certified by the
     /// drift bound skip their search entirely; every other row rescans
-    /// exactly and refreshes its certificate. The certified rows would have
-    /// produced the same index, so the accumulation consumes identical BMU
-    /// tables and the weights stay bitwise identical to the cold path's —
-    /// for any worker count, since a hit depends only on that row's own
-    /// cached state.
-    #[allow(clippy::too_many_arguments)]
+    /// exactly and refreshes its certificate in place (rows are disjoint
+    /// across chunks). The certified rows would have produced the same
+    /// index, so the accumulation sees identical BMUs and the weights stay
+    /// bitwise identical to the cold path's.
     fn train_batch(
         &mut self,
-        data: &Matrix,
-        kernel: NeighborhoodKernel,
-        epochs: usize,
+        source: &mut dyn RowSource,
+        cfg: &SomBuilder,
         sigma: DecaySchedule,
-        warm_start: WarmStart,
         mut history: Option<&mut Vec<f64>>,
         telemetry: &mut Telemetry,
     ) -> Result<(), SomError> {
-        let n = data.nrows();
-        let dim = data.ncols();
+        let n = source.nrows();
+        let dim = source.ncols();
         let units = self.grid.len();
+        let (epochs, kernel) = (cfg.epochs, cfg.kernel);
+        let chunk = BATCH_CHUNKING.chunk_size;
         let distances: Vec<f64> = (0..units * units)
             .map(|i| self.grid.unit_distance(i / units, i % units))
             .collect();
@@ -1268,33 +1271,40 @@ impl Som {
         let mut support = kernel_table.is_some().then(|| KernelSupport::new(units));
         let mut buf = CounterBuf::new();
         let mut epoch_started = telemetry.epoch_start();
-        // Serial dispatch mirrors the map-reduce helper's own threshold so
-        // the two paths cover exactly the same inputs. The serial path runs
-        // on reusable scratch (`BatchScratch` + `SearchScratch`), allocating
-        // nothing per epoch, while still emulating the parallel path's
-        // chunk-partial fold so results are bitwise identical.
-        let serial = n < BATCH_CHUNKING.min_parallel_len || parallel::worker_count() <= 1;
-        let mut scratch = serial.then(|| BatchScratch::new(n, units, dim));
         // One prepared codebook for the whole run, refreshed in place after
-        // each weight update and shared by every search pass of the next
-        // epoch (including the sampled quality pass).
+        // each weight update and shared by every search of the next epoch
+        // (including the sampled quality pass).
         let mut prep = self
             .blocked_applicable()
             .then(|| PreparedCodebook::new(self));
-        let mut search = (serial && self.blocked_applicable())
-            .then(|| SearchScratch::with_norms(self.unit_norms()));
-        let mut warm = (warm_start == WarmStart::Enabled
+        // The warm cache is the one O(n) structure here (24 bytes per row);
+        // disable warm starts for a strictly n-free ceiling.
+        let mut warm = (cfg.warm_start == WarmStart::Enabled
             && matches!(self.metric, Metric::Euclidean))
         .then(|| WarmState::new(n, &self.weights));
-        // Lane recording shares the map-reduce helpers' chunk grid on both
-        // dispatch paths, so the recorded structure depends only on `n` and
-        // the epoch count — never on the worker count. Buffers are sized for
-        // every epoch up front: the hot loops push into reserved capacity.
+        // All scratch is allocated here, once: the strip, the totals, and
+        // one `BatchWorker` per worker. Inputs under the parallel threshold
+        // run the same loop with one worker on the calling thread.
+        let strip_rows = STREAM_STRIP_ROWS.min(n);
+        let mut strip = vec![0.0f64; strip_rows * dim];
+        let worker_count = if n < BATCH_CHUNKING.min_parallel_len {
+            1
+        } else {
+            parallel::worker_count().clamp(1, strip_rows.div_ceil(chunk))
+        };
+        let mut workers: Vec<BatchWorker> = (0..worker_count)
+            .map(|id| BatchWorker::new(id, units, dim, prep.as_ref()))
+            .collect();
+        let mut numer = Matrix::zeros(units, dim);
+        let mut denom = vec![0.0f64; units];
+        // One lane interval per 64-row chunk and epoch, recorded at the
+        // chunk's fold (so in chunk order): the structure depends only on
+        // `n` and the epoch count, never on the worker count. Buffers are
+        // sized for every epoch up front.
         let lane_clock = telemetry.collector.lane_clock();
-        let n_bmu_chunks = n.div_ceil(BMU_CHUNKING.chunk_size);
-        let n_acc_chunks = n.div_ceil(BATCH_CHUNKING.chunk_size);
-        let mut bmu_lanes = lane_clock.map(|_| LaneBuf::with_capacity(epochs * n_bmu_chunks));
-        let mut acc_lanes = lane_clock.map(|_| LaneBuf::with_capacity(epochs * n_acc_chunks));
+        let n_chunks = n.div_ceil(chunk);
+        let mut bmu_lanes = lane_clock.map(|_| LaneBuf::with_capacity(epochs * n_chunks));
+        let mut acc_lanes = lane_clock.map(|_| LaneBuf::with_capacity(epochs * n_chunks));
         for epoch in 0..epochs {
             let s = sigma.at(epoch, epochs.saturating_sub(1).max(1));
             if let Some(table) = kernel_table.as_mut() {
@@ -1313,225 +1323,185 @@ impl Som {
                 kernel,
                 sigma: s,
             };
-            let kernel_evals;
-            let mut epoch_hits = 0u64;
-            let mut epoch_rescans = 0u64;
-            if let Some(batch) = scratch.as_mut() {
-                if let (Some(bmu_scratch), Some(p)) = (search.as_mut(), prep.as_ref()) {
-                    // Weights moved last epoch: the prepared codebook was
-                    // refreshed then; sync the scratch's norm cache to it.
-                    bmu_scratch.unit_norms.copy_from_slice(&p.unit_norms);
-                }
-                // The row loop walks the helper's 64-row chunk grid so the
-                // recorded lane structure matches the parallel path's.
-                let mut start = 0;
-                while start < n {
-                    let end = (start + BMU_CHUNKING.chunk_size).min(n);
-                    let begin_us = lane_clock.map_or(0, |c| c.now_us());
-                    for j in start..end {
-                        batch.bmus[j] = match warm.as_mut() {
-                            Some(w) => match w.try_hit(j) {
-                                Some(b) => {
-                                    epoch_hits += 1;
-                                    b
-                                }
-                                None => {
-                                    epoch_rescans += 1;
-                                    let exact = match (search.as_mut(), prep.as_ref()) {
-                                        (Some(sc), Some(p)) => {
-                                            self.blocked_best_two_wt(data.row(j), &p.wt, sc)?
-                                        }
-                                        _ => self.scalar_best_two(data.row(j))?,
-                                    };
-                                    w.refresh(j, exact);
-                                    exact.0 .0
-                                }
-                            },
-                            None => match (search.as_mut(), prep.as_ref()) {
-                                (Some(sc), Some(p)) => {
-                                    self.blocked_best_two_wt(data.row(j), &p.wt, sc)?.0 .0
-                                }
-                                _ => self.scalar_best_two(data.row(j))?.0 .0,
-                            },
-                        };
-                    }
-                    if let (Some(clock), Some(lanes)) = (lane_clock, bmu_lanes.as_mut()) {
-                        lanes.record(start / BMU_CHUNKING.chunk_size, 0, begin_us, clock.now_us());
-                    }
-                    start = end;
-                }
-                if let Some(lanes) = bmu_lanes.as_mut() {
-                    lanes.end_run();
-                }
-                batch.numer.fill(0.0);
-                batch.denom.fill(0.0);
-                let mut kevals = 0u64;
-                let mut start = 0;
-                while start < n {
-                    let end = (start + BATCH_CHUNKING.chunk_size).min(n);
-                    let begin_us = lane_clock.map_or(0, |c| c.now_us());
-                    batch.part_numer.fill(0.0);
-                    batch.part_denom.fill(0.0);
-                    for j in start..end {
-                        accumulate_sample(
-                            data.row(j),
-                            batch.bmus[j],
-                            &ctx,
-                            &mut batch.part_numer,
-                            &mut batch.part_denom,
-                            &mut kevals,
-                        );
-                    }
-                    fold_partials(
-                        &mut batch.numer,
-                        &mut batch.denom,
-                        &batch.part_numer,
-                        &batch.part_denom,
-                    );
-                    if let (Some(clock), Some(lanes)) = (lane_clock, acc_lanes.as_mut()) {
-                        lanes.record(
-                            start / BATCH_CHUNKING.chunk_size,
-                            0,
-                            begin_us,
-                            clock.now_us(),
-                        );
-                    }
-                    start = end;
-                }
-                if let Some(lanes) = acc_lanes.as_mut() {
-                    lanes.end_run();
-                }
-                kernel_evals = kevals;
-                write_batch_weights(&mut self.weights, &batch.numer, &batch.denom);
-            } else {
-                // Parallel BMU pass over the helper's chunk grid. Warm-hit
-                // tests read the shared `WarmState` immutably (a row's
-                // certificate depends only on its own cached state, so the
-                // hit pattern is identical to the serial path's); rescanned
-                // rows return their exact result and are folded back into
-                // the cache serially below, in ascending row order.
-                let warm_ref = warm.as_ref();
-                let prep_ref = prep.as_ref();
-                let chunk_hits = parallel::try_map_chunks_lanes(
-                    n,
-                    BMU_CHUNKING,
-                    lane_clock.and_then(|c| bmu_lanes.as_mut().map(|b| (c, b))),
-                    |rows| {
-                        let mut scratch =
-                            prep_ref.map(|p| SearchScratch::with_norms(p.unit_norms.clone()));
-                        rows.map(|r| {
-                            if let Some(b) = warm_ref.and_then(|w| w.try_hit(r)) {
-                                return Ok((b, None));
-                            }
-                            let exact = match (scratch.as_mut(), prep_ref) {
-                                (Some(sc), Some(p)) => {
-                                    self.blocked_best_two_wt(data.row(r), &p.wt, sc)?
-                                }
-                                _ => self.scalar_best_two(data.row(r))?,
-                            };
-                            Ok((exact.0 .0, warm_ref.map(|_| exact)))
-                        })
-                        .collect::<Result<Vec<_>, SomError>>()
+            numer.fill(0.0);
+            denom.fill(0.0);
+            for (strip_index, start) in (0..n).step_by(STREAM_STRIP_ROWS).enumerate() {
+                let count = (n - start).min(STREAM_STRIP_ROWS);
+                source.load_rows(start, count, &mut strip[..count * dim])?;
+                telemetry.strip(epoch, strip_index, n.div_ceil(STREAM_STRIP_ROWS));
+                let rows = &strip[..count * dim];
+                let mut warm_chunks = warm.as_mut().map(|w| {
+                    let (slots, bounds) = w.rows_mut();
+                    (slots[start..start + count].chunks_mut(chunk), bounds)
+                });
+                let parts = (0..count).step_by(chunk).map(|r| {
+                    let warm = warm_chunks
+                        .as_mut()
+                        .and_then(|(slots, bounds)| Some((slots.next()?, *bounds)));
+                    (&rows[r * dim..(r + chunk).min(count) * dim], warm)
+                });
+                let (som, prep) = (&*self, prep.as_ref());
+                let first_chunk = start / chunk;
+                parallel::try_fold_ordered(
+                    &mut workers[..count.div_ceil(chunk).min(worker_count)],
+                    parts,
+                    |w, _, (xs, warm)| w.train_chunk(som, xs, warm, prep, &ctx, lane_clock),
+                    |w, c| {
+                        fold_partials(&mut numer, &mut denom, &w.part_numer, &w.part_denom);
+                        if let (Some(bl), Some(al)) = (bmu_lanes.as_mut(), acc_lanes.as_mut()) {
+                            let [search, accumulate, end] = w.stamps;
+                            bl.record(first_chunk + c, w.id, search, accumulate);
+                            al.record(first_chunk + c, w.id, accumulate, end);
+                        }
                     },
                 )
                 .map_err(SomError::from)?;
-                let mut bmus: Vec<usize> = Vec::with_capacity(n);
-                for (b, refreshed) in chunk_hits.into_iter().flatten() {
-                    if let Some(w) = warm.as_mut() {
-                        match refreshed {
-                            Some(exact) => {
-                                epoch_rescans += 1;
-                                w.refresh(bmus.len(), exact);
-                            }
-                            None => epoch_hits += 1,
-                        }
-                    }
-                    bmus.push(b);
-                }
-                // Each chunk carries its own kernel-evaluation tally
-                // alongside the weight accumulators; the fold merges chunks
-                // in ascending order, so the combined count is worker-count
-                // independent.
-                let (numer, denom, kevals) = parallel::try_map_reduce_lanes(
-                    n,
-                    BATCH_CHUNKING,
-                    lane_clock.and_then(|c| acc_lanes.as_mut().map(|b| (c, b))),
-                    |samples| {
-                        let mut numer = Matrix::zeros(units, dim);
-                        let mut denom = vec![0.0f64; units];
-                        let mut kevals = 0u64;
-                        for j in samples {
-                            accumulate_sample(
-                                data.row(j),
-                                bmus[j],
-                                &ctx,
-                                &mut numer,
-                                &mut denom,
-                                &mut kevals,
-                            );
-                        }
-                        Ok::<_, SomError>((numer, denom, kevals))
-                    },
-                    (Matrix::zeros(units, dim), vec![0.0f64; units], 0u64),
-                    |(mut numer, mut denom, kevals), (part_numer, part_denom, part_kevals)| {
-                        fold_partials(&mut numer, &mut denom, &part_numer, &part_denom);
-                        (numer, denom, kevals + part_kevals)
-                    },
-                )
-                .map_err(SomError::from)?;
-                kernel_evals = kevals;
-                write_batch_weights(&mut self.weights, &numer, &denom);
             }
+            for lanes in [bmu_lanes.as_mut(), acc_lanes.as_mut()]
+                .into_iter()
+                .flatten()
+            {
+                lanes.end_run();
+            }
+            write_batch_weights(&mut self.weights, &numer, &denom);
             // Post-update bookkeeping: the warm cache diffs the codebook
-            // against its snapshot (so it must run before the snapshot is
-            // next consulted), and the prepared codebook is refreshed for
-            // every search pass that follows — the quality passes below and
-            // the next epoch's BMU pass.
+            // against its snapshot, and the prepared codebook (and each
+            // worker's copy of its norms) is refreshed for every search
+            // that follows — the quality pass below and the next epoch.
             if let Some(w) = warm.as_mut() {
                 w.advance_epoch(&self.weights, self.metric)?;
             }
             if let Some(p) = prep.as_mut() {
                 p.refresh(self);
-            }
-            if let Some(h) = history.as_deref_mut() {
-                h.push(BmuTable::compute_prepared(self, data, prep.as_ref())?.quantization_error());
+                for w in &mut workers {
+                    if let Some(search) = w.search.as_mut() {
+                        search.unit_norms.copy_from_slice(&p.unit_norms);
+                    }
+                }
             }
             buf.add(Counter::BmuSearches, n as u64);
             buf.add(Counter::DistanceEvaluations, (n * units) as u64);
-            buf.add(Counter::KernelEvaluations, kernel_evals);
+            // Every (sample, unit) pair counts as one kernel evaluation,
+            // whether tabulated, skipped as zero support, or evaluated.
+            buf.add(Counter::KernelEvaluations, (n * units) as u64);
+            let (mut hits, mut rescans) = (0u64, 0u64);
+            for w in &mut workers {
+                hits += std::mem::take(&mut w.warm_hits);
+                rescans += std::mem::take(&mut w.rescans);
+            }
             let warm_hit_rate = warm.as_ref().and_then(|_| {
-                let total = epoch_hits + epoch_rescans;
-                (total > 0).then(|| epoch_hits as f64 / total as f64)
+                let total = hits + rescans;
+                (total > 0).then(|| hits as f64 / total as f64)
             });
             if warm.is_some() {
-                buf.add(Counter::BmuWarmHits, epoch_hits);
-                buf.add(Counter::BmuExactRescans, epoch_rescans);
+                buf.add(Counter::BmuWarmHits, hits);
+                buf.add(Counter::BmuExactRescans, rescans);
             }
-            telemetry.epoch_end(
-                self,
-                data,
-                epoch,
-                s,
-                epoch_started,
-                &mut buf,
-                prep.as_ref(),
-                warm_hit_rate,
-            )?;
+            let wants_record = telemetry.wants_record(epoch);
+            let quality = if wants_record || history.is_some() {
+                Some(self.strip_quality(source, &mut strip, &mut workers, prep.as_ref())?)
+            } else {
+                None
+            };
+            if let (Some(h), Some((qe, _))) = (history.as_deref_mut(), quality) {
+                h.push(qe);
+            }
+            let record = quality.filter(|_| wants_record).map(|(qe, te)| {
+                buf.add(Counter::BmuSearches, n as u64);
+                buf.add(Counter::DistanceEvaluations, (n * units) as u64);
+                EpochRecord {
+                    epoch,
+                    quantization_error: qe,
+                    topographic_error: te,
+                    sigma: s,
+                    warm_hit_rate,
+                }
+            });
+            telemetry.epoch_end(epoch, epoch_started, &mut buf, record, warm_hit_rate);
             epoch_started = telemetry.epoch_start();
         }
         if let Some(lanes) = bmu_lanes.as_ref() {
             telemetry
                 .collector
-                .attach_lanes(stages::LANE_SOM_BMU_BATCH, n_bmu_chunks, lanes);
+                .attach_lanes(stages::LANE_SOM_BMU_BATCH, n_chunks, lanes);
         }
         if let Some(lanes) = acc_lanes.as_ref() {
-            telemetry.collector.attach_lanes(
-                stages::LANE_SOM_BATCH_ACCUMULATE,
-                n_acc_chunks,
-                lanes,
-            );
+            telemetry
+                .collector
+                .attach_lanes(stages::LANE_SOM_BATCH_ACCUMULATE, n_chunks, lanes);
         }
         Ok(())
+    }
+
+    /// One exact best-two pass over `source` on the batch workers, strip by
+    /// strip: the quantization error, with the distances summed in row
+    /// order exactly as [`BmuTable::quantization_error`] sums them, and the
+    /// topographic error.
+    fn strip_quality(
+        &self,
+        source: &mut dyn RowSource,
+        strip: &mut [f64],
+        workers: &mut [BatchWorker],
+        prep: Option<&PreparedCodebook>,
+    ) -> Result<(f64, f64), SomError> {
+        let n = source.nrows();
+        let dim = source.ncols();
+        let chunk = BATCH_CHUNKING.chunk_size;
+        let mut total = 0.0f64;
+        let mut errors = 0usize;
+        let worker_count = workers.len();
+        for start in (0..n).step_by(STREAM_STRIP_ROWS) {
+            let count = (n - start).min(STREAM_STRIP_ROWS);
+            source.load_rows(start, count, &mut strip[..count * dim])?;
+            let rows = &strip[..count * dim];
+            parallel::try_fold_ordered(
+                &mut workers[..count.div_ceil(chunk).min(worker_count)],
+                (0..count)
+                    .step_by(chunk)
+                    .map(|r| &rows[r * dim..(r + chunk).min(count) * dim]),
+                |w, _, xs| w.quality_chunk(self, xs, prep),
+                |w, _| {
+                    for &d in &w.dists[..w.rows] {
+                        total += d;
+                    }
+                    errors += std::mem::take(&mut w.topographic_errors);
+                },
+            )
+            .map_err(SomError::from)?;
+        }
+        let topographic_error = if self.grid.len() < 2 {
+            0.0
+        } else {
+            errors as f64 / n as f64
+        };
+        Ok((total / n as f64, topographic_error))
+    }
+
+    /// A sampled epoch's quality record for the online trainer: one
+    /// best-two pass over the resident rows, counted as `n` searches.
+    fn resident_record(
+        &self,
+        data: &Matrix,
+        epoch: usize,
+        sigma: f64,
+        buf: &mut CounterBuf,
+    ) -> Result<EpochRecord, SomError> {
+        let n = data.nrows() as u64;
+        let table = BmuTable::compute(self, data)?;
+        buf.add(Counter::BmuSearches, n);
+        buf.add(Counter::DistanceEvaluations, n * self.grid.len() as u64);
+        let topographic_error = if self.grid.len() < 2 {
+            0.0
+        } else {
+            table.topographic_error(self)?
+        };
+        Ok(EpochRecord {
+            epoch,
+            quantization_error: table.quantization_error(),
+            topographic_error,
+            sigma,
+            warm_hit_rate: None,
+        })
     }
 
     /// Mean distance of every row to its BMU — used for training histories
@@ -1539,246 +1509,12 @@ impl Som {
     fn mean_quantization_error(&self, data: &Matrix) -> Result<f64, SomError> {
         Ok(BmuTable::compute(self, data)?.quantization_error())
     }
-
-    /// The streaming counterpart of [`Som::train_batch`]: consumes `source`
-    /// strip by strip through the caller's reusable buffer, never holding
-    /// more than one strip of rows resident.
-    ///
-    /// Bitwise identity with the resident trainer comes from alignment:
-    /// [`STREAM_STRIP_ROWS`] is a multiple of both hot-loop chunk sizes, so
-    /// the per-strip BMU and accumulation walks land on exactly the global
-    /// chunk grid the resident serial path walks, and partials fold in the
-    /// same ascending order. The loop is serial by construction (a
-    /// sequential source cannot feed workers), which the resident path's
-    /// worker-count invariance makes equivalent to any parallel run.
-    fn train_batch_stream(
-        &mut self,
-        source: &mut dyn RowSource,
-        cfg: &SomBuilder,
-        sigma: DecaySchedule,
-        strip: &mut [f64],
-        telemetry: &mut Telemetry,
-    ) -> Result<(), SomError> {
-        let n = source.nrows();
-        let dim = source.ncols();
-        let units = self.grid.len();
-        let epochs = cfg.epochs;
-        let kernel = cfg.kernel;
-        let distances: Vec<f64> = (0..units * units)
-            .map(|i| self.grid.unit_distance(i / units, i % units))
-            .collect();
-        let mut kernel_table =
-            (units <= KERNEL_TABLE_MAX_UNITS && n >= units).then(|| vec![0.0f64; units * units]);
-        let mut support = kernel_table.is_some().then(|| KernelSupport::new(units));
-        let mut buf = CounterBuf::new();
-        let mut epoch_started = telemetry.epoch_start();
-        let mut prep = self
-            .blocked_applicable()
-            .then(|| PreparedCodebook::new(self));
-        let mut search = self
-            .blocked_applicable()
-            .then(|| SearchScratch::with_norms(self.unit_norms()));
-        // The warm cache is the one deliberately O(n) structure here (24
-        // bytes per row versus 8·dim for the matrix it replaces); disable
-        // warm starts for a strictly n-free ceiling.
-        let mut warm = (cfg.warm_start == WarmStart::Enabled
-            && matches!(self.metric, Metric::Euclidean))
-        .then(|| WarmState::new(n, &self.weights));
-        let mut numer = Matrix::zeros(units, dim);
-        let mut denom = vec![0.0f64; units];
-        let mut part_numer = Matrix::zeros(units, dim);
-        let mut part_denom = vec![0.0f64; units];
-        let mut strip_bmus = vec![0usize; STREAM_STRIP_ROWS.min(n)];
-        for epoch in 0..epochs {
-            let s = sigma.at(epoch, epochs.saturating_sub(1).max(1));
-            if let Some(table) = kernel_table.as_mut() {
-                for (h, &d) in table.iter_mut().zip(&distances) {
-                    *h = kernel.value(d, s);
-                }
-                if let Some(sup) = support.as_mut() {
-                    sup.rebuild(table, units);
-                }
-            }
-            let ctx = EpochKernel {
-                distances: &distances,
-                table: kernel_table.as_deref(),
-                support: support.as_ref(),
-                units,
-                kernel,
-                sigma: s,
-            };
-            if let (Some(sc), Some(p)) = (search.as_mut(), prep.as_ref()) {
-                sc.unit_norms.copy_from_slice(&p.unit_norms);
-            }
-            numer.fill(0.0);
-            denom.fill(0.0);
-            let mut kevals = 0u64;
-            let mut epoch_hits = 0u64;
-            let mut epoch_rescans = 0u64;
-            let total_strips = n.div_ceil(STREAM_STRIP_ROWS);
-            let mut strip_index = 0;
-            let mut start = 0;
-            while start < n {
-                let count = (n - start).min(STREAM_STRIP_ROWS);
-                source.load_rows(start, count, &mut strip[..count * dim])?;
-                telemetry.strip(epoch, strip_index, total_strips);
-                strip_index += 1;
-                // BMU pass over the strip: same per-row dispatch as the
-                // resident serial path.
-                for (j, (x, slot)) in strip[..count * dim]
-                    .chunks_exact(dim)
-                    .zip(strip_bmus.iter_mut())
-                    .enumerate()
-                {
-                    let row = start + j;
-                    *slot = match warm.as_mut() {
-                        Some(w) => match w.try_hit(row) {
-                            Some(b) => {
-                                epoch_hits += 1;
-                                b
-                            }
-                            None => {
-                                epoch_rescans += 1;
-                                let exact = match (search.as_mut(), prep.as_ref()) {
-                                    (Some(sc), Some(p)) => {
-                                        self.blocked_best_two_wt(x, &p.wt, sc)?
-                                    }
-                                    _ => self.scalar_best_two(x)?,
-                                };
-                                w.refresh(row, exact);
-                                exact.0 .0
-                            }
-                        },
-                        None => match (search.as_mut(), prep.as_ref()) {
-                            (Some(sc), Some(p)) => self.blocked_best_two_wt(x, &p.wt, sc)?.0 .0,
-                            _ => self.scalar_best_two(x)?.0 .0,
-                        },
-                    };
-                }
-                // Accumulation chunk walk within the strip; since strips
-                // are chunk-aligned, these are exactly the resident path's
-                // global chunks, folded in the same ascending order.
-                let mut cs = 0;
-                while cs < count {
-                    let ce = (cs + BATCH_CHUNKING.chunk_size).min(count);
-                    part_numer.fill(0.0);
-                    part_denom.fill(0.0);
-                    for (x, &bmu) in strip[cs * dim..ce * dim]
-                        .chunks_exact(dim)
-                        .zip(&strip_bmus[cs..ce])
-                    {
-                        accumulate_sample(
-                            x,
-                            bmu,
-                            &ctx,
-                            &mut part_numer,
-                            &mut part_denom,
-                            &mut kevals,
-                        );
-                    }
-                    fold_partials(&mut numer, &mut denom, &part_numer, &part_denom);
-                    cs = ce;
-                }
-                start += count;
-            }
-            write_batch_weights(&mut self.weights, &numer, &denom);
-            if let Some(w) = warm.as_mut() {
-                w.advance_epoch(&self.weights, self.metric)?;
-            }
-            if let Some(p) = prep.as_mut() {
-                p.refresh(self);
-            }
-            buf.add(Counter::BmuSearches, n as u64);
-            buf.add(Counter::DistanceEvaluations, (n * units) as u64);
-            buf.add(Counter::KernelEvaluations, kevals);
-            let warm_hit_rate = warm.as_ref().and_then(|_| {
-                let total = epoch_hits + epoch_rescans;
-                (total > 0).then(|| epoch_hits as f64 / total as f64)
-            });
-            if warm.is_some() {
-                buf.add(Counter::BmuWarmHits, epoch_hits);
-                buf.add(Counter::BmuExactRescans, epoch_rescans);
-            }
-            let record = if telemetry.enabled && telemetry.sample_now(epoch) {
-                buf.add(Counter::BmuSearches, n as u64);
-                buf.add(Counter::DistanceEvaluations, (n * units) as u64);
-                Some(self.streamed_epoch_record(
-                    source,
-                    strip,
-                    prep.as_ref(),
-                    search.as_mut(),
-                    epoch,
-                    s,
-                    warm_hit_rate,
-                )?)
-            } else {
-                None
-            };
-            telemetry.close_epoch(epoch, epoch_started, &mut buf, record, warm_hit_rate);
-            epoch_started = telemetry.epoch_start();
-        }
-        Ok(())
-    }
-
-    /// One streamed exact best-two pass over `source` for a sampled epoch's
-    /// quality record — the out-of-core analogue of the resident path's
-    /// [`BmuTable`] pass, summed in row order so the recorded QE/TE bits
-    /// match the resident trainer's.
-    #[allow(clippy::too_many_arguments)]
-    fn streamed_epoch_record(
-        &self,
-        source: &mut dyn RowSource,
-        strip: &mut [f64],
-        prep: Option<&PreparedCodebook>,
-        mut search: Option<&mut SearchScratch>,
-        epoch: usize,
-        sigma: f64,
-        warm_hit_rate: Option<f64>,
-    ) -> Result<EpochRecord, SomError> {
-        let n = source.nrows();
-        let dim = source.ncols();
-        // The epoch's weight update has already landed and `prep` has been
-        // refreshed; sync the scratch's norm cache before searching with it.
-        if let (Some(sc), Some(p)) = (search.as_deref_mut(), prep) {
-            sc.unit_norms.copy_from_slice(&p.unit_norms);
-        }
-        let mut total = 0.0f64;
-        let mut errors = 0usize;
-        let mut start = 0;
-        while start < n {
-            let count = (n - start).min(strip.len() / dim);
-            source.load_rows(start, count, &mut strip[..count * dim])?;
-            for x in strip[..count * dim].chunks_exact(dim) {
-                let (best, second) = match (search.as_deref_mut(), prep) {
-                    (Some(sc), Some(p)) => self.blocked_best_two_wt(x, &p.wt, sc)?,
-                    _ => self.scalar_best_two(x)?,
-                };
-                total += best.1;
-                if self.grid.len() >= 2 && !self.grid.are_neighbors(best.0, second.0) {
-                    errors += 1;
-                }
-            }
-            start += count;
-        }
-        Ok(EpochRecord {
-            epoch,
-            quantization_error: total / n as f64,
-            topographic_error: if self.grid.len() < 2 {
-                0.0
-            } else {
-                errors as f64 / n as f64
-            },
-            sigma,
-            warm_hit_rate,
-        })
-    }
 }
 
-/// Per-epoch constants shared by the batch accumulators (both the serial
-/// scratch path and the parallel per-chunk closures), so the two paths run
-/// the same arithmetic by construction. When the per-epoch kernel table is
-/// materialized, `table` holds `kernel.value(distances[i], sigma)` for
-/// every unit pair — the exact values the fallback computes on the fly.
+/// Per-epoch constants shared by every batch worker's accumulation. When
+/// the per-epoch kernel table is materialized, `table` holds
+/// `kernel.value(distances[i], sigma)` for every unit pair — the exact
+/// values the fallback computes on the fly.
 struct EpochKernel<'a> {
     distances: &'a [f64],
     table: Option<&'a [f64]>,
@@ -1831,26 +1567,19 @@ impl KernelSupport {
 }
 
 /// Adds one sample's kernel-weighted contribution to the accumulators.
-/// The kernel-evaluation counter ticks per `(sample, unit)` pair whether
-/// the value comes from the table or a fresh evaluation, so the counter
-/// stream (and the trace fingerprint built from it) does not depend on the
-/// caching layer.
 fn accumulate_sample(
     x: &[f64],
     bmu: usize,
     ctx: &EpochKernel<'_>,
     numer: &mut Matrix,
     denom: &mut [f64],
-    kevals: &mut u64,
 ) {
     if let (Some(t), Some(support)) = (ctx.table, ctx.support) {
         // Bounded-support walk: visit only the units whose tabulated kernel
         // is nonzero, in the same ascending order the full loop uses. The
         // skipped units contributed exactly nothing there (the `h == 0.0`
         // guard below runs no arithmetic), so the accumulator bits are
-        // identical; the counter still ticks per (sample, unit) pair so the
-        // counter stream does not depend on the support optimization.
-        *kevals += ctx.units as u64;
+        // identical.
         let row_kernels = &t[bmu * ctx.units..(bmu + 1) * ctx.units];
         for &u in support.units_for(bmu) {
             let h = row_kernels[u];
@@ -1863,7 +1592,6 @@ fn accumulate_sample(
         return;
     }
     for (u, dn) in denom.iter_mut().enumerate().take(ctx.units) {
-        *kevals += 1;
         let h = ctx
             .kernel
             .value(ctx.distances[bmu * ctx.units + u], ctx.sigma);
@@ -2241,6 +1969,38 @@ mod tests {
             .train_with_history(&blobs())
             .unwrap();
         assert_eq!(plain.weights(), traced.weights());
+    }
+
+    #[test]
+    fn batch_quality_pass_matches_map_quality() {
+        // The batch trainer's strip-wise quality pass (history and sampled
+        // records) must give the bits `map_quality` gives on the final map;
+        // 300 rows put several workers on it.
+        let data = Matrix::from_rows(
+            &(0..300)
+                .map(|i| vec![(i % 7) as f64 * 0.3, (i % 5) as f64, (i % 3) as f64 * 1.7])
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let builder = SomBuilder::new(4, 3)
+            .seed(3)
+            .epochs(5)
+            .mode(TrainingMode::Batch);
+        let (som, history) = builder.train_with_history(&data).unwrap();
+        let collector = Collector::enabled();
+        builder.train_traced(&data, &collector).unwrap();
+        let last = *collector.report().unwrap().som_epochs.last().unwrap();
+        let quality = crate::quality::map_quality(&som, &data).unwrap();
+        assert_eq!(history.len(), 5);
+        assert_eq!(history[4].to_bits(), quality.quantization_error.to_bits());
+        assert_eq!(
+            last.quantization_error.to_bits(),
+            quality.quantization_error.to_bits()
+        );
+        assert_eq!(
+            last.topographic_error.to_bits(),
+            quality.topographic_error.to_bits()
+        );
     }
 
     #[test]

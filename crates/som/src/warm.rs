@@ -76,17 +76,51 @@ pub(crate) struct WarmState {
     /// Per-unit drift `‖w_u(t) − w_u(t−1)‖` of the last update, pre-widened
     /// by the evaluation error factor.
     drift: Vec<f64>,
-    /// Per-row cached BMU index.
-    bmu: Vec<usize>,
-    /// Per-row upper bound on the true distance to the cached BMU.
-    upper: Vec<f64>,
-    /// Per-row lower bound on the true distance to every other unit.
-    lower: Vec<f64>,
+    /// One cache slot per row.
+    rows: Vec<WarmRow>,
+    bounds: WarmBounds,
+}
+
+/// One row's cached BMU and its certified distance bounds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WarmRow {
+    bmu: usize,
+    /// Upper bound on the true distance to the cached BMU.
+    upper: f64,
+    /// Lower bound on the true distance to every other unit.
+    lower: f64,
+}
+
+/// The evaluation error factors shared by every row's certificate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WarmBounds {
     /// `1 + 2ρ`, with ρ the scalar distance evaluation's relative error
     /// bound for this dimensionality.
     widen: f64,
     /// `1 − 2ρ`.
     narrow: f64,
+}
+
+impl WarmBounds {
+    /// The cached BMU of `row`, when the bounds prove an exact scan would
+    /// return it: any evaluation of the cached unit's distance computes to
+    /// at most `upper·widen` and any other unit's to at least
+    /// `lower·narrow`, so a strict gap between those certifies the cold
+    /// scan's strict argmin (no tie-breaking can be involved).
+    pub(crate) fn try_hit(self, row: &WarmRow) -> Option<usize> {
+        (row.lower > 0.0 && row.upper * self.widen < row.lower * self.narrow).then_some(row.bmu)
+    }
+
+    /// Installs an exact search result into `row`: the best unit, with
+    /// bounds derived from the computed best and second-best distances.
+    pub(crate) fn refresh(self, row: &mut WarmRow, exact: BestTwo) {
+        let ((best, d1), (_, d2)) = exact;
+        *row = WarmRow {
+            bmu: best,
+            upper: d1 * self.widen,
+            lower: d2 * self.narrow,
+        };
+    }
 }
 
 impl WarmState {
@@ -95,38 +129,26 @@ impl WarmState {
     /// row's first epoch runs the exact search.
     pub(crate) fn new(n: usize, weights: &Matrix) -> Self {
         let rho = kernels::distance_rel_err(weights.ncols());
+        let cold = WarmRow {
+            bmu: 0,
+            upper: f64::INFINITY,
+            lower: 0.0,
+        };
         WarmState {
             prev_weights: weights.clone(),
             drift: vec![0.0; weights.nrows()],
-            bmu: vec![0; n],
-            upper: vec![f64::INFINITY; n],
-            lower: vec![0.0; n],
-            widen: 1.0 + 2.0 * rho,
-            narrow: 1.0 - 2.0 * rho,
+            rows: vec![cold; n],
+            bounds: WarmBounds {
+                widen: 1.0 + 2.0 * rho,
+                narrow: 1.0 - 2.0 * rho,
+            },
         }
     }
 
-    /// The cached BMU for `row`, when the bounds prove an exact scan would
-    /// return it: any evaluation of the cached unit's distance computes to
-    /// at most `upper·widen` and any other unit's to at least
-    /// `lower·narrow`, so a strict gap between those certifies the cold
-    /// scan's strict argmin (no tie-breaking can be involved).
-    pub(crate) fn try_hit(&self, row: usize) -> Option<usize> {
-        let (up, lo) = (self.upper[row], self.lower[row]);
-        if lo > 0.0 && up * self.widen < lo * self.narrow {
-            Some(self.bmu[row])
-        } else {
-            None
-        }
-    }
-
-    /// Installs an exact search result for `row`: the best unit, with
-    /// bounds derived from the computed best and second-best distances.
-    pub(crate) fn refresh(&mut self, row: usize, exact: BestTwo) {
-        let ((best, d1), (_, d2)) = exact;
-        self.bmu[row] = best;
-        self.upper[row] = d1 * self.widen;
-        self.lower[row] = d2 * self.narrow;
+    /// The per-row slots with the bounds that read and refresh them. Rows
+    /// are independent, so disjoint sub-slices can go to different workers.
+    pub(crate) fn rows_mut(&mut self) -> (&mut [WarmRow], WarmBounds) {
+        (&mut self.rows, self.bounds)
     }
 
     /// Accounts for one batch weight update: measures each unit's exact
@@ -145,22 +167,17 @@ impl WarmState {
     ) -> Result<(), SomError> {
         let mut max_drift = 0.0f64;
         for (u, drift) in self.drift.iter_mut().enumerate() {
-            *drift = metric.distance(self.prev_weights.row(u), weights.row(u))? * self.widen;
+            *drift = metric.distance(self.prev_weights.row(u), weights.row(u))? * self.bounds.widen;
             max_drift = max_drift.max(*drift);
             self.prev_weights.row_mut(u).copy_from_slice(weights.row(u));
         }
-        for ((up, lo), &bmu) in self
-            .upper
-            .iter_mut()
-            .zip(self.lower.iter_mut())
-            .zip(&self.bmu)
-        {
-            *up = (*up + self.drift[bmu]) * (1.0 + MAINTENANCE_SLOP);
+        for row in &mut self.rows {
+            row.upper = (row.upper + self.drift[row.bmu]) * (1.0 + MAINTENANCE_SLOP);
             // Only shrink toward zero multiplicatively while the bound is
             // still positive; once non-positive it certifies nothing and a
             // factor below one would (incorrectly) raise it.
-            let decayed = *lo - max_drift;
-            *lo = if decayed > 0.0 {
+            let decayed = row.lower - max_drift;
+            row.lower = if decayed > 0.0 {
                 decayed * (1.0 - MAINTENANCE_SLOP)
             } else {
                 decayed
@@ -174,6 +191,18 @@ impl WarmState {
 mod tests {
     use super::*;
 
+    impl WarmState {
+        fn try_hit(&mut self, row: usize) -> Option<usize> {
+            let (rows, bounds) = self.rows_mut();
+            bounds.try_hit(&rows[row])
+        }
+
+        fn refresh(&mut self, row: usize, exact: BestTwo) {
+            let (rows, bounds) = self.rows_mut();
+            bounds.refresh(&mut rows[row], exact);
+        }
+    }
+
     fn weights() -> Matrix {
         Matrix::from_rows(&[vec![0.0, 0.0], vec![10.0, 0.0], vec![0.0, 10.0]]).unwrap()
     }
@@ -181,7 +210,7 @@ mod tests {
     #[test]
     fn fresh_state_never_hits() {
         let w = weights();
-        let warm = WarmState::new(4, &w);
+        let mut warm = WarmState::new(4, &w);
         for row in 0..4 {
             assert_eq!(warm.try_hit(row), None);
         }
