@@ -2,11 +2,14 @@
 //!
 //! The `repro bench-som` artifact calls [`bench_som`] and writes
 //! `BENCH_som.json` — one row per corpus size on the epoch-throughput
-//! curve, timing the batch trainer cold ([`WarmStart::Disabled`]) and warm
-//! ([`WarmStart::Enabled`]) on identical inputs, plus one row for the
-//! streaming trainer at n = 10⁶ with its measured peak heap. Warm and cold
-//! train bitwise-identical maps (proven by the equivalence suites), so the
-//! ratio is a pure like-for-like speedup.
+//! curve, timing the batch trainer cold and warm on identical rows, plus
+//! one row for the streaming trainer at n = 10⁶ with its measured peak
+//! heap. Warm reuse follows the entry point: [`SomBuilder::train`] builds
+//! the epoch-warm BMU cache and [`SomBuilder::train_stream`] never does, so
+//! the cold column streams the same resident rows (`&Matrix` is a
+//! `RowSource`). Both train bitwise-identical maps under random
+//! initialization (proven by the equivalence suites), so the ratio is a
+//! pure like-for-like speedup.
 //!
 //! A committed baseline turns the curves into a regression gate
 //! ([`compare_with_som_baseline`]), and [`warm_speedup_gate`] fails any run
@@ -19,7 +22,7 @@ use std::time::Instant;
 use hiermeans_obs::memhook;
 use hiermeans_obs::{Collector, LiveServer, ObsConfig};
 use hiermeans_som::{
-    DecaySchedule, Initializer, NeighborhoodKernel, Som, SomBuilder, TrainingMode, WarmStart,
+    DecaySchedule, Initializer, NeighborhoodKernel, Som, SomBuilder, TrainingMode,
 };
 use hiermeans_workload::stream::SyntheticRowSource;
 use hiermeans_workload::synthetic::MixtureSpec;
@@ -38,9 +41,11 @@ pub struct SomEpochTiming {
     pub units: usize,
     /// Epochs per timed run.
     pub epochs: usize,
-    /// Best-of-reps wall-clock milliseconds, warm start disabled.
+    /// Best-of-reps wall-clock milliseconds, exact search every epoch
+    /// (streamed from the resident rows).
     pub cold_ms: f64,
-    /// Best-of-reps wall-clock milliseconds, warm start enabled.
+    /// Best-of-reps wall-clock milliseconds, epoch-warm BMU reuse
+    /// (resident training).
     pub warm_ms: f64,
     /// `cold_ms / warm_ms` — the epoch-throughput ratio.
     pub speedup: f64,
@@ -111,13 +116,7 @@ fn best_of(reps: usize, mut f: impl FnMut() -> Som) -> f64 {
     best
 }
 
-fn builder(
-    width: usize,
-    height: usize,
-    epochs: usize,
-    sigma_div: f64,
-    warm: WarmStart,
-) -> SomBuilder {
+fn builder(width: usize, height: usize, epochs: usize, sigma_div: f64) -> SomBuilder {
     // The settling regime the warm certificate is designed for: a
     // bounded-support kernel (most units contribute exactly zero once
     // sigma shrinks) under the classic Kohonen inverse-time schedule,
@@ -125,8 +124,8 @@ fn builder(
     // stops moving after a settling prefix and every later epoch is
     // warm-certifiable. A linearly-decaying sigma, by contrast, moves the
     // fixed point every epoch and keeps drift above the row margins until
-    // the very end. Random initialization keeps the rows comparable with
-    // the streaming entry, which supports no other initializer.
+    // the very end. Random initialization keeps the warm column comparable
+    // with the cold one, which streams and supports no other initializer.
     let diameter = (((width - 1) as f64).powi(2) + ((height - 1) as f64).powi(2)).sqrt();
     SomBuilder::new(width, height)
         .seed(7)
@@ -138,7 +137,6 @@ fn builder(
             start: diameter / sigma_div,
             c: 1.0,
         })
-        .warm_start(warm)
 }
 
 /// Runs the epoch-throughput curve (n = 1k / 10k / 100k, warm on and off)
@@ -166,16 +164,11 @@ pub fn bench_som(live: Option<&LiveServer>) -> SomBenchReport {
     ] {
         let dim = 8;
         let points = mixture(n, dim);
+        let b = builder(width, height, epochs, sigma_div);
         let cold_ms = best_of(reps, || {
-            builder(width, height, epochs, sigma_div, WarmStart::Disabled)
-                .train(&points)
-                .expect("finite mixture")
+            b.train_stream(&mut &points).expect("finite mixture")
         });
-        let warm_ms = best_of(reps, || {
-            builder(width, height, epochs, sigma_div, WarmStart::Enabled)
-                .train(&points)
-                .expect("finite mixture")
-        });
+        let warm_ms = best_of(reps, || b.train(&points).expect("finite mixture"));
         // Hit rate from an untimed traced run: quality sampling off so the
         // trace adds no extra BMU passes to attribute.
         let config = ObsConfig {
@@ -190,9 +183,7 @@ pub fn bench_som(live: Option<&LiveServer>) -> SomBenchReport {
             }
             None => Collector::enabled_with(config),
         };
-        builder(width, height, epochs, sigma_div, WarmStart::Enabled)
-            .train_traced(&points, &collector)
-            .expect("finite mixture");
+        b.train_traced(&points, &collector).expect("finite mixture");
         let report = collector.report().expect("enabled collector");
         let hits = report.counter("bmu_warm_hits").unwrap_or(0);
         let rescans = report.counter("bmu_exact_rescans").unwrap_or(0);
@@ -222,7 +213,7 @@ pub fn bench_som(live: Option<&LiveServer>) -> SomBenchReport {
         let start = Instant::now();
         let (som, peak) = memhook::global_window(|| {
             let mut source = SyntheticRowSource::new(spec).expect("valid spec");
-            let b = builder(width, height, epochs, 2.0, WarmStart::Disabled);
+            let b = builder(width, height, epochs, 2.0);
             match live {
                 // Live strip/epoch beats for the multi-minute streamed
                 // pass. Publishing allocates inside the global window, so

@@ -71,7 +71,7 @@ impl SuiteAnalysis {
 
     /// [`SuiteAnalysis::paper_with`] with the full pipeline configuration
     /// exposed — used to run the paper study under a non-default training
-    /// mode or warm-start setting.
+    /// mode or SOM configuration.
     /// Observability flows through `config.collector`.
     ///
     /// # Errors

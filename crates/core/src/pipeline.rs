@@ -49,13 +49,6 @@ pub struct PipelineConfig {
     /// searches and the clustering stage's pairwise distances; other
     /// metrics run the scalar per-pair loops.
     pub metric: Metric,
-    /// Whether batch SOM training may reuse previous-epoch BMUs under the
-    /// drift bound ([`hiermeans_som::WarmStart::Enabled`], the default) or
-    /// must rescan exactly every epoch. The trained map, cluster
-    /// assignments, and trace fingerprint are bitwise identical either way
-    /// — the warm path only skips searches it can prove redundant. Online
-    /// training (the paper's default) ignores the knob.
-    pub warm_start: hiermeans_som::WarmStart,
     /// Observability collector. The default is the disabled no-op handle,
     /// which costs one branch per instrumentation point; pass
     /// [`Collector::enabled`] to capture spans, counters, per-epoch SOM
@@ -74,7 +67,6 @@ impl Default for PipelineConfig {
             training: hiermeans_som::TrainingMode::Online,
             linkage: Linkage::Complete,
             metric: Metric::Euclidean,
-            warm_start: hiermeans_som::WarmStart::default(),
             collector: Collector::disabled(),
         }
     }
@@ -234,7 +226,6 @@ pub fn run_pipeline(
                 end: config.sigma_end,
             })
             .mode(config.training)
-            .warm_start(config.warm_start)
             .train_traced(vectors, collector)?
     };
     let positions = {
@@ -258,10 +249,13 @@ pub fn run_pipeline(
 /// [`hiermeans_linalg::rows::RowSource`] in fixed strips instead of a
 /// resident `n × dim` matrix, so training memory is bounded by the codebook
 /// and one strip regardless of `n`. The builder wiring (grid, schedule,
-/// metric, warm start) is exactly [`run_pipeline`]'s, and a
-/// random-initialized streamed run is bitwise identical to the resident
-/// trainer on the same rows (PCA-plane initialization needs the resident
-/// matrix, so streaming falls back to random). Requires
+/// metric) is exactly [`run_pipeline`]'s, and a random-initialized
+/// streamed run is bitwise identical to the resident trainer on the same
+/// rows (PCA-plane initialization needs the resident matrix, so streaming
+/// falls back to random). Every row's BMU is searched exactly every epoch:
+/// the resident trainer's epoch-warm BMU cache costs 24 bytes per row, so
+/// streamed training never builds it and its memory stays free of `n` on
+/// the default configuration. Requires
 /// [`hiermeans_som::TrainingMode::Batch`] (the [`PipelineConfig::scaled`]
 /// default). Each strip's BMU search and accumulation run on every worker,
 /// with the same result for any worker count.
@@ -297,7 +291,6 @@ pub fn train_som_streaming(
             end: config.sigma_end,
         })
         .mode(config.training)
-        .warm_start(config.warm_start)
         .train_stream_traced(source, collector)?)
 }
 

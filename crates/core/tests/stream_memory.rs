@@ -2,7 +2,9 @@
 //!
 //! Out-of-core SOM training must hold peak heap under a fixed ceiling that
 //! does not grow with `n`: the codebook, one 4096-row strip, and the batch
-//! accumulators — never the `n × dim` matrix. The shared tracking
+//! accumulators — never the `n × dim` matrix, and never the resident
+//! trainer's epoch-warm BMU cache (24 bytes per row). The ceilings hold on
+//! the default configuration: streamed training builds no warm cache. The shared tracking
 //! allocator (`hiermeans_obs::memhook`) measures the peak of new bytes
 //! held at once across the whole training call, so a regression that
 //! materializes the corpus (or buffers a whole epoch) fails loudly.
@@ -15,7 +17,6 @@ use std::sync::{Mutex, PoisonError};
 use hiermeans_core::pipeline::{train_som_streaming, PipelineConfig};
 use hiermeans_linalg::parallel;
 use hiermeans_obs::memhook::{self, TrackingAlloc};
-use hiermeans_som::WarmStart;
 use hiermeans_workload::stream::SyntheticRowSource;
 use hiermeans_workload::synthetic::MixtureSpec;
 
@@ -35,9 +36,6 @@ fn ceiling_run(n: usize, dim: usize, ceiling_bytes: i64, workers: Option<usize>)
         som_height: 4,
         epochs: 2,
         training: hiermeans_som::TrainingMode::Batch,
-        // The warm cache is the one O(n) structure the streaming trainer
-        // may keep; drop it for a strictly n-free ceiling.
-        warm_start: WarmStart::Disabled,
         ..PipelineConfig::default()
     };
     let (som, peak) = memhook::global_window(|| {

@@ -1,22 +1,27 @@
 //! End-to-end epoch-warm equivalence on the paper's three studies.
 //!
-//! The epoch-warm BMU search is a pure performance change: running the
-//! full suite analysis in batch mode with [`WarmStart::Enabled`] must
-//! produce the same cluster assignments and the same observability trace
-//! fingerprint as [`WarmStart::Disabled`] — bit for bit, per study. A
-//! cached BMU is only ever reused when the drift bound proves the exact
-//! scan would return it, and the warm hit/rescan counters are advisory
-//! (excluded from the fingerprint), so nothing downstream can tell the
-//! paths apart.
+//! The epoch-warm BMU search is a pure performance change: resident batch
+//! training ([`SomBuilder::train_traced`]) reuses a row's cached BMU only
+//! when the drift bound proves the exact scan would return it, and
+//! streamed training ([`SomBuilder::train_stream_traced`]) never builds the
+//! cache. Trained on each study's characteristic vectors with the
+//! pipeline's SOM wiring, the two must give the same weights and the same
+//! observability trace fingerprint, bit for bit. The warm hit/rescan
+//! counters are advisory (excluded from the fingerprint), so nothing
+//! downstream can tell the paths apart.
 //!
-//! The studies run in batch mode here (warm reuse is a batch-trainer
-//! feature; online training ignores the knob), with the paper's default
-//! configuration otherwise.
+//! Streaming supports only random initialization, so both sides use it;
+//! everything else (grid, σ schedule, epochs, seed, metric) is the default
+//! [`PipelineConfig`]'s, in batch mode (warm reuse is a batch-trainer
+//! feature).
 
-use hiermeans_core::analysis::{SuiteAnalysis, K_RANGE};
+use hiermeans_core::analysis::paper_vectors;
 use hiermeans_core::pipeline::PipelineConfig;
+use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
-use hiermeans_som::{TrainingMode, WarmStart};
+use hiermeans_som::{
+    DecaySchedule, Grid, GridTopology, Initializer, Som, SomBuilder, TrainingMode,
+};
 use hiermeans_workload::measurement::Characterization;
 use hiermeans_workload::Machine;
 
@@ -28,60 +33,72 @@ fn paper_studies() -> Vec<(&'static str, Characterization)> {
     ]
 }
 
-fn run_study(characterization: Characterization, warm: WarmStart) -> (SuiteAnalysis, String) {
+/// The SOM builder `run_pipeline` and `train_som_streaming` wire from a
+/// pipeline config, in batch mode with random initialization.
+fn pipeline_builder(config: &PipelineConfig) -> SomBuilder {
+    let diameter = Grid::new(
+        config.som_width,
+        config.som_height,
+        GridTopology::Rectangular,
+    )
+    .diameter();
+    SomBuilder::new(config.som_width, config.som_height)
+        .seed(config.seed)
+        .epochs(config.epochs)
+        .metric(config.metric)
+        .sigma(DecaySchedule::Linear {
+            start: diameter / 2.0,
+            end: config.sigma_end,
+        })
+        .mode(TrainingMode::Batch)
+        .initializer(Initializer::Random)
+}
+
+fn weight_bits(som: &Som) -> Vec<u64> {
+    som.weights()
+        .as_slice()
+        .iter()
+        .map(|w| w.to_bits())
+        .collect()
+}
+
+/// Trains through `train` with an enabled collector: the map's weight bits,
+/// the trace fingerprint and the warm-hit count.
+fn traced(train: impl FnOnce(&Collector) -> Som) -> (Vec<u64>, String, u64) {
     let collector = Collector::enabled();
-    let config = PipelineConfig {
-        training: TrainingMode::Batch,
-        warm_start: warm,
-        collector: collector.clone(),
-        ..PipelineConfig::default()
-    };
-    let analysis =
-        SuiteAnalysis::paper_with_config(characterization, &config).expect("paper study runs");
-    let fingerprint = collector
+    let som = train(&collector);
+    let report = collector
         .report()
-        .expect("enabled collector yields a report")
-        .fingerprint();
-    (analysis, fingerprint)
+        .expect("enabled collector yields a report");
+    let hits = report.counter("bmu_warm_hits").unwrap_or(0);
+    (weight_bits(&som), report.fingerprint(), hits)
 }
 
 #[test]
-fn warm_start_matches_cold_on_all_paper_studies() {
+fn resident_warm_training_matches_streamed_cold_on_all_paper_studies() {
+    let builder = pipeline_builder(&PipelineConfig::default());
+    let mut warm_hits = 0;
     for (label, characterization) in paper_studies() {
-        let (cold, cold_fp) = run_study(characterization, WarmStart::Disabled);
-        let (warm, warm_fp) = run_study(characterization, WarmStart::Enabled);
-
-        // Same map positions bit for bit, so the clustering stage sees
+        let vectors = paper_vectors(characterization, &Collector::disabled())
+            .expect("paper vectors characterize");
+        let data: &Matrix = vectors.matrix();
+        let (warm, warm_fp, hits) = traced(|c| builder.train_traced(data, c).expect("trains"));
+        let (cold, cold_fp, cold_hits) =
+            traced(|c| builder.train_stream_traced(&mut &*data, c).expect("trains"));
+        warm_hits += hits;
+        assert_eq!(cold_hits, 0, "{label}: streamed training went warm");
+        // Same codebook bit for bit, so projection and clustering see
         // identical input.
-        assert_eq!(
-            cold.pipeline().positions(),
-            warm.pipeline().positions(),
-            "{label}: SOM positions diverged across warm-start settings"
-        );
-        assert_eq!(
-            cold.pipeline().dendrogram(),
-            warm.pipeline().dendrogram(),
-            "{label}: dendrograms diverged across warm-start settings"
-        );
-        assert_eq!(
-            cold.recommended_k(),
-            warm.recommended_k(),
-            "{label}: recommended k diverged across warm-start settings"
-        );
-        let max_k = (*K_RANGE.end()).min(cold.suite().len());
-        for k in *K_RANGE.start()..=max_k {
-            assert_eq!(
-                cold.pipeline().clusters(k).unwrap(),
-                warm.pipeline().clusters(k).unwrap(),
-                "{label}: cluster assignment at k={k} diverged across warm-start settings"
-            );
-        }
+        assert_eq!(warm, cold, "{label}: weights diverged warm vs cold");
         // The whole trace — spans, non-advisory counters, per-epoch QE/TE
-        // bits, merge trajectory — is identical; only the advisory warm
-        // hit/rescan counters (excluded from the fingerprint) differ.
+        // bits — is identical; only the advisory warm hit/rescan counters
+        // (excluded from the fingerprint) differ.
         assert_eq!(
-            cold_fp, warm_fp,
-            "{label}: trace fingerprints diverged across warm-start settings"
+            warm_fp, cold_fp,
+            "{label}: trace fingerprints diverged warm vs cold"
         );
     }
+    // The resident side must actually reuse cached BMUs, or the
+    // equivalence would hold vacuously.
+    assert!(warm_hits > 0, "no warm hits on any paper study");
 }

@@ -33,10 +33,10 @@ pub struct EpochRecord {
     /// The neighborhood radius σ in effect during this epoch.
     pub sigma: f64,
     /// Fraction of this epoch's batch BMU searches answered from the
-    /// epoch-warm cache (`None` when the warm path was off or inapplicable,
-    /// e.g. online training). Advisory: excluded from fingerprints, since
-    /// the hit rate differs between warm-enabled and warm-disabled runs
-    /// that produce bitwise-identical maps.
+    /// epoch-warm cache (`None` when the warm path did not run, e.g.
+    /// online or streamed training). Advisory: excluded from fingerprints,
+    /// since the hit rate differs between resident (warm) and streamed
+    /// (cold) runs that produce bitwise-identical maps.
     #[serde(default)]
     pub warm_hit_rate: Option<f64>,
 }

@@ -89,8 +89,8 @@ pub enum ProgressEvent {
         /// was quality-sampled (`None` on unsampled epochs).
         #[serde(default)]
         quantization_error: Option<f64>,
-        /// Epoch-warm BMU cache hit rate (`None` when the warm path was
-        /// off or inapplicable, e.g. online training).
+        /// Epoch-warm BMU cache hit rate (`None` when the warm path did
+        /// not run, e.g. online or streamed training).
         #[serde(default)]
         warm_hit_rate: Option<f64>,
         /// Wall-clock duration of this epoch in microseconds.

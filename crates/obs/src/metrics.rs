@@ -80,8 +80,8 @@ impl Counter {
     /// Whether the counter is *advisory*: it describes which internal fast
     /// path served a result, not the result itself. Advisory counters are
     /// excluded from [`crate::report::TraceReport::fingerprint`] — the warm
-    /// hit/rescan split legitimately differs between warm-enabled and
-    /// warm-disabled runs of the same study even though every exported
+    /// hit/rescan split legitimately differs between resident (warm) and
+    /// streamed (cold) runs of the same rows even though every exported
     /// artifact is bitwise identical.
     pub fn advisory(self) -> bool {
         matches!(self, Counter::BmuWarmHits | Counter::BmuExactRescans)

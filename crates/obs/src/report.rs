@@ -286,7 +286,7 @@ impl TraceReport {
             );
         }
         // `warm_hit_rate` is deliberately absent: it is advisory (differs
-        // between warm-enabled and warm-disabled runs of identical maps).
+        // between resident and streamed runs of identical maps).
         for e in &self.som_epochs {
             let _ = writeln!(
                 out,

@@ -54,11 +54,10 @@ pub mod quality;
 pub mod schedule;
 pub mod train;
 pub mod umatrix;
-pub mod warm;
+mod warm;
 
 pub use error::SomError;
 pub use grid::{Grid, GridTopology};
 pub use kernel::NeighborhoodKernel;
 pub use schedule::{DecaySchedule, ScheduleError};
 pub use train::{heuristic_map_size, Initializer, Som, SomBuilder, TrainingMode};
-pub use warm::WarmStart;

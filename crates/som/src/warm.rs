@@ -29,36 +29,21 @@
 //! could cross, which also rules out any involvement of the scan's
 //! tie-breaking rule. Everything else rescans exactly, so a warm pass can
 //! only ever be a faster route to the same bits.
+//!
+//! The cache costs 24 bytes per row. Beside a resident `n × dim` matrix
+//! that is small, but in streamed training it would be the only memory
+//! that grows with `n`. So the entry point decides: resident training
+//! (`SomBuilder::train`) builds the cache for [`Metric::Euclidean`], and
+//! streamed training (`SomBuilder::train_stream`) never does, which keeps
+//! its footprint free of `n` and leaves it as the cold oracle the warm path
+//! is tested against.
 
 use hiermeans_linalg::distance::Metric;
 use hiermeans_linalg::kernels;
 use hiermeans_linalg::Matrix;
-use serde::{Deserialize, Serialize};
 
 use crate::train::BestTwo;
 use crate::SomError;
-
-/// Whether batch training may reuse previous-epoch BMUs under the drift
-/// bound (the warm path) or must run the full exact search for every row,
-/// every epoch (the cold path).
-///
-/// The trained map is bitwise identical either way: a cached BMU is reused
-/// only when the triangle-inequality bound proves the exact search would
-/// return it. The knob exists for benchmarking the two paths against each
-/// other and as an escape hatch — disabling it also drops the warm cache's
-/// `O(n)` bookkeeping, which matters for the memory-ceiling streaming
-/// mode. Online training always searches exactly; the knob is a no-op
-/// there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum WarmStart {
-    /// Skip a row's exact search whenever the drift bound certifies the
-    /// cached BMU still wins (the default).
-    #[default]
-    Enabled,
-    /// Run the full exact search for every row, every epoch.
-    Disabled,
-}
 
 /// Slop factor absorbing the bound-maintenance arithmetic's own rounding:
 /// each epoch applies one add/subtract and one multiply per bound, each

@@ -1,9 +1,10 @@
 //! Steady-state training epochs perform zero heap allocations.
 //!
 //! The trainers preallocate their scratch up front (`SearchScratch` for the
-//! blocked BMU search, `BatchScratch` for the batch accumulators), so on the
-//! serial path every allocation happens during setup: training for more
-//! epochs must allocate exactly as much as training for one. The shared
+//! blocked BMU search; the strip, the epoch-warm cache and one
+//! `BatchWorker` per worker for the batch trainer), so on the serial path
+//! every allocation happens during setup: training for more epochs must
+//! allocate exactly as much as training for one. The shared
 //! tracking allocator (`hiermeans_obs::memhook`) makes that a hard test
 //! rather than a code-review claim.
 //!
@@ -19,7 +20,7 @@ use hiermeans_linalg::distance::Metric;
 use hiermeans_linalg::{parallel, Matrix};
 use hiermeans_obs::memhook::{self, TrackingAlloc};
 use hiermeans_obs::{Collector, ObsConfig};
-use hiermeans_som::{Initializer, SomBuilder, TrainingMode, WarmStart};
+use hiermeans_som::{Initializer, SomBuilder, TrainingMode};
 
 #[global_allocator]
 static ALLOCATOR: TrackingAlloc = TrackingAlloc;
@@ -83,31 +84,15 @@ fn allocations_for_lanes(mode: TrainingMode, metric: Metric, epochs: usize) -> u
     })
 }
 
-fn allocations_for_stream(warm: WarmStart, epochs: usize) -> u64 {
+fn allocations_for_stream(epochs: usize) -> u64 {
     let data = sample_data();
     allocations_during(|| {
-        let mut source: &Matrix = &data;
         let som = SomBuilder::new(4, 4)
             .seed(11)
             .epochs(epochs)
             .mode(TrainingMode::Batch)
             .initializer(Initializer::Random)
-            .warm_start(warm)
-            .train_stream(&mut source)
-            .unwrap();
-        std::hint::black_box(&som);
-    })
-}
-
-fn allocations_for_warm(warm: WarmStart, epochs: usize) -> u64 {
-    let data = sample_data();
-    allocations_during(|| {
-        let som = SomBuilder::new(4, 4)
-            .seed(11)
-            .epochs(epochs)
-            .mode(TrainingMode::Batch)
-            .warm_start(warm)
-            .train(&data)
+            .train_stream(&mut &data)
             .unwrap();
         std::hint::black_box(&som);
     })
@@ -121,7 +106,8 @@ fn steady_state_epochs_allocate_nothing() {
     // machine the test runs on.
     parallel::set_worker_override(Some(1));
     // Euclidean runs the blocked norm-trick search, Manhattan the scalar
-    // scan.
+    // scan; resident Euclidean batch training also keeps the epoch-warm
+    // cache and its drift accounting, allocated once at setup.
     let configs = [
         (TrainingMode::Online, Metric::Euclidean),
         (TrainingMode::Online, Metric::Manhattan),
@@ -170,39 +156,19 @@ fn steady_state_epochs_allocate_nothing_with_lanes_enabled() {
     parallel::set_worker_override(None);
 }
 
-/// The epoch-warm cache and its drift accounting are allocated once at
-/// setup: warm batch epochs stay allocation-free, with the warm path on or
-/// off.
-#[test]
-fn steady_state_warm_epochs_allocate_nothing() {
-    parallel::set_worker_override(Some(1));
-    for warm in [WarmStart::Enabled, WarmStart::Disabled] {
-        allocations_for_warm(warm, 1);
-        let one = allocations_for_warm(warm, 1);
-        let many = allocations_for_warm(warm, 51);
-        assert_eq!(
-            many, one,
-            "warm={warm:?}: 51 epochs allocated {many}, 1 epoch {one} — \
-             warm bookkeeping must not allocate in steady state"
-        );
-    }
-    parallel::set_worker_override(None);
-}
-
-/// The streaming trainer reuses one strip buffer and the same scratch:
-/// steady-state streamed epochs allocate nothing either.
+/// The streaming trainer reuses one strip buffer and the same scratch, and
+/// builds no warm cache: steady-state streamed epochs allocate nothing
+/// either.
 #[test]
 fn steady_state_stream_epochs_allocate_nothing() {
     parallel::set_worker_override(Some(1));
-    for warm in [WarmStart::Enabled, WarmStart::Disabled] {
-        allocations_for_stream(warm, 1);
-        let one = allocations_for_stream(warm, 1);
-        let many = allocations_for_stream(warm, 51);
-        assert_eq!(
-            many, one,
-            "stream warm={warm:?}: 51 epochs allocated {many}, 1 epoch {one} — \
-             streamed epochs must run on the preallocated strip and scratch"
-        );
-    }
+    allocations_for_stream(1);
+    let one = allocations_for_stream(1);
+    let many = allocations_for_stream(51);
+    assert_eq!(
+        many, one,
+        "stream: 51 epochs allocated {many}, 1 epoch {one} — \
+         streamed epochs must run on the preallocated strip and scratch"
+    );
     parallel::set_worker_override(None);
 }

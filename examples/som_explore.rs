@@ -6,6 +6,7 @@
 //! ```
 
 use hiermeans::linalg::Matrix;
+use hiermeans::obs::Collector;
 use hiermeans::som::{
     quality, umatrix, GridTopology, NeighborhoodKernel, SomBuilder, TrainingMode,
 };
@@ -61,14 +62,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nU-matrix (dark ridges separate the three blobs):\n");
     println!("{}", heatmap::render(&u));
 
-    // Convergence: quantization error per epoch ("continue until converge").
-    let (_, history) = SomBuilder::new(8, 8)
+    // Convergence: quantization error per epoch ("continue until converge"),
+    // read from the traced run's per-epoch quality records.
+    let collector = Collector::enabled();
+    SomBuilder::new(8, 8)
         .epochs(60)
         .seed(42)
-        .train_with_history(&data)?;
-    let sampled: Vec<f64> = history.iter().step_by(10).cloned().collect();
-    let labels: Vec<String> = (0..sampled.len())
-        .map(|i| format!("epoch {:>2}", i * 10))
+        .train_traced(&data, &collector)?;
+    let records = collector
+        .report()
+        .ok_or("an enabled collector yields a report")?
+        .som_epochs;
+    let sampled: Vec<f64> = records
+        .iter()
+        .step_by(10)
+        .map(|r| r.quantization_error)
+        .collect();
+    let labels: Vec<String> = records
+        .iter()
+        .step_by(10)
+        .map(|r| format!("epoch {:>2}", r.epoch))
         .collect();
     let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
     println!("quantization error during training:\n");
