@@ -1,8 +1,8 @@
-//! Agglomerative clustering and k-means benchmarks across input sizes and
+//! Agglomerative clustering benchmarks across input sizes and
 //! linkage rules.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hiermeans_cluster::{agglomerative, nnchain, KMeans, KMeansConfig, Linkage};
+use hiermeans_cluster::{agglomerative, nnchain, Linkage};
 use hiermeans_linalg::distance::{pairwise_norm_trick, Metric};
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
@@ -88,22 +88,10 @@ fn bench_nnchain_vs_naive(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_kmeans(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kmeans");
-    for n in [64usize, 256] {
-        let pts = points(n);
-        group.bench_with_input(BenchmarkId::new("k6", n), &pts, |b, pts| {
-            b.iter(|| KMeans::fit(std::hint::black_box(pts), KMeansConfig::new(6)).unwrap())
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_agglomerative,
     bench_linkages,
-    bench_nnchain_vs_naive,
-    bench_kmeans
+    bench_nnchain_vs_naive
 );
 criterion_main!(benches);

@@ -14,11 +14,10 @@
 //!                    scalar-vs-blocked kernel speedups)
 //!                    bench-scale [--baseline <file>]
 //!                    (writes BENCH_scale.json with the large-n scaling
-//!                    curves — naive vs NN-chain merge loops, O(n)-memory
-//!                    single/complete linkage up to n = 100 000,
+//!                    curves — naive vs NN-chain merge loops and
 //!                    heuristic-grid batch SOM; with --baseline, exits
 //!                    nonzero when any row regresses > 50% and > 250 ms
-//!                    over the stored report. Takes minutes.)
+//!                    over the stored report)
 //!                    bench-som [--baseline <file>]
 //!                    (writes BENCH_som.json with the warm-vs-cold batch
 //!                    SOM epoch-throughput curve at n = 1k/10k/100k and
@@ -214,8 +213,7 @@ fn run_bench_pipeline(baseline: Option<&str>) -> Result<String, String> {
     Ok(out)
 }
 
-/// Runs the scaling curves (naive vs NN-chain merge loops, the O(n)-memory
-/// single/complete-linkage algorithms up to n = 100 000, heuristic-grid
+/// Runs the scaling curves (naive vs NN-chain merge loops, heuristic-grid
 /// batch SOM), writes `BENCH_scale.json`, and — when a baseline file is
 /// given — applies the scale regression gate: any curve row more than 50%
 /// (and 250 ms) over the baseline's fails the run.
@@ -468,8 +466,7 @@ fn main() -> ExitCode {
              means-family duplication correlation mica evaluation json-reports extensions\n  \
              performance: bench-pipeline [--baseline <file>] (writes BENCH_pipeline.json), \
              bench-kernels (writes BENCH_kernels.json), \
-             bench-scale [--baseline <file>] [--live [addr]] (writes BENCH_scale.json; \
-             takes minutes), \
+             bench-scale [--baseline <file>] [--live [addr]] (writes BENCH_scale.json), \
              bench-som [--baseline <file>] [--live [addr]] (writes BENCH_som.json with \
              the warm-vs-cold epoch-throughput curve and the n = 10^6 streaming row)\n  \
              observability: trace [--prom <file>] [--live [addr]] (writes OBS_trace.json), \

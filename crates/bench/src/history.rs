@@ -322,14 +322,14 @@ mod tests {
         let report = ScaleBenchReport {
             meta: None,
             results: vec![ScaleTiming {
-                algorithm: "slink".into(),
-                n: 10_000,
-                dim: 4,
+                algorithm: "nnchain_active".into(),
+                n: 2_000,
+                dim: 8,
                 ms: 120.0,
             }],
         };
         let record = record_from_scale(&report);
         assert_eq!(record.kind, "bench_scale");
-        assert_eq!(record.sample("slink/n=10000"), Some(120.0));
+        assert_eq!(record.sample("nnchain_active/n=2000"), Some(120.0));
     }
 }

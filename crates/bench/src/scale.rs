@@ -7,10 +7,6 @@
 //! * `naive` / `nnchain_active` — the O(n³)-scan naive merge loop against
 //!   NN-chain (whose scan walks a compact list of active slots), over a
 //!   materialized distance matrix (complete linkage).
-//! * `slink` / `seq_complete` — the O(n)-memory single-linkage (SLINK) and
-//!   sequential complete-linkage algorithms over
-//!   [`hiermeans_linalg::distance::TiledDistances`] row strips, up to
-//!   n = 100 000 where a dense matrix would need ~75 GiB.
 //! * `som_scaled` — batch SOM training on the heuristic `≈5·√n` grid.
 //!
 //! A committed baseline turns the curves into a regression gate
@@ -19,7 +15,7 @@
 
 use std::time::Instant;
 
-use hiermeans_cluster::{agglomerative, nnchain, scalable, Linkage};
+use hiermeans_cluster::{agglomerative, nnchain, Linkage};
 use hiermeans_linalg::distance::{pairwise, Metric};
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
@@ -79,8 +75,7 @@ pub(crate) fn mixture(n: usize, dim: usize) -> Matrix {
         .points
 }
 
-/// Runs every scaling curve and collects the report. Takes minutes: the
-/// 100 000-point rows alone are ~10¹⁰ distance evaluations each.
+/// Runs every scaling curve and collects the report.
 pub fn bench_scale() -> ScaleBenchReport {
     let mut results = Vec::new();
     let mut push = |algorithm: &str, n: usize, dim: usize, ms: f64| {
@@ -124,35 +119,6 @@ pub fn bench_scale() -> ScaleBenchReport {
                     &Collector::disabled(),
                 )
                 .expect("valid matrix")
-            }),
-        );
-    }
-
-    // O(n)-memory curves. At n = 100 000 the points drop to 4-D so one row
-    // finishes in minutes rather than tens of minutes; the memory story is
-    // unchanged (no n × n anything, proven by the allocation tests in
-    // hiermeans-cluster).
-    for (n, dim, reps) in [
-        (1_000usize, 8usize, 3usize),
-        (10_000, 8, 1),
-        (100_000, 4, 1),
-    ] {
-        let points = mixture(n, dim);
-        push(
-            "slink",
-            n,
-            dim,
-            best_of(reps, || {
-                scalable::cluster_slink(&points, Metric::Euclidean).expect("finite mixture")
-            }),
-        );
-        push(
-            "seq_complete",
-            n,
-            dim,
-            best_of(reps, || {
-                scalable::cluster_sequential_complete(&points, Metric::Euclidean)
-                    .expect("finite mixture")
             }),
         );
     }
@@ -256,19 +222,19 @@ mod tests {
 
     #[test]
     fn gate_passes_within_tolerance() {
-        let baseline = report(&[("slink", 10_000, 2_000.0)]);
+        let baseline = report(&[("nnchain_active", 2_000, 2_000.0)]);
         // 40% slower: inside the 50% tolerance.
-        let current = report(&[("slink", 10_000, 2_800.0)]);
+        let current = report(&[("nnchain_active", 2_000, 2_800.0)]);
         assert!(compare_with_scale_baseline(&current, &baseline).is_ok());
     }
 
     #[test]
     fn gate_fails_on_large_regression() {
-        let baseline = report(&[("slink", 10_000, 2_000.0)]);
-        let slow = report(&[("slink", 10_000, 4_000.0)]);
+        let baseline = report(&[("nnchain_active", 2_000, 2_000.0)]);
+        let slow = report(&[("nnchain_active", 2_000, 4_000.0)]);
         let err = compare_with_scale_baseline(&slow, &baseline).unwrap_err();
         assert!(err.contains("REGRESSED"), "{err}");
-        assert!(err.contains("slink"), "{err}");
+        assert!(err.contains("nnchain_active"), "{err}");
     }
 
     #[test]
@@ -282,18 +248,18 @@ mod tests {
     #[test]
     fn gate_tolerates_row_set_changes() {
         let baseline = report(&[("retired_curve", 1_000, 100.0)]);
-        let current = report(&[("slink", 1_000, 100.0)]);
+        let current = report(&[("naive", 1_000, 100.0)]);
         let table = compare_with_scale_baseline(&current, &baseline).unwrap();
         assert!(table.contains("missing from current run"), "{table}");
     }
 
     #[test]
     fn report_roundtrips_through_json() {
-        let r = report(&[("seq_complete", 100_000, 60_000.0)]);
+        let r = report(&[("som_scaled", 10_000, 460.0)]);
         let json = serde_json::to_string_pretty(&r).unwrap();
         let back: ScaleBenchReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.results[0].algorithm, "seq_complete");
-        assert_eq!(back.results[0].n, 100_000);
+        assert_eq!(back.results[0].algorithm, "som_scaled");
+        assert_eq!(back.results[0].n, 10_000);
     }
 
     #[test]
@@ -303,9 +269,8 @@ mod tests {
 
     #[test]
     fn timed_algorithms_agree_on_a_small_corpus() {
-        // The bench rows must all be timing *the same problem*: at one
-        // small size, every complete-linkage variant cuts to the same
-        // planted partition, and slink matches naive single linkage.
+        // The merge-loop rows must both be timing *the same problem*: at
+        // one small size, naive and NN-chain build the same dendrogram.
         let n = 64;
         let points = mixture(n, 4);
         let dist = pairwise(&points, Metric::Euclidean).unwrap();
@@ -313,23 +278,5 @@ mod tests {
         let naive = agglomerative::cluster_from_distances(&dist, Linkage::Complete, &off).unwrap();
         let chain = nnchain::cluster_nn_chain_owned(dist.clone(), Linkage::Complete, &off).unwrap();
         assert_eq!(naive, chain);
-        let k = 8;
-        let planted = naive.cut_into(k).unwrap();
-        let seq = scalable::cluster_sequential_complete(&points, Metric::Euclidean).unwrap();
-        // Sequential complete linkage is order-dependent, not merge-order
-        // identical; on a well-separated mixture both cut to the planted
-        // blobs.
-        assert_eq!(
-            seq.cut_into(k).unwrap().labels(),
-            planted.labels(),
-            "seq_complete recovers the planted partition"
-        );
-        let slink = scalable::cluster_slink(&points, Metric::Euclidean).unwrap();
-        let naive_single =
-            agglomerative::cluster_from_distances(&dist, Linkage::Single, &off).unwrap();
-        assert_eq!(
-            slink.cut_into(k).unwrap().labels(),
-            naive_single.cut_into(k).unwrap().labels()
-        );
     }
 }

@@ -8,7 +8,7 @@
 //! to build the paper's Tables IV-VI.
 
 use hiermeans_linalg::Matrix;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::{ClusterAssignment, ClusterError};
 
@@ -29,7 +29,10 @@ pub struct Merge {
 }
 
 /// The merge history over `n` leaves (`n - 1` merges).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialization goes through [`Dendrogram::new`], so a parsed
+/// dendrogram satisfies the same invariants as a constructed one.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dendrogram {
     n_leaves: usize,
     merges: Vec<Merge>,
@@ -42,7 +45,9 @@ impl Dendrogram {
     ///
     /// * [`ClusterError::EmptyInput`] if `n_leaves` is zero.
     /// * [`ClusterError::InvalidLabels`] if the merge count is not
-    ///   `n_leaves - 1` or a merge references an id that does not exist yet.
+    ///   `n_leaves - 1`, a merge references an id that does not exist yet,
+    ///   or a merge uses a cluster id that an earlier merge already
+    ///   consumed.
     pub fn new(n_leaves: usize, merges: Vec<Merge>) -> Result<Self, ClusterError> {
         if n_leaves == 0 {
             return Err(ClusterError::EmptyInput);
@@ -52,6 +57,7 @@ impl Dendrogram {
                 reason: "a dendrogram over n leaves must contain exactly n - 1 merges",
             });
         }
+        let mut consumed = vec![false; n_leaves + merges.len()];
         for (i, m) in merges.iter().enumerate() {
             let max_id = n_leaves + i;
             if m.left >= max_id || m.right >= max_id || m.left == m.right {
@@ -59,6 +65,13 @@ impl Dendrogram {
                     reason: "merge references an invalid cluster id",
                 });
             }
+            if consumed[m.left] || consumed[m.right] {
+                return Err(ClusterError::InvalidLabels {
+                    reason: "merge reuses a cluster id an earlier merge consumed",
+                });
+            }
+            consumed[m.left] = true;
+            consumed[m.right] = true;
         }
         Ok(Dendrogram { n_leaves, merges })
     }
@@ -177,41 +190,12 @@ impl Dendrogram {
 
     /// The cophenetic distance matrix: entry `(i, j)` is the merging distance
     /// at which leaves `i` and `j` first share a cluster.
-    ///
-    /// This materializes an n×n matrix. For large dendrograms, prefer
-    /// [`Dendrogram::for_each_cophenetic_pair`], which visits the same
-    /// entries with O(n) live memory.
     pub fn cophenetic(&self) -> Matrix {
         let n = self.n_leaves;
         let mut coph = Matrix::zeros(n, n);
-        match self.for_each_cophenetic_pair(|a, b, d| {
-            coph[(a, b)] = d;
-            coph[(b, a)] = d;
-            Ok::<(), std::convert::Infallible>(())
-        }) {
-            Ok(()) => {}
-            Err(e) => match e {},
-        }
-        coph
-    }
-
-    /// Streams every unordered leaf pair's cophenetic distance — `f(i, j, d)`
-    /// with `i < j` not guaranteed; each pair is visited exactly once, in
-    /// merge order — without materializing an n×n matrix. Member lists are
-    /// moved, not cloned, so peak memory stays O(n) elements on top of the
-    /// dendrogram itself. Returning `Err` from the visitor aborts the walk.
-    ///
-    /// # Errors
-    ///
-    /// Only the error the visitor itself returns.
-    pub fn for_each_cophenetic_pair<E>(
-        &self,
-        mut f: impl FnMut(usize, usize, f64) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let n = self.n_leaves;
         // members[id] = leaves under that cluster id; merged lists are moved
         // into the new cluster's slot, so each leaf lives in exactly one
-        // list at any time.
+        // list at any time and every pair is written by exactly one merge.
         let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
         members.reserve(self.merges.len());
         for m in &self.merges {
@@ -219,14 +203,15 @@ impl Dendrogram {
             let right = std::mem::take(&mut members[m.right]);
             for &a in &left {
                 for &b in &right {
-                    f(a, b, m.distance)?;
+                    coph[(a, b)] = m.distance;
+                    coph[(b, a)] = m.distance;
                 }
             }
             let mut merged = left;
             merged.extend(right);
             members.push(merged);
         }
-        Ok(())
+        coph
     }
 
     /// Leaves in dendrogram-plot order: a depth-first traversal placing each
@@ -250,6 +235,13 @@ impl Dendrogram {
             }
         }
         order
+    }
+}
+
+impl Deserialize for Dendrogram {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Dendrogram::new(serde::field(v, "n_leaves")?, serde::field(v, "merges")?)
+            .map_err(|e| DeError::new(e.to_string()))
     }
 }
 

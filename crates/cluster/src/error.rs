@@ -34,13 +34,6 @@ pub enum ClusterError {
         /// The rejected linkage.
         linkage: crate::Linkage,
     },
-    /// The iterative algorithm failed to make progress.
-    NoConvergence {
-        /// The routine that failed.
-        routine: &'static str,
-        /// The exhausted iteration budget.
-        iterations: usize,
-    },
     /// The clustering input failed stage-boundary validation; the report
     /// names the exact offending cells.
     InvalidData {
@@ -70,15 +63,6 @@ impl fmt::Display for ClusterError {
             ClusterError::InvalidLabels { reason } => write!(f, "invalid labels: {reason}"),
             ClusterError::UnsupportedLinkage { linkage } => {
                 write!(f, "NN-chain requires a reducible linkage, not {linkage}")
-            }
-            ClusterError::NoConvergence {
-                routine,
-                iterations,
-            } => {
-                write!(
-                    f,
-                    "{routine} did not converge within {iterations} iterations"
-                )
             }
             ClusterError::InvalidData { report } => {
                 write!(f, "invalid clustering input: {report}")

@@ -1,6 +1,6 @@
 //! Agglomerative hierarchical clustering — the cluster-detection stage of the
-//! hierarchical-means pipeline — plus a k-means baseline and cluster-validity
-//! indices.
+//! hierarchical-means pipeline — plus the silhouette index and cluster-count
+//! selection.
 //!
 //! The paper (Section III-B) assigns each point its own cluster, repeatedly
 //! merges the closest pair of clusters, and reads cluster formations off the
@@ -16,13 +16,12 @@
 //!   NN-chain from 128 points on when the linkage is reducible, and the
 //!   naive loop otherwise.
 //! * [`nnchain`] — the O(n²) NN-chain algorithm for reducible linkages.
-//! * [`scalable`] — SLINK/CLINK single/complete linkage in O(n) memory
-//!   for corpora whose distance matrix does not fit.
 //! * [`dendrogram`] — cutting at a merging distance or into exactly `k`
 //!   clusters, cophenetic distances, leaf ordering.
 //! * [`assignment`] — normalized cluster label vectors.
-//! * [`kmeans`] — k-means with k-means++ seeding, used as a baseline.
-//! * [`validity`] — silhouette, Davies–Bouldin, Calinski–Harabasz, WCSS.
+//! * [`selection`] — cluster-count selection: the merge-distance elbow and
+//!   the silhouette sweep.
+//! * [`validity`] — the mean silhouette coefficient.
 //!
 //! # Example
 //!
@@ -55,15 +54,12 @@ mod error;
 pub mod agglomerative;
 pub mod assignment;
 pub mod dendrogram;
-pub mod kmeans;
 pub mod linkage;
 pub mod nnchain;
-pub mod scalable;
 pub mod selection;
 pub mod validity;
 
 pub use assignment::ClusterAssignment;
 pub use dendrogram::{Dendrogram, Merge};
 pub use error::ClusterError;
-pub use kmeans::{KMeans, KMeansConfig};
 pub use linkage::Linkage;

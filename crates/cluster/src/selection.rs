@@ -4,14 +4,12 @@
 //! dendrogram cut "aligns well with the SOM analysis results" and where
 //! "the fluctuation of ratio values tends to dampen". These helpers provide
 //! the quantitative analogues: the largest-gap (elbow) heuristic on merge
-//! distances, a silhouette sweep, and the cophenetic correlation
-//! coefficient as a global dendrogram-quality score.
+//! distances and a silhouette sweep. The suite-analysis facade recommends
+//! a cluster count from them.
 
-use hiermeans_linalg::distance::{pairwise, Metric};
-use hiermeans_linalg::{LinalgError, Matrix};
-use hiermeans_obs::Collector;
+use hiermeans_linalg::Matrix;
 
-use crate::validity::{wcss_from_distances, CellDistances};
+use crate::validity::CellDistances;
 use crate::{ClusterError, Dendrogram};
 
 /// Picks `k` by the largest gap between consecutive merge distances within
@@ -156,194 +154,13 @@ pub fn silhouette_sweep(
     Ok(scores)
 }
 
-/// Picks `k` with the gap statistic (Tibshirani et al. 2001): compare the
-/// log within-cluster dispersion of each cut against its expectation under
-/// a uniform reference distribution over the data's bounding box, and take
-/// the smallest `k` whose gap exceeds the next gap minus its standard
-/// error. Falls back to the largest-gap `k` if no such elbow exists.
-///
-/// # Errors
-///
-/// Propagates cut/WCSS errors; the range must fit `2..n`, and
-/// `n_references` must be positive.
-pub fn gap_statistic_k(
-    dendrogram: &Dendrogram,
-    points: &Matrix,
-    k_range: std::ops::RangeInclusive<usize>,
-    n_references: usize,
-    seed: u64,
-) -> Result<usize, ClusterError> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let n = dendrogram.n_leaves();
-    let (lo, hi) = (*k_range.start(), *k_range.end());
-    if lo < 2 || hi >= n || lo > hi || n_references == 0 {
-        return Err(ClusterError::InvalidClusterCount {
-            requested: lo,
-            points: n,
-        });
-    }
-    // Bounding box of the observed points.
-    let dim = points.ncols();
-    let mut bounds = Vec::with_capacity(dim);
-    for c in 0..dim {
-        let col = points.col(c);
-        let lo_v = col.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi_v = col.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        bounds.push((lo_v, if hi_v > lo_v { hi_v } else { lo_v + 1.0 }));
-    }
-    let log_wcss = |sq: &Matrix, cut: &crate::ClusterAssignment| -> Result<f64, ClusterError> {
-        Ok(wcss_from_distances(sq, cut)?.max(1e-12).ln())
-    };
-
-    let ks: Vec<usize> = (lo..=hi).collect();
-    // Observed dispersions: one squared-distance pass scores every cut.
-    let observed_sq = pairwise(points, Metric::SquaredEuclidean)?;
-    let mut observed = Vec::with_capacity(ks.len());
-    for &k in &ks {
-        observed.push(log_wcss(&observed_sq, &dendrogram.cut_into(k)?)?);
-    }
-    drop(observed_sq);
-    // Reference dispersions from uniform bootstraps, clustered the same way.
-    // Each bootstrap computes squared distances once; the Euclidean matrix
-    // the clustering sees is its elementwise square root (bitwise what
-    // `pairwise(_, Euclidean)` would have produced), and the WCSS of every
-    // cut comes from the squared matrix via the centroid-free identity.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut reference_mean = vec![0.0f64; ks.len()];
-    let mut reference_sq = vec![0.0f64; ks.len()];
-    for _ in 0..n_references {
-        let mut data = Matrix::zeros(n, dim);
-        for r in 0..n {
-            for c in 0..dim {
-                data[(r, c)] = rng.gen_range(bounds[c].0..bounds[c].1);
-            }
-        }
-        let sq = pairwise(&data, Metric::SquaredEuclidean)?;
-        let mut euclid = sq.clone();
-        for r in 0..n {
-            for v in euclid.row_mut(r) {
-                *v = v.sqrt();
-            }
-        }
-        let reference_dendrogram = crate::agglomerative::cluster_from_distances(
-            &euclid,
-            crate::Linkage::Complete,
-            &Collector::disabled(),
-        )?;
-        drop(euclid);
-        for (i, &k) in ks.iter().enumerate() {
-            let w = log_wcss(&sq, &reference_dendrogram.cut_into(k)?)?;
-            reference_mean[i] += w;
-            reference_sq[i] += w * w;
-        }
-    }
-    let m = n_references as f64;
-    let mut gaps = Vec::with_capacity(ks.len());
-    let mut errors = Vec::with_capacity(ks.len());
-    for i in 0..ks.len() {
-        let mean = reference_mean[i] / m;
-        let var = (reference_sq[i] / m - mean * mean).max(0.0);
-        gaps.push(mean - observed[i]);
-        errors.push(var.sqrt() * (1.0 + 1.0 / m).sqrt());
-    }
-    // Standard rule: smallest k with gap(k) >= gap(k+1) - s(k+1).
-    for i in 0..ks.len() - 1 {
-        if gaps[i] >= gaps[i + 1] - errors[i + 1] {
-            return Ok(ks[i]);
-        }
-    }
-    // Fallback: argmax gap.
-    let Some(best) = gaps
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| ks[i])
-    else {
-        return Err(ClusterError::Internal {
-            what: "gap statistic over an empty k range",
-        });
-    };
-    Ok(best)
-}
-
-/// The cophenetic correlation coefficient: Pearson correlation between the
-/// original pairwise distances and the cophenetic distances of the
-/// dendrogram, in `[-1, 1]`. Values near 1 mean the dendrogram faithfully
-/// encodes the metric structure.
-///
-/// Both distance sets are **streamed** pair by pair through
-/// [`Dendrogram::for_each_cophenetic_pair`] — neither the `n × n`
-/// cophenetic matrix nor the `n(n-1)/2` sample vectors are materialized,
-/// so the extra memory is `O(n)` regardless of corpus size. Two passes
-/// (means, then centered moments) keep the same numerically stable
-/// formulation as `stats::correlation`.
-///
-/// # Errors
-///
-/// Propagates distance errors; requires at least 3 points and errors on a
-/// constant sample, mirroring `stats::correlation`.
-pub fn cophenetic_correlation(
-    dendrogram: &Dendrogram,
-    points: &Matrix,
-    metric: Metric,
-) -> Result<f64, ClusterError> {
-    let n = dendrogram.n_leaves();
-    if points.nrows() != n {
-        return Err(ClusterError::InvalidLabels {
-            reason: "points row count differs from dendrogram leaves",
-        });
-    }
-    if n < 3 {
-        return Err(ClusterError::InvalidClusterCount {
-            requested: n,
-            points: n,
-        });
-    }
-    // Pass 1: means of both samples.
-    let (mut sx, mut sy, mut count) = (0.0f64, 0.0f64, 0usize);
-    dendrogram.for_each_cophenetic_pair(|i, j, coph| {
-        let d = metric
-            .distance(points.row(i), points.row(j))
-            .map_err(ClusterError::Linalg)?;
-        sx += d;
-        sy += coph;
-        count += 1;
-        Ok::<(), ClusterError>(())
-    })?;
-    if count < 2 {
-        return Err(ClusterError::Linalg(LinalgError::InvalidParameter {
-            name: "points",
-            reason: "correlation requires at least two values",
-        }));
-    }
-    let (mx, my) = (sx / count as f64, sy / count as f64);
-    // Pass 2: centered second moments.
-    let (mut sxy, mut sxx, mut syy) = (0.0f64, 0.0f64, 0.0f64);
-    dendrogram.for_each_cophenetic_pair(|i, j, coph| {
-        let d = metric
-            .distance(points.row(i), points.row(j))
-            .map_err(ClusterError::Linalg)?;
-        sxy += (d - mx) * (coph - my);
-        sxx += (d - mx) * (d - mx);
-        syy += (coph - my) * (coph - my);
-        Ok::<(), ClusterError>(())
-    })?;
-    if sxx == 0.0 || syy == 0.0 {
-        return Err(ClusterError::Linalg(LinalgError::InvalidParameter {
-            name: "points",
-            reason: "correlation is undefined for a constant sample",
-        }));
-    }
-    Ok(sxy / (sxx * syy).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agglomerative::cluster;
     use crate::Linkage;
+    use hiermeans_linalg::distance::Metric;
+    use hiermeans_obs::Collector;
 
     /// [`cluster`] over Euclidean distances, untraced.
     fn untraced(points: &Matrix, linkage: Linkage) -> Dendrogram {
@@ -377,56 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn gap_statistic_finds_planted_count() {
-        let pts = three_blobs();
-        let d = untraced(&pts, Linkage::Complete);
-        let k = gap_statistic_k(&d, &pts, 2..=6, 8, 42).unwrap();
-        // The gap statistic can defensibly pick 2 (two super-groups) or 3
-        // (the planted blobs); it must not over-segment.
-        assert!((2..=3).contains(&k), "k={k}");
-    }
-
-    #[test]
-    fn gap_statistic_validation() {
-        let pts = three_blobs();
-        let d = untraced(&pts, Linkage::Complete);
-        assert!(gap_statistic_k(&d, &pts, 1..=3, 4, 1).is_err());
-        assert!(gap_statistic_k(&d, &pts, 2..=7, 4, 1).is_err()); // k = n
-        assert!(gap_statistic_k(&d, &pts, 2..=4, 0, 1).is_err());
-    }
-
-    #[test]
-    fn gap_statistic_deterministic() {
-        let pts = three_blobs();
-        let d = untraced(&pts, Linkage::Complete);
-        let a = gap_statistic_k(&d, &pts, 2..=6, 6, 9).unwrap();
-        let b = gap_statistic_k(&d, &pts, 2..=6, 6, 9).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cophenetic_correlation_high_for_well_separated() {
-        let pts = three_blobs();
-        let d = untraced(&pts, Linkage::Average);
-        let c = cophenetic_correlation(&d, &pts, Metric::Euclidean).unwrap();
-        assert!(c > 0.95, "c={c}");
-    }
-
-    #[test]
-    fn cophenetic_correlation_bounded() {
-        let pts = Matrix::from_rows(&[
-            vec![0.0, 0.0],
-            vec![1.0, 0.5],
-            vec![2.0, 0.1],
-            vec![3.5, 0.8],
-        ])
-        .unwrap();
-        let d = untraced(&pts, Linkage::Single);
-        let c = cophenetic_correlation(&d, &pts, Metric::Euclidean).unwrap();
-        assert!((-1.0..=1.0).contains(&c));
-    }
-
-    #[test]
     fn full_range_to_n_is_evaluated() {
         // Regression: validation accepted `hi == n` but the sweep silently
         // clamped to `n - 1`, so `k_range = 2..=n` never considered the
@@ -454,54 +221,5 @@ mod tests {
         assert!(elbow_k(&d, 1..=3).is_err());
         assert!(elbow_k(&d, 2..=20).is_err());
         assert!(silhouette_k(&d, &pts, 0..=2).is_err());
-    }
-
-    #[test]
-    fn cophenetic_streamed_matches_materialized() {
-        use hiermeans_linalg::stats;
-        let pts = three_blobs();
-        let n = pts.nrows();
-        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
-            let d = untraced(&pts, linkage);
-            let streamed = cophenetic_correlation(&d, &pts, Metric::Euclidean).unwrap();
-            let original = pairwise(&pts, Metric::Euclidean).unwrap();
-            let coph = d.cophenetic();
-            let mut xs = Vec::new();
-            let mut ys = Vec::new();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    xs.push(original[(i, j)]);
-                    ys.push(coph[(i, j)]);
-                }
-            }
-            let materialized = stats::correlation(&xs, &ys).unwrap();
-            assert!(
-                (streamed - materialized).abs() < 1e-12,
-                "{streamed} vs {materialized}"
-            );
-        }
-    }
-
-    #[test]
-    fn cophenetic_rejects_constant_sample() {
-        // Points exactly equidistant under Chebyshev: every pairwise and
-        // cophenetic distance is identical, so the correlation is undefined.
-        let pts = Matrix::from_rows(&[vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
-        let d = cluster(
-            &pts,
-            Metric::Chebyshev,
-            Linkage::Single,
-            &Collector::disabled(),
-        )
-        .unwrap();
-        assert!(cophenetic_correlation(&d, &pts, Metric::Chebyshev).is_err());
-    }
-
-    #[test]
-    fn cophenetic_needs_matching_points() {
-        let pts = three_blobs();
-        let d = untraced(&pts, Linkage::Complete);
-        let wrong = Matrix::zeros(4, 2);
-        assert!(cophenetic_correlation(&d, &wrong, Metric::Euclidean).is_err());
     }
 }

@@ -1,9 +1,10 @@
-//! Cluster-validity indices.
+//! The silhouette cluster-validity index.
 //!
 //! The paper picks the cluster count by eye-balling the dendrogram and the
-//! SOM map ("it aligns well with the SOM analysis results"). These indices
-//! provide the quantitative counterpart used by the suite-analysis facade to
-//! recommend a cluster count, and by the ablation benches.
+//! SOM map ("it aligns well with the SOM analysis results"). The mean
+//! silhouette is the quantitative counterpart: [`crate::selection`] sweeps
+//! it over dendrogram cuts, and the suite-analysis facade recommends a
+//! cluster count from that sweep.
 
 use std::collections::HashMap;
 
@@ -145,168 +146,6 @@ impl CellDistances {
     }
 }
 
-/// Davies–Bouldin index (lower is better).
-///
-/// # Errors
-///
-/// Same input requirements as [`silhouette`].
-pub fn davies_bouldin(
-    points: &Matrix,
-    assignment: &ClusterAssignment,
-) -> Result<f64, ClusterError> {
-    check(points, assignment)?;
-    let k = assignment.n_clusters();
-    if k < 2 {
-        return Err(ClusterError::InvalidLabels {
-            reason: "Davies-Bouldin requires at least two clusters",
-        });
-    }
-    let clusters = assignment.clusters();
-    let centroids = cluster_centroids(points, &clusters);
-    // Mean intra-cluster distance to centroid.
-    let mut scatter = vec![0.0f64; k];
-    for (c, members) in clusters.iter().enumerate() {
-        for &i in members {
-            scatter[c] += Metric::Euclidean.distance(points.row(i), centroids.row(c))?;
-        }
-        scatter[c] /= members.len() as f64;
-    }
-    let mut total = 0.0;
-    for i in 0..k {
-        let mut worst = 0.0f64;
-        for j in 0..k {
-            if i == j {
-                continue;
-            }
-            let sep = Metric::Euclidean.distance(centroids.row(i), centroids.row(j))?;
-            if sep > 0.0 {
-                worst = worst.max((scatter[i] + scatter[j]) / sep);
-            }
-        }
-        total += worst;
-    }
-    Ok(total / k as f64)
-}
-
-/// Calinski–Harabasz index (higher is better).
-///
-/// # Errors
-///
-/// Requires `2 <= k < n`; same input requirements as [`silhouette`].
-pub fn calinski_harabasz(
-    points: &Matrix,
-    assignment: &ClusterAssignment,
-) -> Result<f64, ClusterError> {
-    check(points, assignment)?;
-    let k = assignment.n_clusters();
-    let n = points.nrows();
-    if k < 2 || k >= n {
-        return Err(ClusterError::InvalidLabels {
-            reason: "Calinski-Harabasz requires 2 <= k < n",
-        });
-    }
-    let clusters = assignment.clusters();
-    let centroids = cluster_centroids(points, &clusters);
-    let global: Vec<f64> = (0..points.ncols())
-        .map(|c| points.col(c).iter().sum::<f64>() / n as f64)
-        .collect();
-    let mut between = 0.0;
-    for (c, members) in clusters.iter().enumerate() {
-        let d = Metric::SquaredEuclidean.distance(centroids.row(c), &global)?;
-        between += members.len() as f64 * d;
-    }
-    let mut within = 0.0;
-    for (c, members) in clusters.iter().enumerate() {
-        for &i in members {
-            within += Metric::SquaredEuclidean.distance(points.row(i), centroids.row(c))?;
-        }
-    }
-    if within == 0.0 {
-        return Ok(f64::INFINITY);
-    }
-    Ok(between * (n - k) as f64 / (within * (k - 1) as f64))
-}
-
-/// Total within-cluster sum of squared distances to centroids.
-///
-/// # Errors
-///
-/// Same input requirements as [`silhouette`], but any `k >= 1` is allowed.
-pub fn wcss(points: &Matrix, assignment: &ClusterAssignment) -> Result<f64, ClusterError> {
-    check(points, assignment)?;
-    let clusters = assignment.clusters();
-    let centroids = cluster_centroids(points, &clusters);
-    let mut total = 0.0;
-    for (c, members) in clusters.iter().enumerate() {
-        for &i in members {
-            total += Metric::SquaredEuclidean.distance(points.row(i), centroids.row(c))?;
-        }
-    }
-    Ok(total)
-}
-
-/// [`wcss`] from a precomputed *squared-Euclidean* distance matrix, via the
-/// centroid-free identity `WCSS(C) = (1 / 2|C|) Σ_{i,j ∈ C} d²(i, j)`.
-///
-/// Mathematically equal to [`wcss`] (up to floating-point rounding); used
-/// by sweeps that already hold the pairwise matrix, e.g. the gap
-/// statistic's per-reference WCSS evaluations across cuts.
-///
-/// # Errors
-///
-/// * [`ClusterError::EmptyInput`] for an empty matrix.
-/// * [`ClusterError::InvalidDistanceMatrix`] if `sq_dist` is not square.
-/// * [`ClusterError::InvalidLabels`] if the assignment length differs from
-///   the matrix size.
-pub fn wcss_from_distances(
-    sq_dist: &Matrix,
-    assignment: &ClusterAssignment,
-) -> Result<f64, ClusterError> {
-    let (r, c) = sq_dist.shape();
-    if r == 0 {
-        return Err(ClusterError::EmptyInput);
-    }
-    if r != c {
-        return Err(ClusterError::InvalidDistanceMatrix {
-            reason: "matrix is not square",
-        });
-    }
-    if r != assignment.len() {
-        return Err(ClusterError::InvalidLabels {
-            reason: "assignment length differs from point count",
-        });
-    }
-    let mut total = 0.0;
-    for members in assignment.clusters() {
-        let mut sum = 0.0;
-        for (a, &i) in members.iter().enumerate() {
-            for &j in &members[a + 1..] {
-                sum += sq_dist[(i, j)];
-            }
-        }
-        total += sum / members.len() as f64;
-    }
-    Ok(total)
-}
-
-fn cluster_centroids(points: &Matrix, clusters: &[Vec<usize>]) -> Matrix {
-    let dim = points.ncols();
-    let mut centroids = Matrix::zeros(clusters.len(), dim);
-    for (c, members) in clusters.iter().enumerate() {
-        for &i in members {
-            let row = centroids.row_mut(c);
-            for (acc, x) in row.iter_mut().zip(points.row(i)) {
-                *acc += x;
-            }
-        }
-        let row = centroids.row_mut(c);
-        for v in row {
-            *v /= members.len() as f64;
-        }
-    }
-    centroids
-}
-
 fn check(points: &Matrix, assignment: &ClusterAssignment) -> Result<(), ClusterError> {
     if points.is_empty() {
         return Err(ClusterError::EmptyInput);
@@ -368,34 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn davies_bouldin_low_for_separated_blobs() {
-        let (pts, good) = blobs();
-        let bad = ClusterAssignment::from_labels(&[0, 1, 0, 1, 0, 1]).unwrap();
-        assert!(davies_bouldin(&pts, &good).unwrap() < davies_bouldin(&pts, &bad).unwrap());
-    }
-
-    #[test]
-    fn calinski_harabasz_high_for_separated_blobs() {
-        let (pts, good) = blobs();
-        let bad = ClusterAssignment::from_labels(&[0, 1, 0, 1, 0, 1]).unwrap();
-        assert!(calinski_harabasz(&pts, &good).unwrap() > calinski_harabasz(&pts, &bad).unwrap());
-    }
-
-    #[test]
-    fn wcss_zero_for_singletons() {
-        let (pts, _) = blobs();
-        let singletons = ClusterAssignment::from_labels(&[0, 1, 2, 3, 4, 5]).unwrap();
-        assert!(wcss(&pts, &singletons).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn wcss_decreases_with_finer_clustering() {
-        let (pts, two) = blobs();
-        let one = ClusterAssignment::from_labels(&[0; 6]).unwrap();
-        assert!(wcss(&pts, &two).unwrap() < wcss(&pts, &one).unwrap());
-    }
-
-    #[test]
     fn silhouette_matches_oracles_bitwise() {
         use hiermeans_linalg::distance::pairwise;
         let (pts, good) = blobs();
@@ -434,34 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn wcss_from_distances_matches_centroid_form() {
-        use hiermeans_linalg::distance::pairwise;
-        let (pts, two) = blobs();
-        let sq = pairwise(&pts, Metric::SquaredEuclidean).unwrap();
-        let a = wcss(&pts, &two).unwrap();
-        let b = wcss_from_distances(&sq, &two).unwrap();
-        assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        let singletons = ClusterAssignment::from_labels(&[0, 1, 2, 3, 4, 5]).unwrap();
-        assert!(wcss_from_distances(&sq, &singletons).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn from_distances_validate_inputs() {
-        let (_, a) = blobs();
-        let not_square = Matrix::zeros(6, 5);
-        assert!(wcss_from_distances(&not_square, &a).is_err());
-        let wrong_len = Matrix::zeros(4, 4);
-        assert!(wcss_from_distances(&wrong_len, &a).is_err());
-    }
-
-    #[test]
     fn errors_on_mismatched_lengths() {
         let (pts, _) = blobs();
         let short = ClusterAssignment::from_labels(&[0, 1]).unwrap();
         assert!(silhouette(&pts, &short).is_err());
-        assert!(davies_bouldin(&pts, &short).is_err());
-        assert!(calinski_harabasz(&pts, &short).is_err());
-        assert!(wcss(&pts, &short).is_err());
     }
 
     #[test]
@@ -469,14 +256,5 @@ mod tests {
         let (pts, _) = blobs();
         let one = ClusterAssignment::from_labels(&[0; 6]).unwrap();
         assert!(silhouette(&pts, &one).is_err());
-        assert!(davies_bouldin(&pts, &one).is_err());
-        assert!(wcss(&pts, &one).is_ok());
-    }
-
-    #[test]
-    fn calinski_requires_k_below_n() {
-        let (pts, _) = blobs();
-        let all = ClusterAssignment::from_labels(&[0, 1, 2, 3, 4, 5]).unwrap();
-        assert!(calinski_harabasz(&pts, &all).is_err());
     }
 }

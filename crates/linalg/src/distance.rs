@@ -269,115 +269,6 @@ fn mirror_upper_to_lower(d: &mut crate::Matrix) {
     }
 }
 
-/// A tiled distance provider: row strips of the pairwise distance matrix
-/// computed on the fly, without ever materializing the `n x n` matrix.
-///
-/// This is the memory backbone of the large-`n` clustering path: SLINK- and
-/// CLINK-style algorithms consume one row strip at a time, so their peak
-/// memory is O(n) while the distances themselves stay exactly what
-/// [`pairwise_norm_trick`] would have produced. For a (squared) Euclidean
-/// metric, rows are filled with the norm trick `‖a‖² + ‖b‖² − 2·a·b` over
-/// row norms precomputed once (O(n)) — the same expression as the dense
-/// path, so entries agree bit for bit with it. Every other metric falls
-/// back to [`Metric::distance`] per entry, matching [`pairwise`] bit for
-/// bit.
-///
-/// # Example
-///
-/// ```
-/// use hiermeans_linalg::distance::{pairwise, Metric, TiledDistances};
-/// use hiermeans_linalg::Matrix;
-///
-/// # fn main() -> Result<(), hiermeans_linalg::LinalgError> {
-/// let pts = Matrix::from_rows(&[vec![0.0, 0.0], vec![3.0, 4.0], vec![6.0, 8.0]])?;
-/// let tiled = TiledDistances::new(&pts, Metric::Manhattan);
-/// let dense = pairwise(&pts, Metric::Manhattan)?;
-/// let mut row = vec![0.0; 3];
-/// tiled.fill_row(1, &mut row)?;
-/// assert_eq!(&row, &[dense[(1, 0)], 0.0, dense[(1, 2)]]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct TiledDistances<'a> {
-    points: &'a crate::Matrix,
-    metric: Metric,
-    /// Squared row norms, precomputed once when the norm trick applies
-    /// (a (squared) Euclidean metric).
-    norms: Option<Vec<f64>>,
-    squared: bool,
-}
-
-impl<'a> TiledDistances<'a> {
-    /// Builds a provider over the rows of `points`. Precomputes O(n) row
-    /// norms when `metric` is (squared) Euclidean; does no per-pair work.
-    pub fn new(points: &'a crate::Matrix, metric: Metric) -> Self {
-        let squared = matches!(metric, Metric::SquaredEuclidean);
-        let trick = matches!(metric, Metric::Euclidean | Metric::SquaredEuclidean);
-        let norms = trick.then(|| {
-            let mut norms = vec![0.0; points.nrows()];
-            kernels::row_sq_norms_into(points, &mut norms);
-            norms
-        });
-        TiledDistances {
-            points,
-            metric,
-            norms,
-            squared,
-        }
-    }
-
-    /// The number of points (rows).
-    pub fn len(&self) -> usize {
-        self.points.nrows()
-    }
-
-    /// `true` when the provider holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.nrows() == 0
-    }
-
-    /// Fills `out[j] = d(i, j)` for `j in 0..out.len()` — a prefix strip of
-    /// row `i` of the pairwise matrix. `out` may be any length up to `n`,
-    /// so O(n)-memory consumers can request exactly the prefix they need.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when `i` is out of range or
-    /// `out` is longer than the point count, and propagates
-    /// [`Metric::distance`] errors on the fallback path.
-    pub fn fill_row(&self, i: usize, out: &mut [f64]) -> Result<(), LinalgError> {
-        let n = self.points.nrows();
-        if i >= n || out.len() > n {
-            return Err(LinalgError::ShapeMismatch {
-                left: (i, out.len()),
-                right: (n, n),
-                op: "tiled distance row",
-            });
-        }
-        let ri = self.points.row(i);
-        if let Some(norms) = &self.norms {
-            for (j, slot) in out.iter_mut().enumerate() {
-                let d2 = if i == j {
-                    0.0
-                } else {
-                    (norms[i] + norms[j] - 2.0 * kernels::dot_fast(ri, self.points.row(j))).max(0.0)
-                };
-                *slot = if self.squared { d2 } else { d2.sqrt() };
-            }
-        } else {
-            for (j, slot) in out.iter_mut().enumerate() {
-                *slot = if i == j {
-                    0.0
-                } else {
-                    self.metric.distance(ri, self.points.row(j))?
-                };
-            }
-        }
-        Ok(())
-    }
-}
-
 /// The single-threaded reference implementation of [`pairwise`].
 ///
 /// Kept public so property tests and benchmarks can compare the parallel
@@ -628,58 +519,6 @@ mod tests {
         };
         assert_eq!(chunks(&blocked_buf), chunks(&scalar_buf));
         assert_eq!(chunks(&blocked_buf), (0..9).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn tiled_rows_match_dense_bitwise() {
-        let pts = big_matrix(60, 7);
-        for metric in [
-            Metric::Euclidean,
-            Metric::SquaredEuclidean,
-            Metric::Manhattan,
-        ] {
-            let dense = pairwise_norm_trick(&pts, metric, None).unwrap();
-            let tiled = TiledDistances::new(&pts, metric);
-            let mut row = vec![0.0; 60];
-            for i in 0..60 {
-                tiled.fill_row(i, &mut row).unwrap();
-                for j in 0..60 {
-                    assert_eq!(
-                        row[j].to_bits(),
-                        dense[(i, j)].to_bits(),
-                        "{metric:?} ({i},{j})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_prefix_strips_work() {
-        let pts = big_matrix(20, 3);
-        let tiled = TiledDistances::new(&pts, Metric::Euclidean);
-        assert_eq!(tiled.len(), 20);
-        assert!(!tiled.is_empty());
-        let dense = pairwise_norm_trick(&pts, Metric::Euclidean, None).unwrap();
-        // SLINK-style consumption: row i's strict prefix only.
-        for i in 1..20 {
-            let mut strip = vec![0.0; i];
-            tiled.fill_row(i, &mut strip).unwrap();
-            for (j, v) in strip.iter().enumerate() {
-                assert_eq!(v.to_bits(), dense[(i, j)].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_rejects_bad_shapes_and_bad_metrics() {
-        let pts = big_matrix(5, 2);
-        let tiled = TiledDistances::new(&pts, Metric::Euclidean);
-        let mut too_long = vec![0.0; 6];
-        assert!(tiled.fill_row(0, &mut too_long).is_err());
-        assert!(tiled.fill_row(5, &mut [0.0; 2]).is_err());
-        let bad = TiledDistances::new(&pts, Metric::Minkowski(0.5));
-        assert!(bad.fill_row(0, &mut [0.0; 2]).is_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`som`] — a from-scratch Self-Organizing Map (the paper's
 //!   dimension-reduction stage).
 //! * [`cluster`] — agglomerative hierarchical clustering with dendrograms
-//!   (the paper's clustering stage), plus a k-means baseline.
+//!   (the paper's clustering stage) and cluster-count selection.
 //! * [`workload`] — the simulated Java benchmarking substrate: the paper's
 //!   13-workload suite, machines A/B/reference, execution-time simulation,
 //!   SAR counter generation, and hprof-style method-utilization profiling.

@@ -1,7 +1,7 @@
 //! Failure injection: malformed inputs must surface as typed errors through
 //! the public API — never panics.
 
-use hiermeans::cluster::{agglomerative, ClusterError, KMeans, KMeansConfig, Linkage};
+use hiermeans::cluster::{agglomerative, ClusterError, Dendrogram, Linkage, Merge};
 use hiermeans::core::hierarchical::hgm;
 use hiermeans::core::means::{geometric_mean, Mean};
 use hiermeans::core::pipeline::{run_pipeline, PipelineConfig};
@@ -108,13 +108,34 @@ fn clustering_rejects_bad_distance_matrices() {
 }
 
 #[test]
-fn kmeans_rejects_bad_configs() {
-    let pts = Matrix::from_rows(&[vec![0.0], vec![1.0]]).unwrap();
+fn dendrogram_rejects_reused_cluster_ids() {
+    let merge = |left, right, distance| Merge {
+        left,
+        right,
+        distance,
+        size: 2,
+    };
+    // Leaf 0 is consumed by the first merge and merged again by the second:
+    // the cophenetic matrix would miss the (1, 2) pair that a cut joins.
     assert!(matches!(
-        KMeans::fit(&pts, KMeansConfig::new(0)).unwrap_err(),
-        ClusterError::InvalidClusterCount { .. }
+        Dendrogram::new(3, vec![merge(0, 1, 1.0), merge(0, 2, 2.0)]).unwrap_err(),
+        ClusterError::InvalidLabels { .. }
     ));
-    assert!(KMeans::fit(&pts, KMeansConfig::new(3)).is_err());
+    // Cluster 4, created by the first merge, consumed twice.
+    assert!(matches!(
+        Dendrogram::new(
+            4,
+            vec![merge(0, 1, 1.0), merge(4, 2, 2.0), merge(4, 3, 3.0)]
+        )
+        .unwrap_err(),
+        ClusterError::InvalidLabels { .. }
+    ));
+    // The same heights over fresh ids form a valid tree, and its cophenetic
+    // distances agree with its cuts.
+    let valid = Dendrogram::new(3, vec![merge(0, 1, 1.0), merge(3, 2, 2.0)]).unwrap();
+    assert_eq!(valid.cophenetic()[(1, 2)], 2.0);
+    assert!(!valid.cut_at(1.5).same_cluster(1, 2));
+    assert!(valid.cut_at(2.0).same_cluster(1, 2));
 }
 
 #[test]

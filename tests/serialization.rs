@@ -2,9 +2,7 @@
 //! models and analysis artifacts must survive JSON persistence bit-exactly
 //! (serde_json's `float_roundtrip` feature is enabled workspace-wide).
 
-use hiermeans::cluster::{
-    agglomerative, ClusterAssignment, Dendrogram, KMeans, KMeansConfig, Linkage,
-};
+use hiermeans::cluster::{agglomerative, ClusterAssignment, Dendrogram, Linkage};
 use hiermeans::core::analysis::SuiteAnalysis;
 use hiermeans::core::report::StudyReport;
 use hiermeans::linalg::distance::Metric;
@@ -77,11 +75,35 @@ fn assignment_roundtrip() {
 }
 
 #[test]
-fn kmeans_roundtrip() {
-    let m = KMeans::fit(&points(), KMeansConfig::new(2)).unwrap();
-    let json = serde_json::to_string(&m).unwrap();
-    let back: KMeans = serde_json::from_str(&json).unwrap();
-    assert_eq!(m, back);
+fn dendrogram_json_is_validated_on_parse() {
+    let parse = |merges: &str, n_leaves: usize| {
+        serde_json::from_str::<Dendrogram>(&format!(
+            r#"{{"n_leaves":{n_leaves},"merges":[{merges}]}}"#
+        ))
+    };
+    // An id no merge has created yet: without validation, `cut_into`
+    // indexes out of bounds.
+    assert!(parse(r#"{"left":0,"right":5,"distance":1.0,"size":2}"#, 2).is_err());
+    // Leaf 0 merged twice.
+    assert!(parse(
+        r#"{"left":0,"right":1,"distance":1.0,"size":2},
+           {"left":0,"right":2,"distance":2.0,"size":2}"#,
+        3
+    )
+    .is_err());
+    // Too few merges for the leaf count, and no leaves at all.
+    assert!(parse(r#"{"left":0,"right":1,"distance":1.0,"size":2}"#, 3).is_err());
+    assert!(parse("", 0).is_err());
+    // A well-formed document parses into the tree it describes.
+    let back = parse(
+        r#"{"left":0,"right":1,"distance":1.0,"size":2},
+           {"left":3,"right":2,"distance":2.0,"size":3}"#,
+        3,
+    )
+    .unwrap();
+    assert_eq!(back.merge_distances(), vec![1.0, 2.0]);
+    assert_eq!(back.cut_into(1).unwrap().n_clusters(), 1);
+    assert_eq!(back.cut_into(2).unwrap().labels(), &[0, 0, 1]);
 }
 
 #[test]
