@@ -12,9 +12,10 @@
 //! * [`linkage`] — Lance–Williams linkage rules (single, complete, average,
 //!   weighted, Ward, centroid, median).
 //! * [`agglomerative`] — the clustering entry point, [`agglomerative::cluster`],
-//!   and the naive merge loop producing a [`Dendrogram`]. `cluster` runs
-//!   NN-chain from 128 points on when the linkage is reducible, and the
-//!   naive loop otherwise.
+//!   and the naive merge loop producing a [`Dendrogram`]. `cluster` groups
+//!   duplicate rows into occupied cells and links the U cells as sized
+//!   leaves (O(U²) memory), running NN-chain from 128 rows on when the
+//!   linkage is reducible and the naive loop otherwise.
 //! * [`nnchain`] — the O(n²) NN-chain algorithm for reducible linkages.
 //! * [`dendrogram`] — cutting at a merging distance or into exactly `k`
 //!   clusters, cophenetic distances, leaf ordering.
@@ -49,6 +50,7 @@
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod cells;
 mod error;
 
 pub mod agglomerative;

@@ -1,9 +1,9 @@
 //! The nearest-neighbor-chain agglomerative algorithm.
 //!
 //! The textbook merge loop in [`crate::agglomerative`] scans all pairs at
-//! every step — O(n³), perfectly fine for benchmark suites of tens of
-//! workloads. For larger corpora (clustering hundreds of workloads, or SOM
-//! *units*), this module provides the classic NN-chain algorithm
+//! every step — O(n³) over n leaves. For larger inputs (the occupied map
+//! cells of hundreds or thousands of workloads), this module provides the
+//! classic NN-chain algorithm
 //! (Murtagh 1983): follow nearest-neighbor pointers until a reciprocal
 //! nearest-neighbor pair is found, merge it, and continue from the chain
 //! tail — O(n²) total for *reducible* linkages.
@@ -73,47 +73,69 @@ pub fn cluster_nn_chain_owned(
     linkage: Linkage,
     collector: &Collector,
 ) -> Result<Dendrogram, ClusterError> {
+    let n = dist.nrows();
+    let merges = nn_chain_merges(dist, &vec![1; n], linkage, collector)?;
+    Dendrogram::new(n, merges)
+}
+
+/// NN-chain over leaves of the given `sizes` (a leaf of size m stands for
+/// m rows at one position): the work behind [`cluster_nn_chain_owned`] and
+/// the cell-level linkage in [`agglomerative::cluster`]. Returns the merges
+/// over `dist.nrows()` leaves, sorted by distance; each merge's `size`
+/// counts rows, not leaves.
+pub(crate) fn nn_chain_merges(
+    dist: Matrix,
+    sizes: &[usize],
+    linkage: Linkage,
+    collector: &Collector,
+) -> Result<Vec<Merge>, ClusterError> {
     if !is_reducible(linkage) {
         return Err(ClusterError::UnsupportedLinkage { linkage });
     }
     let _span = collector.span(stages::CLUSTER_MERGE_LOOP);
     agglomerative::validate_distance_matrix(&dist)?;
     let n = dist.nrows();
+    debug_assert_eq!(sizes.len(), n);
     if n == 1 {
-        return Dendrogram::new(1, vec![]);
+        return Ok(Vec::new());
     }
     let lane_clock = collector.lane_clock();
     let mut lane_buf = lane_clock.map(|_| LaneBuf::with_capacity(n - 1));
     let mut step_begin = lane_clock.map_or(0, |c| c.now_us());
-    let raw = nn_chain_merges(dist, linkage, &mut |step| {
+    let raw = chain_loop(dist, sizes, linkage, &mut |step| {
         if let (Some(clock), Some(lanes)) = (lane_clock, lane_buf.as_mut()) {
             let now = clock.now_us();
             lanes.record(step, 0, step_begin, now);
             step_begin = now;
         }
     })?;
-    let dendrogram = sort_merges(n, raw)?;
-    for m in dendrogram.merges() {
+    let merges = sort_merges(n, raw);
+    for m in &merges {
         collector.record_merge(m.distance);
     }
     if let Some(lanes) = lane_buf.as_mut() {
         lanes.end_run();
         collector.attach_lanes(stages::CLUSTER_MERGE_LOOP, n - 1, lanes);
     }
-    Ok(dendrogram)
+    Ok(merges)
 }
 
 /// The chain loop proper: consumes the working matrix, returns raw merges
 /// as `(smaller id, larger id, distance, size)` in discovery order, and
 /// calls `on_merge(step)` after each merge (for lane recording).
-fn nn_chain_merges(
+fn chain_loop(
     mut d: Matrix,
+    sizes: &[usize],
     linkage: Linkage,
     on_merge: &mut dyn FnMut(usize),
 ) -> Result<Vec<(usize, usize, f64, usize)>, ClusterError> {
     let n = d.nrows();
     // Slot metadata: Some((dendrogram id, size)) while active.
-    let mut info: Vec<Option<(usize, usize)>> = (0..n).map(|i| Some((i, 1))).collect();
+    let mut info: Vec<Option<(usize, usize)>> = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &m)| Some((i, m)))
+        .collect();
     // Compact live-slot list with positions, maintained by swap-removal.
     let mut active: Vec<usize> = (0..n).collect();
     let mut pos: Vec<usize> = (0..n).collect();
@@ -209,10 +231,7 @@ fn nn_chain_merges(
 
 /// Sorts raw merges by distance (stable on discovery order) and remaps the
 /// intermediate cluster ids accordingly.
-fn sort_merges(
-    n_leaves: usize,
-    raw: Vec<(usize, usize, f64, usize)>,
-) -> Result<Dendrogram, ClusterError> {
+fn sort_merges(n_leaves: usize, raw: Vec<(usize, usize, f64, usize)>) -> Vec<Merge> {
     let mut order: Vec<usize> = (0..raw.len()).collect();
     order.sort_by(|&i, &j| raw[i].2.total_cmp(&raw[j].2).then(i.cmp(&j)));
     // Old merge index -> new merge index.
@@ -227,7 +246,7 @@ fn sort_merges(
             n_leaves + new_index[id - n_leaves]
         }
     };
-    let merges: Vec<Merge> = order
+    order
         .iter()
         .map(|&old| {
             let (left, right, distance, size) = raw[old];
@@ -239,8 +258,7 @@ fn sort_merges(
                 size,
             }
         })
-        .collect();
-    Dendrogram::new(n_leaves, merges)
+        .collect()
 }
 
 #[cfg(test)]

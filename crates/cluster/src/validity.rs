@@ -6,11 +6,10 @@
 //! it over dendrogram cuts, and the suite-analysis facade recommends a
 //! cluster count from that sweep.
 
-use std::collections::HashMap;
-
 use hiermeans_linalg::distance::{pairwise, Metric};
 use hiermeans_linalg::Matrix;
 
+use crate::cells::Cells;
 use crate::{ClusterAssignment, ClusterError};
 
 // The per-pair reference silhouettes the cell kernel must match bit for
@@ -86,21 +85,10 @@ pub(crate) struct CellDistances {
 impl CellDistances {
     /// Groups `points` into cells and computes the cell-distance table.
     pub(crate) fn new(points: &Matrix) -> Result<Self, ClusterError> {
-        let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
-        let mut representatives = Vec::new();
-        let cell_of_row = (0..points.nrows())
-            .map(|i| {
-                let row = points.row(i);
-                let next = index.len();
-                *index
-                    .entry(row.iter().map(|x| x.to_bits()).collect())
-                    .or_insert_with(|| {
-                        representatives.extend_from_slice(row);
-                        next
-                    })
-            })
-            .collect();
-        let representatives = Matrix::from_vec(index.len(), points.ncols(), representatives)?;
+        let Cells {
+            cell_of_row,
+            representatives,
+        } = Cells::new(points)?;
         Ok(CellDistances {
             cell_of_row,
             table: pairwise(&representatives, Metric::Euclidean)?,

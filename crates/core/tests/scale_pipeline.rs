@@ -1,9 +1,11 @@
-//! End-to-end naive ≡ NN-chain equivalence and large-n recovery.
+//! End-to-end naive ≡ NN-chain ≡ cell-level equivalence and large-n
+//! recovery.
 //!
-//! Two gates for the NN-chain path:
+//! Three gates for the large-n clustering path:
 //!
 //! 1. On the map positions of the paper's three studies, the naive loop
-//!    ([`cluster_from_distances`], the one the 13-row studies run) and
+//!    ([`cluster_from_distances`], whose dendrogram the 13-row studies
+//!    reproduce over their occupied cells) and
 //!    NN-chain ([`cluster_nn_chain_owned`], the one `cluster` runs from 128
 //!    rows on) must be bit-for-bit identical — dendrogram, every paper
 //!    cut, and the merge-loop trace fingerprint. Complete linkage is a
@@ -12,12 +14,16 @@
 //! 2. At n ≈ 2k — far past where the naive loop is practical — the scaled
 //!    pipeline, which runs NN-chain, must still recover planted structure
 //!    from a synthetic Gaussian mixture.
+//! 3. The scaled pipeline clusters occupied map cells, not rows. Its merge
+//!    heights and every cut into k ≤ U clusters (U = occupied cells) must
+//!    equal the row-level path's: NN-chain over every row's distances.
 
 use hiermeans_cluster::agglomerative::cluster_from_distances;
 use hiermeans_cluster::nnchain::cluster_nn_chain_owned;
+use hiermeans_cluster::{Dendrogram, Linkage};
 use hiermeans_core::analysis::{SuiteAnalysis, K_RANGE};
 use hiermeans_core::pipeline::{run_pipeline, PipelineConfig};
-use hiermeans_linalg::distance::pairwise_norm_trick;
+use hiermeans_linalg::distance::{pairwise_norm_trick, Metric};
 use hiermeans_obs::Collector;
 use hiermeans_workload::measurement::Characterization;
 use hiermeans_workload::synthetic::{gaussian_mixture, MixtureSpec};
@@ -63,6 +69,34 @@ fn nn_chain_matches_naive_on_all_paper_studies() {
             chain_trace.report().unwrap().fingerprint(),
             "{label}: merge-loop trace fingerprints diverged"
         );
+    }
+}
+
+#[test]
+fn scaled_pipeline_cuts_match_the_row_level_path() {
+    for n in [256, 1024] {
+        for seed in [1, 2] {
+            let planted = gaussian_mixture(&MixtureSpec::separated(n, 16, 8, seed)).unwrap();
+            let result = run_pipeline(&planted.points, &PipelineConfig::scaled(n)).unwrap();
+            let positions = result.positions();
+            let dist = pairwise_norm_trick(positions, Metric::Euclidean, None).unwrap();
+            let rows =
+                cluster_nn_chain_owned(dist, Linkage::Complete, &Collector::disabled()).unwrap();
+            let cells = result.dendrogram();
+            let heights = |d: &Dendrogram| -> Vec<u64> {
+                d.merges().iter().map(|m| m.distance.to_bits()).collect()
+            };
+            assert_eq!(heights(cells), heights(&rows), "n = {n}, seed {seed}");
+            let u = 1 + cells.merges().iter().filter(|m| m.distance > 0.0).count();
+            assert!(u < n / 4, "n = {n}, seed {seed}: {u} occupied cells");
+            for k in 1..=u {
+                assert_eq!(
+                    cells.cut_into(k).unwrap(),
+                    rows.cut_into(k).unwrap(),
+                    "n = {n}, seed {seed}: cut at k = {k} of U = {u}"
+                );
+            }
+        }
     }
 }
 

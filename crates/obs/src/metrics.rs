@@ -44,11 +44,13 @@ pub enum Counter {
     /// Batch BMU searches that fell back to the exact scan because the
     /// drift bound could not certify the cached BMU.
     BmuExactRescans,
+    /// Distinct rows (occupied cells) the agglomerative linkage ran over.
+    ClusterCells,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 10] = [
+    pub const ALL: [Counter; 11] = [
         Counter::BmuSearches,
         Counter::DistanceEvaluations,
         Counter::KernelEvaluations,
@@ -59,6 +61,7 @@ impl Counter {
         Counter::FeaturesDropped,
         Counter::BmuWarmHits,
         Counter::BmuExactRescans,
+        Counter::ClusterCells,
     ];
 
     /// Stable snake_case name used in `OBS_trace.json`.
@@ -74,6 +77,7 @@ impl Counter {
             Counter::FeaturesDropped => "features_dropped",
             Counter::BmuWarmHits => "bmu_warm_hits",
             Counter::BmuExactRescans => "bmu_exact_rescans",
+            Counter::ClusterCells => "cluster_cells",
         }
     }
 
