@@ -7,16 +7,23 @@
 //! comparison isolates scheduling overhead and speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hiermeans_bench::perf::{synthetic_vectors, DIMS, SIZES};
+use hiermeans_bench::scale::mixture;
 use hiermeans_linalg::distance::{pairwise, pairwise_serial, Metric};
 use hiermeans_linalg::parallel;
 use hiermeans_som::{SomBuilder, TrainingMode};
+
+/// Workload counts: 13 is the paper's suite size, the larger sizes show
+/// where threading pays off.
+const SIZES: [usize; 3] = [13, 128, 1024];
+
+/// Dimensionality of the synthetic characteristic vectors.
+const DIMS: usize = 32;
 
 fn bench_pairwise(c: &mut Criterion) {
     let mut group = c.benchmark_group("pairwise");
     group.sample_size(10);
     for n in SIZES {
-        let data = synthetic_vectors(n, DIMS);
+        let data = mixture(n, DIMS);
         group.bench_function(BenchmarkId::new("reference", n), |b| {
             b.iter(|| pairwise_serial(std::hint::black_box(&data), Metric::Euclidean).unwrap())
         });
@@ -36,7 +43,7 @@ fn bench_som_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("som_batch");
     group.sample_size(10);
     for n in SIZES {
-        let data = synthetic_vectors(n, DIMS);
+        let data = mixture(n, DIMS);
         let train = |data: &hiermeans_linalg::Matrix| {
             SomBuilder::new(10, 10)
                 .seed(7)

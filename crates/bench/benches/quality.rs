@@ -7,11 +7,11 @@
 //! take roughly half the time of the separate calls.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hiermeans_bench::perf::synthetic_vectors;
+use hiermeans_bench::scale::mixture;
 use hiermeans_som::{quality, SomBuilder, TrainingMode};
 
 fn bench_quality(c: &mut Criterion) {
-    let data = synthetic_vectors(256, 16);
+    let data = mixture(256, 16);
     let som = SomBuilder::new(10, 10)
         .seed(11)
         .epochs(5)

@@ -6,18 +6,11 @@
 //!                    table4 table5 table6 all
 //!   extensions:      merger jackknife means-family duplication correlation
 //!                    mica evaluation json-reports extensions
-//!   performance:     bench-pipeline [--baseline <file>]
-//!                    (writes BENCH_pipeline.json; with --baseline, exits
-//!                    nonzero when any stage median regresses > 25% and
-//!                    > 0.5 ms over the stored report)
-//!                    bench-kernels (writes BENCH_kernels.json with the
-//!                    scalar-vs-blocked kernel speedups)
-//!                    bench-scale [--baseline <file>]
+//!   performance:     bench-scale [--baseline <file>]
 //!                    (writes BENCH_scale.json with the large-n scaling
-//!                    curves — naive vs NN-chain merge loops and
-//!                    heuristic-grid batch SOM; with --baseline, exits
-//!                    nonzero when any row regresses > 50% and > 250 ms
-//!                    over the stored report)
+//!                    curves of the naive and NN-chain merge loops; with
+//!                    --baseline, exits nonzero when any row regresses
+//!                    > 50% and > 250 ms over the stored report)
 //!                    bench-som [--baseline <file>]
 //!                    (writes BENCH_som.json with the warm-vs-cold batch
 //!                    SOM epoch-throughput curve at n = 1k/10k/100k and
@@ -47,8 +40,9 @@
 //!                    duration; hosting changes no artifact bytes
 //!                    watch [addr] (attaches to a --live run's /events
 //!                    stream and renders progress rows until the run ends)
-//!   run history:     trace/profile/bench-pipeline/bench-scale/bench-som
-//!                    each append one compact record to OBS_history.jsonl
+//!   run history:     trace/profile/bench-scale/bench-som each append one
+//!                    compact record (kind trace, profile, bench_scale or
+//!                    bench_som) to OBS_history.jsonl
 //!                    history [--gate] (renders the trend table over the
 //!                    store; with --gate, judges the latest run of each
 //!                    kind against the rolling median + k·MAD window of
@@ -85,8 +79,8 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use hiermeans_bench::{
-    check, experiments, extensions, faults, history, kernels, live_client, perf, profile, scale,
-    som, store_cli, trace,
+    check, experiments, extensions, faults, history, live_client, profile, scale, som, store_cli,
+    trace,
 };
 use hiermeans_obs::LiveServer;
 use hiermeans_workload::measurement::Characterization;
@@ -100,23 +94,11 @@ use hiermeans_workload::Machine;
 static ALLOC: hiermeans_obs::memhook::TrackingAlloc = hiermeans_obs::memhook::TrackingAlloc;
 
 fn run(artifact: &str) -> Result<String, String> {
-    if artifact == "bench-pipeline" {
-        return run_bench_pipeline(None);
-    }
     if artifact == "bench-scale" {
         return run_bench_scale(None, None);
     }
     if artifact == "bench-som" {
         return run_bench_som(None, None);
-    }
-    if artifact == "bench-kernels" {
-        return kernels::bench_kernels_json()
-            .and_then(|json| {
-                std::fs::write("BENCH_kernels.json", &json)
-                    .map_err(|e| format!("writing BENCH_kernels.json: {e}"))?;
-                Ok(format!("wrote BENCH_kernels.json\n{json}"))
-            })
-            .map_err(|e| format!("bench-kernels failed: {e}"));
     }
     if artifact == "trace" {
         return run_trace(None, None);
@@ -184,39 +166,10 @@ fn run(artifact: &str) -> Result<String, String> {
     result.map_err(|e| format!("{artifact} failed: {e}"))
 }
 
-/// Runs the pipeline benches, writes `BENCH_pipeline.json`, and — when a
-/// baseline file is given — applies the regression gate: any stage median
-/// more than 25% (and 0.5 ms) over the baseline's fails the run.
-fn run_bench_pipeline(baseline: Option<&str>) -> Result<String, String> {
-    // Parse the baseline before benching (and before the fresh report
-    // lands on disk): the committed baseline conventionally lives at
-    // BENCH_pipeline.json itself, which the write below replaces.
-    let base: Option<perf::PipelineBenchReport> = baseline
-        .map(|path| {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("bench-pipeline: cannot read baseline {path}: {e}"))?;
-            serde_json::from_str(&text)
-                .map_err(|e| format!("bench-pipeline: parsing baseline {path}: {e}"))
-        })
-        .transpose()?;
-    let report = perf::bench_pipeline();
-    let json =
-        serde_json::to_string_pretty(&report).map_err(|e| format!("bench-pipeline failed: {e}"))?;
-    std::fs::write("BENCH_pipeline.json", &json)
-        .map_err(|e| format!("writing BENCH_pipeline.json: {e}"))?;
-    let appended = history::append(&history::record_from_pipeline_bench(&report))?;
-    let mut out = format!("wrote BENCH_pipeline.json\n{appended}\n{json}");
-    if let (Some(path), Some(base)) = (baseline, base) {
-        let table = perf::compare_with_baseline(&report, &base)?;
-        out.push_str(&format!("\nregression gate vs {path}: ok\n{table}"));
-    }
-    Ok(out)
-}
-
-/// Runs the scaling curves (naive vs NN-chain merge loops, heuristic-grid
-/// batch SOM), writes `BENCH_scale.json`, and — when a baseline file is
-/// given — applies the scale regression gate: any curve row more than 50%
-/// (and 250 ms) over the baseline's fails the run.
+/// Runs the scaling curves (naive vs NN-chain merge loops), writes
+/// `BENCH_scale.json`, and — when a baseline file is given — applies the
+/// scale regression gate: any curve row more than 50% (and 250 ms) over the
+/// baseline's fails the run.
 fn run_bench_scale(baseline: Option<&str>, live_addr: Option<&str>) -> Result<String, String> {
     // Parse the baseline before benching: the committed baseline
     // conventionally lives at BENCH_scale.json itself, which the write
@@ -464,9 +417,7 @@ fn main() -> ExitCode {
             "usage: repro <artifact>...\n  paper artifacts: table1 table2 table3 fig3 fig4 \
              fig5 fig6 fig7 fig8 table4 table5 table6 all\n  extensions: merger jackknife \
              means-family duplication correlation mica evaluation json-reports extensions\n  \
-             performance: bench-pipeline [--baseline <file>] (writes BENCH_pipeline.json), \
-             bench-kernels (writes BENCH_kernels.json), \
-             bench-scale [--baseline <file>] [--live [addr]] (writes BENCH_scale.json), \
+             performance: bench-scale [--baseline <file>] [--live [addr]] (writes BENCH_scale.json), \
              bench-som [--baseline <file>] [--live [addr]] (writes BENCH_som.json with \
              the warm-vs-cold epoch-throughput curve and the n = 10^6 streaming row)\n  \
              observability: trace [--prom <file>] [--live [addr]] (writes OBS_trace.json), \
@@ -475,7 +426,9 @@ fn main() -> ExitCode {
              live telemetry: --live [addr] (default 127.0.0.1:9184) hosts /metrics, \
              /healthz, /readyz, /trace, and /events (SSE) for the run's duration; \
              watch [addr] renders a --live run's progress stream\n  \
-             run history: history [--gate] (trend table over OBS_history.jsonl; \
+             run history: trace, profile, bench-scale and bench-som each append a \
+             record (kind trace, profile, bench_scale or bench_som) to OBS_history.jsonl; \
+             history [--gate] (trend table over the store; \
              --gate fails on statistical regressions), \
              report (writes OBS_report.html), check-report <file>\n  \
              robustness: faults (writes OBS_faults.json), check <file>\n  \
@@ -526,7 +479,7 @@ fn main() -> ExitCode {
             )
         } else if matches!(
             artifact.as_str(),
-            "trace" | "profile" | "bench-pipeline" | "bench-scale" | "bench-som"
+            "trace" | "profile" | "bench-scale" | "bench-som"
         ) {
             // These subcommands take flags in any order: --baseline <file>
             // (benches), --prom <file> (trace), --live [addr] (all the
@@ -552,7 +505,7 @@ fn main() -> ExitCode {
                         };
                         prom = Some(path);
                     }
-                    Some("--live") if artifact != "bench-pipeline" => {
+                    Some("--live") => {
                         args.next();
                         live = Some(live_client::take_live_addr(&mut args));
                     }
@@ -562,9 +515,6 @@ fn main() -> ExitCode {
             match artifact.as_str() {
                 "trace" => run_guarded(|| run_trace(prom.as_deref(), live.as_deref()), "trace"),
                 "profile" => run_guarded(|| run_profile(live.as_deref()), "profile"),
-                "bench-pipeline" => {
-                    run_guarded(|| run_bench_pipeline(baseline.as_deref()), "bench-pipeline")
-                }
                 "bench-scale" => run_guarded(
                     || run_bench_scale(baseline.as_deref(), live.as_deref()),
                     "bench-scale",

@@ -1,16 +1,18 @@
 //! Run-history glue: one compact [`RunRecord`] per repro artifact run.
 //!
-//! Each timing artifact (`repro trace`, `repro profile`,
-//! `repro bench-pipeline`, `repro bench-scale`) distills its full report
-//! into a flat record of `(key, value, unit)` samples and appends it to the
-//! append-only store at [`HISTORY_PATH`]. `repro history` renders the trend
-//! table over the store, and `repro history --gate` judges the latest run
-//! of each kind against the rolling window of prior comparable runs (see
+//! Each timing artifact (`repro trace`, `repro profile`, `repro bench-scale`,
+//! `repro bench-som`) distills its full report into a flat record of
+//! `(key, value, unit)` samples and appends it to the append-only store at
+//! [`HISTORY_PATH`] under the kind `trace`, `profile`, `bench_scale` or
+//! `bench_som`. `repro history` renders the trend table over the store, and
+//! `repro history --gate` judges the latest run of each kind against the
+//! rolling window of prior comparable runs (see
 //! [`hiermeans_obs::history::gate`]).
 //!
 //! Keys are stable join points, not display strings: stage samples reuse
 //! the span names from [`hiermeans_obs::stages`], bench samples encode the
-//! `(stage, n, variant)` coordinates the gate must compare across runs.
+//! curve coordinates (`algorithm/n=…`, `som/n=…/cold`) the gate must
+//! compare across runs.
 
 use std::path::Path;
 
@@ -18,12 +20,11 @@ use hiermeans_linalg::parallel;
 use hiermeans_obs::history::{append_record, median, RunRecord};
 use hiermeans_obs::{stages, TraceDocument};
 
-use crate::perf::PipelineBenchReport;
 use crate::scale::ScaleBenchReport;
 use crate::som::SomBenchReport;
 
 /// The on-disk history store, conventionally committed alongside the
-/// `BENCH_*.json` baselines.
+/// `BENCH_scale.json` and `BENCH_som.json` baselines.
 pub const HISTORY_PATH: &str = "OBS_history.jsonl";
 
 /// Distills a `repro trace` document: per-stage median span durations,
@@ -116,22 +117,6 @@ fn record_from_document(kind: &str, document: &TraceDocument) -> RunRecord {
     record
 }
 
-/// Distills a `repro bench-pipeline` report: one gated `ms` sample per
-/// `(stage, n, serial|parallel)` coordinate.
-#[must_use]
-pub fn record_from_pipeline_bench(report: &PipelineBenchReport) -> RunRecord {
-    let mut record = RunRecord::new("bench_pipeline", report.workers);
-    for t in &report.results {
-        record.push(format!("{}/n={}/serial", t.stage, t.n), t.serial_ms, "ms");
-        record.push(
-            format!("{}/n={}/parallel", t.stage, t.n),
-            t.parallel_ms,
-            "ms",
-        );
-    }
-    record
-}
-
 /// Distills a `repro bench-scale` report: one gated `ms` sample per
 /// `(algorithm, n)` curve row.
 #[must_use]
@@ -191,7 +176,6 @@ pub fn append(record: &RunRecord) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::StageTiming;
     use crate::scale::ScaleTiming;
     use hiermeans_obs::{Collector, ObsConfig, StudyTrace};
 
@@ -249,27 +233,6 @@ mod tests {
             .any(|s| s.key.ends_with("/peak_bytes"));
         let hooked = hiermeans_obs::memhook::hook_installed();
         assert_eq!(has_stage_peaks, hooked);
-    }
-
-    #[test]
-    fn pipeline_bench_record_encodes_stage_size_variant_keys() {
-        let report = PipelineBenchReport {
-            workers: 4,
-            sizes: vec![13],
-            meta: None,
-            results: vec![StageTiming {
-                stage: "pipeline".into(),
-                n: 13,
-                serial_ms: 2.0,
-                parallel_ms: 1.0,
-                speedup: 2.0,
-            }],
-        };
-        let record = record_from_pipeline_bench(&report);
-        assert_eq!(record.kind, "bench_pipeline");
-        assert_eq!(record.sample("pipeline/n=13/serial"), Some(2.0));
-        assert_eq!(record.sample("pipeline/n=13/parallel"), Some(1.0));
-        assert!(record.samples.iter().all(|s| s.unit == "ms"));
     }
 
     #[test]

@@ -13,9 +13,7 @@ pub mod experiments;
 pub mod extensions;
 pub mod faults;
 pub mod history;
-pub mod kernels;
 pub mod live_client;
-pub mod perf;
 pub mod profile;
 pub mod scale;
 pub mod som;

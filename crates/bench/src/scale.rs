@@ -7,7 +7,6 @@
 //! * `naive` / `nnchain_active` — the O(n³)-scan naive merge loop against
 //!   NN-chain (whose scan walks a compact list of active slots), over a
 //!   materialized distance matrix (complete linkage).
-//! * `som_scaled` — batch SOM training on the heuristic `≈5·√n` grid.
 //!
 //! A committed baseline turns the curves into a regression gate
 //! ([`compare_with_scale_baseline`]): generous tolerances, because these
@@ -19,7 +18,6 @@ use hiermeans_cluster::{agglomerative, nnchain, Linkage};
 use hiermeans_linalg::distance::{pairwise, Metric};
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
-use hiermeans_som::{SomBuilder, TrainingMode};
 use hiermeans_workload::synthetic::{gaussian_mixture, MixtureSpec};
 use serde::{Deserialize, Serialize};
 
@@ -67,9 +65,17 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
-pub(crate) fn mixture(n: usize, dim: usize) -> Matrix {
-    // The planted structure is irrelevant to the timings; the seeded
-    // generator just guarantees identical inputs run to run.
+/// The seeded `n × dim` input every timing harness in this crate measures
+/// on (the scale and SOM curves and the criterion benches): a
+/// well-separated eight-cluster Gaussian mixture. The planted structure is
+/// irrelevant to the timings; the seed just guarantees identical inputs
+/// run to run.
+///
+/// # Panics
+///
+/// If `n` < 8 or `dim` is 0 (an invalid mixture spec).
+#[must_use]
+pub fn mixture(n: usize, dim: usize) -> Matrix {
     gaussian_mixture(&MixtureSpec::separated(n, dim, 8, 0x5CA1E))
         .expect("valid mixture spec")
         .points
@@ -119,25 +125,6 @@ pub fn bench_scale() -> ScaleBenchReport {
                     &Collector::disabled(),
                 )
                 .expect("valid matrix")
-            }),
-        );
-    }
-
-    // Batch SOM on the heuristic grid at 10k rows.
-    {
-        let (n, dim) = (10_000usize, 8usize);
-        let points = mixture(n, dim);
-        push(
-            "som_scaled",
-            n,
-            dim,
-            best_of(1, || {
-                SomBuilder::heuristic_grid(n)
-                    .seed(7)
-                    .epochs(3)
-                    .mode(TrainingMode::Batch)
-                    .train(&points)
-                    .expect("finite mixture")
             }),
         );
     }
@@ -255,11 +242,11 @@ mod tests {
 
     #[test]
     fn report_roundtrips_through_json() {
-        let r = report(&[("som_scaled", 10_000, 460.0)]);
+        let r = report(&[("nnchain_active", 2_000, 51.0)]);
         let json = serde_json::to_string_pretty(&r).unwrap();
         let back: ScaleBenchReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.results[0].algorithm, "som_scaled");
-        assert_eq!(back.results[0].n, 10_000);
+        assert_eq!(back.results[0].algorithm, "nnchain_active");
+        assert_eq!(back.results[0].n, 2_000);
     }
 
     #[test]

@@ -3,16 +3,28 @@
 //! drive them.
 //!
 //! The gate scenarios mirror the acceptance criteria: a synthetic history
-//! whose latest run doubled a stage timing must FAIL, while a history of
-//! deterministic run-to-run jitter must PASS. Both use fixed LCG seeds so
-//! the verdicts are reproducible.
+//! whose latest run doubled every stage timing must FAIL, while a history
+//! of deterministic run-to-run jitter must PASS. Both use fixed LCG seeds
+//! so the verdicts are reproducible. The records are `trace` records keyed
+//! by the real span names, the same shape `repro trace` appends.
 
 use std::path::PathBuf;
 
-use hiermeans_bench::history::{record_from_pipeline_bench, HISTORY_PATH};
-use hiermeans_bench::perf::{PipelineBenchReport, StageTiming};
+use hiermeans_bench::history::{record_from_trace, HISTORY_PATH};
+use hiermeans_bench::trace::paper_trace_document;
 use hiermeans_obs::dashboard;
-use hiermeans_obs::history::{append_record, gate, load_history, trend_table, GateConfig};
+use hiermeans_obs::history::{
+    append_record, gate, load_history, trend_table, GateConfig, RunRecord,
+};
+use hiermeans_obs::stages;
+
+/// The per-stage paper-study timings `history --gate` holds CI to, with a
+/// typical duration in microseconds for the synthetic stores.
+const GATED_STAGES: [(&str, f64); 3] = [
+    (stages::PIPELINE, 80_000.0),
+    (stages::SOM_TRAIN, 60_000.0),
+    (stages::CLUSTER_PAIRWISE, 2_500.0),
+];
 
 /// ±4% deterministic jitter around `base`, varying per run index.
 fn jittered(base: f64, state: &mut u64) -> f64 {
@@ -23,34 +35,25 @@ fn jittered(base: f64, state: &mut u64) -> f64 {
     base * (0.96 + 0.08 * unit)
 }
 
-fn report_with(serial_ms: f64, parallel_ms: f64) -> PipelineBenchReport {
-    PipelineBenchReport {
-        workers: 4,
-        sizes: vec![1024],
-        meta: None,
-        results: vec![StageTiming {
-            stage: "pipeline".into(),
-            n: 1024,
-            serial_ms,
-            parallel_ms,
-            speedup: serial_ms / parallel_ms,
-        }],
+/// A `trace` record with one `us` sample per gated stage, each scaled by
+/// `factor`.
+fn trace_record(factor: f64, state: &mut u64) -> RunRecord {
+    let mut record = RunRecord::new("trace", 4);
+    for (stage, base_us) in GATED_STAGES {
+        record.push(stage, jittered(base_us, state) * factor, "us");
     }
+    record
 }
 
-/// A store of `runs` jittered bench_pipeline records, the last one scaled
-/// by `last_factor`, written to a scratch JSONL file.
+/// A store of `runs` jittered trace records, the last one scaled by
+/// `last_factor`, written to a scratch JSONL file.
 fn synthetic_store(name: &str, runs: usize, last_factor: f64, seed: u64) -> PathBuf {
     let path = std::env::temp_dir().join(format!("hiermeans_history_{name}_{seed}.jsonl"));
     let _ = std::fs::remove_file(&path);
     let mut state = seed;
     for i in 0..runs {
         let factor = if i == runs - 1 { last_factor } else { 1.0 };
-        let report = report_with(
-            jittered(80.0, &mut state) * factor,
-            jittered(25.0, &mut state) * factor,
-        );
-        append_record(&path, &record_from_pipeline_bench(&report)).unwrap();
+        append_record(&path, &trace_record(factor, &mut state)).unwrap();
     }
     path
 }
@@ -87,9 +90,10 @@ fn trend_table_names_every_gateable_metric() {
     let path = synthetic_store("trend", 6, 1.0, 0x5EED_0003);
     let records = load_history(&path).unwrap().records;
     let table = trend_table(&records);
-    assert!(table.contains("bench_pipeline"), "{table}");
-    assert!(table.contains("pipeline/n=1024/serial"), "{table}");
-    assert!(table.contains("pipeline/n=1024/parallel"), "{table}");
+    assert!(table.contains("trace"), "{table}");
+    for (stage, _) in GATED_STAGES {
+        assert!(table.contains(stage), "{stage} missing:\n{table}");
+    }
     let _ = std::fs::remove_file(&path);
 }
 
@@ -112,7 +116,7 @@ fn dashboard_payload_round_trips_through_run_records() {
 
 #[test]
 fn glue_records_carry_provenance_meta() {
-    let record = record_from_pipeline_bench(&report_with(80.0, 25.0));
+    let record = trace_record(1.0, &mut 0x5EED_0005);
     assert!(!record.meta.git_rev.is_empty());
     assert!(!record.meta.host.is_empty());
     assert!(!record.meta.cargo_profile.is_empty());
@@ -120,6 +124,30 @@ fn glue_records_carry_provenance_meta() {
         record.schema_version,
         hiermeans_obs::history::HISTORY_SCHEMA_VERSION
     );
+}
+
+/// The paper-study timing gate lives in `history --gate` over `repro
+/// trace` records. A renamed or dropped span would silently take its stage
+/// out of that gate, so the real traced studies must yield a gated `us`
+/// sample for every stage it holds.
+#[test]
+fn paper_trace_record_carries_the_gated_stage_timings() {
+    let document = paper_trace_document().unwrap();
+    let record = record_from_trace(&document);
+    assert_eq!(record.kind, "trace");
+    for (stage, _) in GATED_STAGES {
+        let sample = record
+            .samples
+            .iter()
+            .find(|s| s.key == stage)
+            .unwrap_or_else(|| panic!("no {stage} sample in {:?}", record.samples));
+        assert_eq!(sample.unit, "us", "{stage} must be a gated timing");
+        assert!(
+            sample.value.is_finite() && sample.value >= 0.0,
+            "{stage}: {}",
+            sample.value
+        );
+    }
 }
 
 #[test]

@@ -69,6 +69,5 @@ pub mod report;
 pub mod resilient;
 pub mod robustness;
 pub mod score;
-pub mod subsetting;
 
 pub use error::CoreError;

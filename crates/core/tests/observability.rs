@@ -95,8 +95,9 @@ fn trace_fingerprint_identical_serial_vs_parallel() {
 fn every_stage_constant_appears_in_the_paper_trace() {
     // `stages::ALL` is the contract between `hiermeans_obs::stages` and the
     // instrumented pipeline: every constant must be a span the full paper
-    // study actually emits, so consumers (BENCH_pipeline.json, dashboards)
-    // can never reference a stage that silently drifted away.
+    // study actually emits, so consumers (run-history trace records, the
+    // `history --gate` stage timings, dashboards) can never reference a
+    // stage that silently drifted away.
     let collector = Collector::enabled();
     SuiteAnalysis::paper_with(Characterization::SarCounters(Machine::A), &collector).unwrap();
     let report = collector.report().unwrap();

@@ -232,7 +232,7 @@ const J_TILE: usize = 64;
 const K_UNROLL: usize = 8;
 
 /// The naive triple-loop matrix product, kept as the scalar reference for
-/// equivalence tests and the `BENCH_kernels.json` speedup baseline.
+/// equivalence tests and the `kernels` criterion bench's speedup baseline.
 ///
 /// This is byte-for-byte the loop [`Matrix::matmul`] ran before the blocked
 /// kernel existed (minus its skip of zero multiplicands, which only changed

@@ -9,8 +9,8 @@
 //! baseline.
 //!
 //! * [`BenchMeta`] — provenance stamped into every record AND into the
-//!   `BENCH_*.json` artifacts: git revision, host fingerprint, cargo
-//!   profile, capture time. A baseline from another machine now says so.
+//!   `BENCH_scale.json` and `BENCH_som.json` artifacts: git revision, host
+//!   fingerprint, cargo profile, capture time. A baseline from another machine now says so.
 //! * [`append_record`] / [`load_history`] — the JSONL store, read through
 //!   the shared truncation-tolerant scanner ([`crate::jsonl`]). Records
 //!   carry [`HISTORY_SCHEMA_VERSION`]; newer-versioned lines are a load
@@ -41,7 +41,8 @@ use serde::{Deserialize, Serialize};
 ///   `samples` list of (key, value, unit).
 pub const HISTORY_SCHEMA_VERSION: u32 = 1;
 
-/// Provenance stamped into run records and `BENCH_*.json` artifacts.
+/// Provenance stamped into run records and the `BENCH_scale.json` and
+/// `BENCH_som.json` artifacts.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BenchMeta {
     /// Version of this meta block itself (bumped independently of the
@@ -161,8 +162,8 @@ pub struct Sample {
 pub struct RunRecord {
     /// Record schema version ([`HISTORY_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Producing subcommand: `trace`, `profile`, `bench_pipeline`,
-    /// `bench_scale`.
+    /// Producing subcommand: `trace`, `profile`, `bench_scale`,
+    /// `bench_som`.
     pub kind: String,
     /// Worker count the run used.
     pub workers: usize,

@@ -212,7 +212,7 @@ impl TraceReport {
     }
 
     /// Durations (µs) of every span named `name`, in open order — the
-    /// shared timing source for `BENCH_pipeline.json`.
+    /// timing source of the per-stage run-history samples.
     #[must_use]
     pub fn span_durations_us(&self, name: &str) -> Vec<u64> {
         self.spans

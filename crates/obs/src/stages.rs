@@ -1,11 +1,12 @@
 //! The single source of stage names: every span and lane stage recorded by
 //! the workspace uses these constants.
 //!
-//! `perf.rs` (BENCH_pipeline.json) reads span durations by name, so a span
-//! rename at an instrumentation site used to silently desynchronize the
-//! perf gate from the trace. Centralizing the names makes drift a compile
-//! error, and [`ALL`] lets tests assert that each name still appears in a
-//! real paper-study trace.
+//! Run-history records key their per-stage timings by span name (`repro
+//! trace` appends them to `OBS_history.jsonl`, `repro history --gate`
+//! judges them), so a span rename at an instrumentation site would
+//! silently drop that stage from the gate. Centralizing the names makes
+//! drift a compile error, and [`ALL`] lets tests assert that each name
+//! still appears in a real paper-study trace.
 
 /// The whole-study analysis facade.
 pub const ANALYSIS: &str = "analysis";
