@@ -94,18 +94,6 @@ use hiermeans_workload::Machine;
 static ALLOC: hiermeans_obs::memhook::TrackingAlloc = hiermeans_obs::memhook::TrackingAlloc;
 
 fn run(artifact: &str) -> Result<String, String> {
-    if artifact == "bench-scale" {
-        return run_bench_scale(None, None);
-    }
-    if artifact == "bench-som" {
-        return run_bench_som(None, None);
-    }
-    if artifact == "trace" {
-        return run_trace(None, None);
-    }
-    if artifact == "profile" {
-        return run_profile(None);
-    }
     if artifact == "history" {
         return run_history(false);
     }
