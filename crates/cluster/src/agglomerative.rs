@@ -13,10 +13,13 @@
 //!
 //! [`cluster`] runs it over occupied cells, not rows: duplicate rows merge
 //! at height 0 and the loop sees the U distinct rows as sized leaves, so
-//! the pairwise matrix and the merge loop cost O(U²) memory and, for the
-//! NN-chain path, O(U²) time (the naive loop is O(U³)). At n = 16384 SOM
-//! positions U is about 400. Ties are broken toward the lexicographically
-//! smallest `(i, j)` pair so results are deterministic.
+//! the pairwise matrix and the merge loop cost O(U²) memory and, with
+//! NN-chain (every reducible linkage), O(U²) time; the naive loop here,
+//! O(U³), serves centroid and median linkage and is the test oracle. At
+//! n = 16384 SOM positions U is about 400. Ties are broken toward the
+//! lexicographically smallest `(i, j)` slot pair, a slot being the
+//! smallest leaf index a cluster holds, so results are deterministic;
+//! NN-chain keeps the same rule.
 
 use hiermeans_linalg::distance::{pairwise_norm_trick, Metric, PAIRWISE_CHUNKING};
 use hiermeans_linalg::Matrix;
@@ -25,15 +28,6 @@ use hiermeans_obs::{stages, Collector, Counter, CounterBuf, LaneBuf};
 use crate::cells::Cells;
 use crate::dendrogram::{Dendrogram, Merge};
 use crate::{nnchain, ClusterError, Linkage};
-
-/// Row count from which [`cluster`] runs NN-chain instead of the naive
-/// loop (for reducible linkages), whatever the number of cells. Speed does
-/// not set it: on the paper's 13-point studies both loops take about
-/// 2.3 µs, and NN-chain is already ahead at 32 points (`nnchain_vs_naive`
-/// bench). It keeps inputs below 128 points, which may hold tied merge
-/// distances that the two loops can order differently, on the naive loop
-/// they have always run.
-const NN_CHAIN_MIN_N: usize = 128;
 
 /// Clusters the rows of `points` and returns the full merge history.
 ///
@@ -58,10 +52,12 @@ const NN_CHAIN_MIN_N: usize = 128;
 ///
 /// The pairwise distances come from
 /// [`hiermeans_linalg::distance::pairwise_norm_trick`]. The merge loop is
-/// the NN-chain algorithm (as in [`nnchain::cluster_nn_chain_owned`]) when
-/// there are at least 128 rows and the linkage is reducible, and the naive
-/// loop (as in [`cluster_from_distances`]) otherwise. Both give the same
-/// dendrogram when merge distances are distinct.
+/// the NN-chain algorithm (as in [`nnchain::cluster_nn_chain_owned`]) for
+/// the reducible linkages and the naive loop (as in
+/// [`cluster_from_distances`]) for centroid and median linkage. NN-chain
+/// resolves tied heights by the naive loop's rule, so for complete
+/// linkage it gives the naive loop's dendrogram bit for bit, ties
+/// included.
 ///
 /// Observability: the run sits in a `cluster.agglomerate` span with a
 /// nested `cluster.pairwise` span (chunk lanes, the `cluster_cells`
@@ -123,9 +119,7 @@ pub fn cluster(
     for _ in sizes.len()..n {
         collector.record_merge(0.0);
     }
-    // The loop is chosen by the row count, not the cell count, so tied
-    // lattice distances resolve as they do on the row-level path.
-    let cell_merges = if n >= NN_CHAIN_MIN_N && nnchain::is_reducible(linkage) {
+    let cell_merges = if nnchain::is_reducible(linkage) {
         nnchain::nn_chain_merges(dist, &sizes, linkage, collector)?
     } else {
         naive_merges(dist, &sizes, linkage, collector)?
@@ -477,7 +471,7 @@ mod tests {
 
     #[test]
     fn duplicate_rows_merge_first_in_the_naive_loops_order() {
-        // Cells {0, 2, 5} and {1, 3}: below 128 rows the expanded
+        // Cells {0, 2, 5} and {1, 3}: for complete linkage the expanded
         // dendrogram is the row-level naive loop's, ids included.
         let pts = Matrix::from_rows(&[
             vec![0.0],
@@ -601,22 +595,36 @@ mod tests {
         }
     }
 
+    /// Deterministic points on a 4 × 4 integer lattice: duplicate rows and
+    /// tied merge heights everywhere.
+    fn lattice(n: usize) -> Matrix {
+        let rows: Vec<Vec<f64>> = (0..n as u64)
+            .map(|i| {
+                let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59;
+                vec![(x % 4) as f64, (x / 4 % 4) as f64]
+            })
+            .collect();
+        Matrix::from_rows(&rows).unwrap()
+    }
+
     #[test]
-    fn complete_linkage_matches_the_naive_loop_on_both_sides_of_the_threshold() {
-        for n in [NN_CHAIN_MIN_N - 1, NN_CHAIN_MIN_N] {
-            let pts = scattered(n);
-            let dist = pairwise_norm_trick(&pts, Metric::Euclidean, None).unwrap();
-            let traced = Collector::enabled();
-            let d = cluster(&pts, Metric::Euclidean, Linkage::Complete, &traced).unwrap();
-            let oracle_trace = Collector::enabled();
-            let naive = cluster_from_distances(&dist, Linkage::Complete, &oracle_trace).unwrap();
-            assert_eq!(merge_bits(&d), merge_bits(&naive), "n = {n}");
-            // The recorded merge trajectory is the naive loop's, bit for bit.
-            let bits = |c: &Collector| -> Vec<u64> {
-                let report = c.report().unwrap();
-                report.merge_distances.iter().map(|v| v.to_bits()).collect()
-            };
-            assert_eq!(bits(&traced), bits(&oracle_trace), "n = {n}");
+    fn complete_linkage_matches_the_naive_loop_at_every_size() {
+        for n in [2, 13, 127, 128, 200] {
+            for pts in [scattered(n), lattice(n)] {
+                let dist = pairwise_norm_trick(&pts, Metric::Euclidean, None).unwrap();
+                let traced = Collector::enabled();
+                let d = cluster(&pts, Metric::Euclidean, Linkage::Complete, &traced).unwrap();
+                let oracle_trace = Collector::enabled();
+                let naive =
+                    cluster_from_distances(&dist, Linkage::Complete, &oracle_trace).unwrap();
+                assert_eq!(merge_bits(&d), merge_bits(&naive), "n = {n}");
+                // The recorded merge trajectory is the naive loop's, bit for bit.
+                let bits = |c: &Collector| -> Vec<u64> {
+                    let report = c.report().unwrap();
+                    report.merge_distances.iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&traced), bits(&oracle_trace), "n = {n}");
+            }
         }
     }
 }

@@ -14,8 +14,8 @@
 //! * [`agglomerative`] — the clustering entry point, [`agglomerative::cluster`],
 //!   and the naive merge loop producing a [`Dendrogram`]. `cluster` groups
 //!   duplicate rows into occupied cells and links the U cells as sized
-//!   leaves (O(U²) memory), running NN-chain from 128 rows on when the
-//!   linkage is reducible and the naive loop otherwise.
+//!   leaves (O(U²) memory), running NN-chain when the linkage is
+//!   reducible and the naive loop otherwise.
 //! * [`nnchain`] — the O(n²) NN-chain algorithm for reducible linkages.
 //! * [`dendrogram`] — cutting at a merging distance or into exactly `k`
 //!   clusters, cophenetic distances, leaf ordering.

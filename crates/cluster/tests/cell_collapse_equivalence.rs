@@ -2,8 +2,8 @@
 //!
 //! [`cluster`] groups duplicate rows into cells and links the cells as
 //! sized leaves. The oracle is the row-level path it replaced:
-//! [`pairwise_norm_trick`] over every row, then NN-chain from 128 rows on
-//! for reducible linkages and the naive loop otherwise. Duplicate rows
+//! [`pairwise_norm_trick`] over every row, then NN-chain for reducible
+//! linkages and the naive loop otherwise. Duplicate rows
 //! merge at height 0 either way, so the two dendrograms may number those
 //! merges differently; every cut into k ≤ U clusters (U = occupied cells)
 //! and every merge height must still agree.
@@ -16,10 +16,8 @@
 //!   non-lattice points the heights agree within a tolerance and the cuts
 //!   exactly, as in `nnchain_equivalence.rs`.
 //!
-//! Both paths share NN-chain's tie handling, including its known failure
-//! on some tie-heavy lattices, where the chain walk revisits one of its
-//! own elements and the loop returns `ClusterError::Internal` (ROADMAP
-//! item 4). There the property is that both paths fail alike.
+//! Both paths must succeed on every input: NN-chain keeps its chain valid
+//! under ties, so no reducible linkage fails on a tie-heavy lattice.
 
 use std::collections::HashSet;
 
@@ -31,34 +29,27 @@ use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
 use proptest::prelude::*;
 
-/// The row count from which `cluster` runs NN-chain for reducible
-/// linkages (the crate's `NN_CHAIN_MIN_N`).
-const NN_CHAIN_MIN_N: usize = 128;
-
-/// The row-level dendrogram: one leaf per row, the loop chosen by n.
+/// The row-level dendrogram: one leaf per row, NN-chain for reducible
+/// linkages and the naive loop otherwise.
 fn row_oracle(pts: &Matrix, linkage: Linkage) -> Result<Dendrogram, ClusterError> {
     let dist = pairwise_norm_trick(pts, Metric::Euclidean, None).unwrap();
-    if pts.nrows() >= NN_CHAIN_MIN_N && is_reducible(linkage) {
+    if is_reducible(linkage) {
         cluster_nn_chain_owned(dist, linkage, &Collector::disabled())
     } else {
         cluster_from_distances(&dist, linkage, &Collector::disabled())
     }
 }
 
-/// The cell-level and row-level dendrograms, or the error both returned.
-fn both(pts: &Matrix, linkage: Linkage) -> Result<Option<(Dendrogram, Dendrogram)>, TestCaseError> {
+/// The cell-level and row-level dendrograms; both paths must succeed.
+fn both(pts: &Matrix, linkage: Linkage) -> Result<(Dendrogram, Dendrogram), TestCaseError> {
     let fast = cluster(pts, Metric::Euclidean, linkage, &Collector::disabled());
     match (fast, row_oracle(pts, linkage)) {
-        (Ok(fast), Ok(oracle)) => Ok(Some((fast, oracle))),
-        (fast, oracle) => {
-            prop_assert_eq!(
-                fast.err(),
-                oracle.err(),
-                "{}: only one path failed",
-                linkage
-            );
-            Ok(None)
-        }
+        (Ok(fast), Ok(oracle)) => Ok((fast, oracle)),
+        (fast, oracle) => Err(TestCaseError::fail(format!(
+            "{linkage}: cell-level path {:?}, row-level path {:?}",
+            fast.err(),
+            oracle.err()
+        ))),
     }
 }
 
@@ -79,15 +70,9 @@ fn plant_duplicates(data: &mut [f64], dim: usize, sources: &[usize], copy: &[u8]
     }
 }
 
-/// Row counts on both sides of the NN-chain switch: 3–47, or 120–191.
+/// Row counts from 3 to 191.
 fn row_count() -> impl Strategy<Value = usize> {
-    (0u8..2, 3usize..48, NN_CHAIN_MIN_N - 8..NN_CHAIN_MIN_N + 64).prop_map(|(large, small, big)| {
-        if large == 1 {
-            big
-        } else {
-            small
-        }
-    })
+    3usize..192
 }
 
 /// Points on a small integer lattice (SOM-position-like), with planted
@@ -140,9 +125,7 @@ proptest! {
         li in 0usize..3,
     ) {
         let linkage = [Linkage::Single, Linkage::Complete, Linkage::Weighted][li];
-        let Some((fast, oracle)) = both(&pts, linkage)? else {
-            return Ok(());
-        };
+        let (fast, oracle) = both(&pts, linkage)?;
         let bits = |d: &Dendrogram| -> Vec<u64> {
             d.merges().iter().map(|m| m.distance.to_bits()).collect()
         };
@@ -156,9 +139,7 @@ proptest! {
         li in 0usize..4,
     ) {
         let linkage = [Linkage::Average, Linkage::Ward, Linkage::Centroid, Linkage::Median][li];
-        let Some((fast, oracle)) = both(&pts, linkage)? else {
-            return Ok(());
-        };
+        let (fast, oracle) = both(&pts, linkage)?;
         for (a, b) in fast.merges().iter().zip(oracle.merges()) {
             prop_assert!(
                 (a.distance - b.distance).abs() <= 1e-9 * (1.0 + a.distance.abs()),

@@ -5,8 +5,24 @@
 //! naive closest-pair loop ([`cluster_from_distances`], the oracle)
 //! produces — same merge pairs, same merge distances, same cuts — on
 //! arbitrary continuous inputs, under both of the pipeline's Euclidean
-//! metrics. This is the property that lets `agglomerative::cluster` switch
-//! to NN-chain at 128 points without changing a single downstream number.
+//! metrics. This is the property that lets `agglomerative::cluster` run
+//! NN-chain at every size without changing a single downstream number.
+//!
+//! On integer lattices, where tied merge heights are the rule (SOM
+//! positions), NN-chain takes the naive loop's tie order:
+//!
+//! * complete linkage gives the naive dendrogram bit for bit, and so does
+//!   `cluster`, which links occupied cells;
+//! * single linkage gives the naive merge heights bit for bit and the same
+//!   clusters at every merge height;
+//! * no reducible linkage fails.
+//!
+//! A proptest checks this on every run. An ignored release sweep over
+//! 1200 seeded lattices × 5 linkages reaches the case counts at which the
+//! old chain walk's tie defect shows: single linkage failed with
+//! `ClusterError::Internal` on about 1 in 200 one-row-per-cell lattices.
+
+use std::collections::HashSet;
 
 use hiermeans_cluster::agglomerative::{cluster, cluster_from_distances};
 use hiermeans_cluster::nnchain::cluster_nn_chain_owned;
@@ -94,8 +110,7 @@ proptest! {
 }
 
 /// A larger deterministic instance than proptest should shrink over:
-/// n = 200, past the size at which `cluster` runs NN-chain, complete
-/// linkage (the paper's), both metrics.
+/// n = 200, complete linkage (the paper's), both metrics.
 #[test]
 fn matches_naive_at_n_200() {
     let n = 200;
@@ -129,5 +144,130 @@ fn centroid_and_median_rejected() {
             err.unwrap_err(),
             ClusterError::UnsupportedLinkage { linkage }
         );
+    }
+}
+
+/// An n × dim integer lattice from `coords`. With `planted`, row i is
+/// overwritten by a copy of the earlier row `sources[i] % i` wherever
+/// `copy[i]` is 1; without, repeated rows are dropped, leaving one row per
+/// occupied cell.
+fn lattice(
+    n: usize,
+    dim: usize,
+    coords: &[u8],
+    planted: bool,
+    sources: &[usize],
+    copy: &[u8],
+) -> Matrix {
+    let mut rows: Vec<Vec<f64>> = coords
+        .chunks(dim)
+        .map(|row| row.iter().map(|&c| f64::from(c)).collect())
+        .collect();
+    if planted {
+        for i in 1..n {
+            if copy[i] == 1 {
+                rows[i] = rows[sources[i] % i].clone();
+            }
+        }
+    } else {
+        let mut seen = HashSet::new();
+        rows.retain(|row| seen.insert(row.iter().map(|x| x.to_bits()).collect::<Vec<_>>()));
+    }
+    Matrix::from_rows(&rows).expect("rows share one width")
+}
+
+/// Lattices of 2–200 drawn rows in 1–3 dimensions, 2–14 values per axis:
+/// half with planted copies of earlier rows, half with one row per cell.
+fn tie_lattice() -> impl Strategy<Value = Matrix> {
+    (2usize..201, 1usize..4, 2u8..15, 0u8..2).prop_flat_map(|(n, dim, side, planted)| {
+        (
+            prop::collection::vec(0..side, n * dim),
+            prop::collection::vec(0usize..n, n),
+            prop::collection::vec(0u8..2, n),
+        )
+            .prop_map(move |(coords, sources, copy)| {
+                lattice(n, dim, &coords, planted == 1, &sources, &copy)
+            })
+    })
+}
+
+/// The tie contract of NN-chain against the naive loop on `pts`.
+fn tie_contract(pts: &Matrix, linkage: Linkage) -> Result<(), TestCaseError> {
+    let dist = pairwise_norm_trick(pts, Metric::Euclidean, None).unwrap();
+    let naive = cluster_from_distances(&dist, linkage, &Collector::disabled()).unwrap();
+    let chain = cluster_nn_chain_owned(dist, linkage, &Collector::disabled());
+    let chain = match chain {
+        Ok(chain) => chain,
+        Err(e) => {
+            return Err(TestCaseError::fail(format!(
+                "{linkage}: NN-chain failed: {e}"
+            )))
+        }
+    };
+    match linkage {
+        Linkage::Complete => {
+            prop_assert_eq!(&chain, &naive, "complete: NN-chain dendrogram");
+            let cells = cluster(pts, Metric::Euclidean, linkage, &Collector::disabled()).unwrap();
+            prop_assert_eq!(&cells, &naive, "complete: cell-level dendrogram");
+        }
+        Linkage::Single => {
+            let bits = |d: &Dendrogram| -> Vec<u64> {
+                d.merges().iter().map(|m| m.distance.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&chain), bits(&naive), "single: merge heights");
+            for h in naive.merge_distances() {
+                prop_assert_eq!(chain.cut_at(h), naive.cut_at(h), "single: cut at {}", h);
+            }
+        }
+        // Average, weighted and Ward heights round in merge order, so among
+        // tied merges the two loops may build different trees; the chain
+        // must still finish.
+        _ => {}
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn nn_chain_takes_the_naive_tie_order_on_lattices(
+        pts in tie_lattice(),
+        li in 0usize..REDUCIBLE.len(),
+    ) {
+        tie_contract(&pts, REDUCIBLE[li])?;
+    }
+}
+
+/// The tie contract over 1200 seeded lattices × every reducible linkage,
+/// drawn like [`tie_lattice`] but with 3–14 values per axis. Run in
+/// release: `cargo test --release -p hiermeans-cluster --test
+/// nnchain_equivalence -- --ignored`.
+#[test]
+#[ignore = "release-mode sweep; run with --ignored"]
+fn tie_sweep_over_1200_seeded_lattices() {
+    for seed in 0..1200u64 {
+        // SplitMix64.
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let n = 2 + next(199) as usize;
+        let dim = 1 + next(3) as usize;
+        let side = 3 + next(12);
+        let planted = next(2) == 1;
+        let coords: Vec<u8> = (0..n * dim).map(|_| next(side) as u8).collect();
+        let sources: Vec<usize> = (0..n).map(|_| next(n as u64) as usize).collect();
+        let copy: Vec<u8> = (0..n).map(|_| next(2) as u8).collect();
+        let pts = lattice(n, dim, &coords, planted, &sources, &copy);
+        for linkage in REDUCIBLE {
+            if let Err(e) = tie_contract(&pts, linkage) {
+                panic!("seed {seed} (n = {n}, dim = {dim}, side = {side}): {e}");
+            }
+        }
     }
 }

@@ -79,8 +79,8 @@ impl PipelineConfig {
     /// mode with a short epoch budget (each batch epoch sees every row, so
     /// dozens of passes converge where online needed hundreds). Clustering
     /// links the occupied map cells — about 5·√n at most, one per unit —
-    /// rather than the n rows, and runs NN-chain over them for inputs of
-    /// 128 rows or more ([`agglomerative::cluster`]).
+    /// rather than the n rows, with NN-chain for the reducible linkages
+    /// ([`agglomerative::cluster`]).
     pub fn scaled(n: usize) -> Self {
         let (som_width, som_height) = hiermeans_som::heuristic_map_size(n);
         PipelineConfig {

@@ -4,13 +4,13 @@
 //! Three gates for the large-n clustering path:
 //!
 //! 1. On the map positions of the paper's three studies, the naive loop
-//!    ([`cluster_from_distances`], whose dendrogram the 13-row studies
-//!    reproduce over their occupied cells) and
-//!    NN-chain ([`cluster_nn_chain_owned`], the one `cluster` runs from 128
-//!    rows on) must be bit-for-bit identical — dendrogram, every paper
-//!    cut, and the merge-loop trace fingerprint. Complete linkage is a
-//!    pure max selection, so the sorted NN-chain history is the naive
-//!    history exactly.
+//!    ([`cluster_from_distances`], the oracle) and NN-chain
+//!    ([`cluster_nn_chain_owned`], the loop `cluster` runs for complete
+//!    linkage) must be bit-for-bit identical to each other and to the
+//!    studies' dendrograms — every paper cut and the merge-loop trace
+//!    fingerprint included. Complete linkage is a pure max selection and
+//!    NN-chain emits its merges in the naive loop's tie order, so the
+//!    NN-chain history is the naive history exactly.
 //! 2. At n ≈ 2k — far past where the naive loop is practical — the scaled
 //!    pipeline, which runs NN-chain, must still recover planted structure
 //!    from a synthetic Gaussian mixture.
@@ -53,7 +53,7 @@ fn nn_chain_matches_naive_on_all_paper_studies() {
         assert_eq!(
             &naive,
             pipeline.dendrogram(),
-            "{label}: the naive loop is not the pipeline's path"
+            "{label}: the naive loop's dendrogram is not the pipeline's"
         );
         assert_eq!(naive, chain, "{label}: dendrograms diverged");
         let max_k = (*K_RANGE.end()).min(analysis.suite().len());
