@@ -11,8 +11,9 @@
 //! Two digests cover what the paper studies do not reach:
 //!
 //! * the `PipelineConfig::scaled(1024)` dendrogram on a planted mixture,
-//!   which takes the NN-chain path (n ≥ 128), and its cuts into every
-//!   k ≤ U = 57 clusters (one per occupied map cell);
+//!   with many tied merge heights, and its cuts into every k ≤ U = 57
+//!   clusters (one per occupied map cell), both checked against the naive
+//!   loop over every row;
 //! * `run_without_som` on raw characteristic vectors. Those are
 //!   non-integer inputs where the norm-trick and scalar pairwise kernels
 //!   differ in final ULPs, so the digest also pins which kernel runs.
@@ -23,7 +24,7 @@ use hiermeans_cluster::agglomerative::cluster_from_distances;
 use hiermeans_cluster::{Dendrogram, Linkage};
 use hiermeans_core::analysis::{paper_vectors, SuiteAnalysis, K_RANGE};
 use hiermeans_core::pipeline::{run_pipeline, run_without_som, PipelineConfig};
-use hiermeans_linalg::distance::{pairwise, Metric};
+use hiermeans_linalg::distance::{pairwise, pairwise_norm_trick, Metric};
 use hiermeans_obs::hash::{fnv1a64_hex, Fnv1a64};
 use hiermeans_obs::Collector;
 use hiermeans_workload::measurement::Characterization;
@@ -199,14 +200,20 @@ fn cuts_digest(d: &Dendrogram, max_k: usize) -> String {
 fn scaled_pipeline_dendrogram_matches_golden_digest() {
     let planted = gaussian_mixture(&MixtureSpec::separated(1024, 16, 8, 7)).unwrap();
     let result = run_pipeline(&planted.points, &PipelineConfig::scaled(1024)).unwrap();
-    assert_eq!(dendrogram_digest(result.dendrogram()), "490308904b65dc07");
+    assert_eq!(dendrogram_digest(result.dendrogram()), "ae50991133ac3f77");
     // Every cut into at most U = 57 clusters (one per occupied map cell).
     let positions = result.positions();
     let cells: HashSet<Vec<u64>> = (0..positions.nrows())
         .map(|i| positions.row(i).iter().map(|x| x.to_bits()).collect())
         .collect();
     assert_eq!(cells.len(), 57);
-    assert_eq!(cuts_digest(result.dendrogram(), 57), "2cb4060c2d3c36ea");
+    assert_eq!(cuts_digest(result.dendrogram(), 57), "5e794e1b5a588b03");
+    // The pins are the naive loop's: over every row's position it builds
+    // the same dendrogram, ids, heights and cuts included.
+    let config = PipelineConfig::scaled(1024);
+    let dist = pairwise_norm_trick(positions, config.metric, None).unwrap();
+    let naive = cluster_from_distances(&dist, config.linkage, &Collector::disabled()).unwrap();
+    assert_eq!(&naive, result.dendrogram());
 }
 
 #[test]
