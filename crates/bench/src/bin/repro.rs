@@ -12,13 +12,12 @@
 //!                    --baseline, exits nonzero when any row regresses
 //!                    > 50% and > 250 ms over the stored report)
 //!                    bench-som [--baseline <file>]
-//!                    (writes BENCH_som.json with the warm-vs-cold batch
-//!                    SOM epoch-throughput curve at n = 1k/10k/100k and
-//!                    the out-of-core streaming row at n = 10⁶ with its
-//!                    measured peak heap; always fails if the warm
-//!                    speedup collapses below 1.3x at n ≥ 10k, and with
-//!                    --baseline also gates each timed cell against the
-//!                    stored report at > 50% and > 250 ms)
+//!                    (writes BENCH_som.json with the batch SOM
+//!                    epoch-throughput curve at n = 1k/10k/100k and the
+//!                    out-of-core streaming row at n = 10⁶ with its
+//!                    measured peak heap; with --baseline, gates each
+//!                    timed row against the stored report at > 50% and
+//!                    > 250 ms)
 //!   observability:   trace [--prom <file>] [--live [addr]] (writes
 //!                    OBS_trace.json; exits nonzero if any study's SOM did
 //!                    not converge; with --prom, also writes the document
@@ -30,8 +29,8 @@
 //!                    check-trace <file> (validates a Chrome trace-event
 //!                    file's shape — every event has ph/ts/dur/tid — or,
 //!                    for an OBS_trace/OBS_profile document, the full
-//!                    schema: finite quality records, warm-hit-rate and
-//!                    memory blocks, meta and live stamps)
+//!                    schema: finite quality records, memory blocks,
+//!                    meta and live stamps)
 //!   live telemetry:  long-running runs (trace, profile, bench-scale,
 //!                    bench-som, submit, merge) accept --live [addr]
 //!                    (default 127.0.0.1:9184) to host in-process
@@ -192,10 +191,9 @@ fn run_bench_scale(baseline: Option<&str>, live_addr: Option<&str>) -> Result<St
     Ok(out)
 }
 
-/// Runs the warm-vs-cold SOM epoch-throughput curve and the out-of-core
-/// streaming row, writes `BENCH_som.json`, applies the warm speedup gate
-/// (the warm path must stay ≥ 1.3× at n ≥ 10 000), and — when a baseline
-/// file is given — gates each timed cell against it at > 50% and > 250 ms.
+/// Runs the SOM epoch-throughput curve and the out-of-core streaming row,
+/// writes `BENCH_som.json`, and — when a baseline file is given — gates
+/// each timed row against it at > 50% and > 250 ms.
 fn run_bench_som(baseline: Option<&str>, live_addr: Option<&str>) -> Result<String, String> {
     // Parse the baseline before benching: the committed baseline
     // conventionally lives at BENCH_som.json itself, which the write below
@@ -213,12 +211,11 @@ fn run_bench_som(baseline: Option<&str>, live_addr: Option<&str>) -> Result<Stri
     let json =
         serde_json::to_string_pretty(&report).map_err(|e| format!("bench-som failed: {e}"))?;
     std::fs::write("BENCH_som.json", &json).map_err(|e| format!("writing BENCH_som.json: {e}"))?;
-    // The record and the artifact land before the gates: a degraded run
+    // The record and the artifact land before the gate: a degraded run
     // must appear in the history and on disk, not vanish from the trend.
     let appended = history::append(&history::record_from_som(&report))?;
     let rendered = som::render_som_report(&report);
     let mut out = format!("wrote BENCH_som.json\n{appended}\n{rendered}");
-    som::warm_speedup_gate(&report).map_err(|e| format!("bench-som: {e}\n{rendered}"))?;
     if let (Some(path), Some(base)) = (baseline, base) {
         let table = som::compare_with_som_baseline(&report, &base)?;
         out.push_str(&format!("\nsom regression gate vs {path}: ok\n{table}"));
@@ -351,8 +348,8 @@ fn run_check_report(path: &str) -> Result<String, String> {
 /// Perfetto's importer requires — every event a complete `ph: "X"`
 /// duration event with numeric `ts`/`dur`/`pid`/`tid`. Anything else is
 /// validated as an `OBS_trace.json`/`OBS_profile.json` document: schema
-/// version, finite per-epoch quality records, warm-hit-rate bounds, and
-/// the optional memory, meta, and live blocks.
+/// version, finite per-epoch quality records, and the optional memory,
+/// meta, and live blocks.
 fn run_check_trace(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("check-trace: cannot read {path}: {e}"))?;
@@ -407,7 +404,7 @@ fn main() -> ExitCode {
              means-family duplication correlation mica evaluation json-reports extensions\n  \
              performance: bench-scale [--baseline <file>] [--live [addr]] (writes BENCH_scale.json), \
              bench-som [--baseline <file>] [--live [addr]] (writes BENCH_som.json with \
-             the warm-vs-cold epoch-throughput curve and the n = 10^6 streaming row)\n  \
+             the batch epoch-throughput curve and the n = 10^6 streaming row)\n  \
              observability: trace [--prom <file>] [--live [addr]] (writes OBS_trace.json), \
              profile [--live [addr]] (writes OBS_profile.json + OBS_profile.trace.json), \
              check-trace <file> (Chrome trace or OBS document)\n  \

@@ -147,7 +147,7 @@ fn inject_worker_panic(
         detail: format!("worker panics on chunk {PANIC_CHUNK} of {rows}"),
     });
     let matrix = vectors.matrix();
-    let result = parallel::try_map_chunks(rows, chunking, |range| {
+    let result = parallel::try_map_chunks(rows, chunking, None, |range| {
         if range.contains(&PANIC_CHUNK) {
             panic!("injected fault in chunk {PANIC_CHUNK}");
         }

@@ -128,22 +128,13 @@ pub fn record_from_scale(report: &ScaleBenchReport) -> RunRecord {
     record
 }
 
-/// Distills a `repro bench-som` report: gated `ms` samples per
-/// `(n, cold|warm)` curve cell plus the streaming row, and trend-only
-/// `ratio` samples for the warm speedups (the speedup direction is
-/// higher-is-better, so it must not feed the higher-is-worse gate).
+/// Distills a `repro bench-som` report: one gated `ms` sample per curve
+/// row plus the streaming row and its peak heap.
 #[must_use]
 pub fn record_from_som(report: &SomBenchReport) -> RunRecord {
     let mut record = RunRecord::new("bench_som", parallel::worker_count());
     for t in &report.results {
         record.push(format!("som/n={}/cold", t.n), t.cold_ms, "ms");
-        record.push(format!("som/n={}/warm", t.n), t.warm_ms, "ms");
-        record.push(format!("som/n={}/warm_speedup", t.n), t.speedup, "ratio");
-        record.push(
-            format!("som/n={}/warm_hit_rate", t.n),
-            t.warm_hit_rate,
-            "ratio",
-        );
     }
     if let Some(s) = &report.stream {
         record.push(format!("stream/n={}", s.n), s.ms, "ms");
@@ -236,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn som_record_gates_timings_but_not_speedups() {
+    fn som_record_keys_every_row() {
         let report = SomBenchReport {
             meta: None,
             results: vec![crate::som::SomEpochTiming {
@@ -245,9 +236,6 @@ mod tests {
                 units: 484,
                 epochs: 12,
                 cold_ms: 2_000.0,
-                warm_ms: 800.0,
-                speedup: 2.5,
-                warm_hit_rate: 0.9,
             }],
             stream: Some(crate::som::StreamTiming {
                 n: 1_000_000,
@@ -261,22 +249,19 @@ mod tests {
         let record = record_from_som(&report);
         assert_eq!(record.kind, "bench_som");
         assert_eq!(record.sample("som/n=10000/cold"), Some(2_000.0));
-        assert_eq!(record.sample("som/n=10000/warm"), Some(800.0));
         assert_eq!(record.sample("stream/n=1000000"), Some(5_000.0));
         assert_eq!(
             record.sample("stream/n=1000000/peak_bytes"),
             Some((4 << 20) as f64)
         );
-        // Speedup and hit rate are higher-is-better: trend-only ratios.
-        let ratio_keys: Vec<_> = record
-            .samples
-            .iter()
-            .filter(|s| s.unit == "ratio")
-            .map(|s| s.key.as_str())
-            .collect();
+        let keys: Vec<_> = record.samples.iter().map(|s| s.key.as_str()).collect();
         assert_eq!(
-            ratio_keys,
-            ["som/n=10000/warm_speedup", "som/n=10000/warm_hit_rate"]
+            keys,
+            [
+                "som/n=10000/cold",
+                "stream/n=1000000",
+                "stream/n=1000000/peak_bytes"
+            ]
         );
     }
 

@@ -44,16 +44,13 @@ pub fn render_event(payload: &str) -> String {
             epoch,
             total_epochs,
             quantization_error,
-            warm_hit_rate,
             epoch_duration_us,
             eta_us,
         }) => {
             let qe = quantization_error.map_or_else(|| "-".to_owned(), |v| format!("{v:.4}"));
-            let warm =
-                warm_hit_rate.map_or_else(|| "-".to_owned(), |v| format!("{:.0}%", v * 100.0));
             let eta = eta_us.map_or_else(|| "-".to_owned(), fmt_us);
             format!(
-                "{study:<20} epoch {:>4}/{total_epochs:<4} qe {qe:>8} warm {warm:>4} took {:>7} eta {eta:>7}",
+                "{study:<20} epoch {:>4}/{total_epochs:<4} qe {qe:>8} took {:>7} eta {eta:>7}",
                 epoch + 1,
                 fmt_us(epoch_duration_us),
             )
@@ -133,7 +130,6 @@ mod tests {
             epoch: 2,
             total_epochs: 96,
             quantization_error: Some(0.1234),
-            warm_hit_rate: Some(0.915),
             epoch_duration_us: 1_500,
             eta_us: Some(2_300_000),
         })
@@ -142,7 +138,7 @@ mod tests {
         assert!(row.contains("sar_machine_a"), "{row}");
         assert!(row.contains("epoch    3/96"), "{row}");
         assert!(row.contains("0.1234"), "{row}");
-        assert!(row.contains("92%"), "{row}");
+        assert!(row.contains("1ms"), "{row}");
         assert!(row.contains("2.3s"), "{row}");
 
         let strip = serde_json::to_string(&ProgressEvent::Strip {

@@ -1,21 +1,13 @@
-//! SOM trainer benchmarks: epoch-warm BMU search and out-of-core streaming.
+//! SOM trainer benchmarks: batch epoch throughput and out-of-core streaming.
 //!
 //! The `repro bench-som` artifact calls [`bench_som`] and writes
 //! `BENCH_som.json` — one row per corpus size on the epoch-throughput
-//! curve, timing the batch trainer cold and warm on identical rows, plus
-//! one row for the streaming trainer at n = 10⁶ with its measured peak
-//! heap. Warm reuse follows the entry point: [`SomBuilder::train`] builds
-//! the epoch-warm BMU cache and [`SomBuilder::train_stream`] never does, so
-//! the cold column streams the same resident rows (`&Matrix` is a
-//! `RowSource`). Both train bitwise-identical maps under random
-//! initialization (proven by the equivalence suites), so the ratio is a
-//! pure like-for-like speedup.
+//! curve, timing the batch trainer over resident rows streamed through
+//! [`SomBuilder::train_stream`] (`&Matrix` is a `RowSource`), plus one row
+//! for the streaming trainer at n = 10⁶ with its measured peak heap.
 //!
 //! A committed baseline turns the curves into a regression gate
-//! ([`compare_with_som_baseline`]), and [`warm_speedup_gate`] fails any run
-//! where the warm path stops paying for itself at scale — the guard that
-//! the drift-bounded pruning keeps certifying hits rather than silently
-//! degrading into an all-rescan cache.
+//! ([`compare_with_som_baseline`]).
 
 use std::time::Instant;
 
@@ -30,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::scale::mixture;
 
-/// One warm-vs-cold measurement of batch training at a corpus size.
+/// One measurement of batch training at a corpus size.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SomEpochTiming {
     /// Corpus size (rows).
@@ -42,17 +34,9 @@ pub struct SomEpochTiming {
     /// Epochs per timed run.
     pub epochs: usize,
     /// Best-of-reps wall-clock milliseconds, exact search every epoch
-    /// (streamed from the resident rows).
+    /// (streamed from the resident rows). The name predates the removal of
+    /// the epoch-warm column and stays for baseline compatibility.
     pub cold_ms: f64,
-    /// Best-of-reps wall-clock milliseconds, epoch-warm BMU reuse
-    /// (resident training).
-    pub warm_ms: f64,
-    /// `cold_ms / warm_ms` — the epoch-throughput ratio.
-    pub speedup: f64,
-    /// Fraction of batch BMU searches answered from the warm cache
-    /// (`bmu_warm_hits / (bmu_warm_hits + bmu_exact_rescans)`), from an
-    /// untimed traced run of the same configuration.
-    pub warm_hit_rate: f64,
 }
 
 /// The streaming-trainer row: one million rows, never materialized.
@@ -78,7 +62,7 @@ pub struct StreamTiming {
 /// The full `BENCH_som.json` document.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SomBenchReport {
-    /// Warm-vs-cold rows, ascending `n`.
+    /// Batch-training rows, ascending `n`.
     pub results: Vec<SomEpochTiming>,
     /// The out-of-core streaming row.
     pub stream: Option<StreamTiming>,
@@ -89,22 +73,12 @@ pub struct SomBenchReport {
 
 /// Relative regression tolerance for the baseline gate, matching the scale
 /// gate's rationale: single-shot timings on shared hardware, so the gate
-/// catches the warm path breaking, not percent-level drift.
+/// catches the trainer breaking, not percent-level drift.
 pub const SOM_TOLERANCE: f64 = 0.5;
 
 /// Absolute floor in milliseconds: rows within this of the baseline never
 /// fail, whatever the ratio.
 pub const SOM_FLOOR_MS: f64 = 250.0;
-
-/// Corpus sizes from which the warm speedup is gated: below this the whole
-/// run is floor-level noise.
-pub const SOM_WARM_GATE_MIN_N: usize = 10_000;
-
-/// Minimum warm-over-cold speedup at `n ≥ SOM_WARM_GATE_MIN_N`. The
-/// committed baseline shows ≥ 2×; the gate floor sits lower so CI noise
-/// cannot flake it, while a warm path that degrades to all-rescans
-/// (speedup ≈ 1) still fails loudly.
-pub const SOM_WARM_SPEEDUP_FLOOR: f64 = 1.3;
 
 fn best_of(reps: usize, mut f: impl FnMut() -> Som) -> f64 {
     let mut best = f64::INFINITY;
@@ -117,15 +91,12 @@ fn best_of(reps: usize, mut f: impl FnMut() -> Som) -> f64 {
 }
 
 fn builder(width: usize, height: usize, epochs: usize, sigma_div: f64) -> SomBuilder {
-    // The settling regime the warm certificate is designed for: a
-    // bounded-support kernel (most units contribute exactly zero once
-    // sigma shrinks) under the classic Kohonen inverse-time schedule,
-    // whose sigma depends on the absolute step — the batch fixed point
-    // stops moving after a settling prefix and every later epoch is
-    // warm-certifiable. A linearly-decaying sigma, by contrast, moves the
-    // fixed point every epoch and keeps drift above the row margins until
-    // the very end. Random initialization keeps the warm column comparable
-    // with the cold one, which streams and supports no other initializer.
+    // A bounded-support kernel under the classic Kohonen inverse-time
+    // schedule, not the pipeline's Gaussian kernel with a linear sigma.
+    // The regime stays so that every row remains comparable with the
+    // committed baseline until a large-n curve through the whole pipeline
+    // replaces this harness. Random initialization is the only one the
+    // streamed trainer supports.
     let diameter = (((width - 1) as f64).powi(2) + ((height - 1) as f64).powi(2)).sqrt();
     SomBuilder::new(width, height)
         .seed(7)
@@ -139,24 +110,22 @@ fn builder(width: usize, height: usize, epochs: usize, sigma_div: f64) -> SomBui
         })
 }
 
-/// Runs the epoch-throughput curve (n = 1k / 10k / 100k, warm on and off)
-/// and the n = 10⁶ streaming row. Takes a few minutes in release — the
-/// 100k row alone trains 192 epochs cold and warm.
+/// Runs the epoch-throughput curve (n = 1k / 10k / 100k) and the n = 10⁶
+/// streaming row. Takes a few minutes in release — the 100k row alone
+/// trains 192 epochs.
 ///
-/// With a live server attached (`repro bench-som --live`), the untimed
-/// traced runs and the streaming row publish progress through it; the
-/// *timed* cold/warm runs stay untraced so the curve measures the trainer,
-/// not the plane.
+/// With a live server attached (`repro bench-som --live`), one untimed
+/// traced run per row and the streaming row publish progress through it;
+/// the *timed* runs stay untraced so the curve measures the trainer, not
+/// the plane.
 pub fn bench_som(live: Option<&LiveServer>) -> SomBenchReport {
     let mut results = Vec::new();
     // Grids near the heuristic ≈5·√n sizing the scaled pipeline uses,
     // capped at the 32×32 = 1024-unit kernel-table ceiling. Epoch budgets
     // run long enough for the codebook to settle (the inverse-time
-    // schedule's settling epoch is absolute, later for bigger grids) —
-    // warm reuse is an asymptotic win, and these rows measure the steady
-    // state a real training run spends most of its time in. The 100k row
-    // starts sigma tighter (diameter/4) so its 1024 units settle within
-    // the budget.
+    // schedule's settling epoch is absolute, later for bigger grids). The
+    // 100k row starts sigma tighter (diameter/4) so its 1024 units settle
+    // within the budget.
     for (n, width, height, epochs, sigma_div, reps) in [
         (1_000usize, 12usize, 13usize, 96usize, 2.0f64, 3usize),
         (10_000, 22, 22, 96, 2.0, 2),
@@ -168,39 +137,27 @@ pub fn bench_som(live: Option<&LiveServer>) -> SomBenchReport {
         let cold_ms = best_of(reps, || {
             b.train_stream(&mut &points).expect("finite mixture")
         });
-        let warm_ms = best_of(reps, || b.train(&points).expect("finite mixture"));
-        // Hit rate from an untimed traced run: quality sampling off so the
-        // trace adds no extra BMU passes to attribute.
-        let config = ObsConfig {
-            epoch_quality_stride: 0,
-            lanes: false,
-            memory: false,
-            ..ObsConfig::default()
-        };
-        let collector = match live {
-            Some(server) => {
-                Collector::enabled_live(config, server.publisher(&format!("bench_som_n{n}")))
-            }
-            None => Collector::enabled_with(config),
-        };
-        b.train_traced(&points, &collector).expect("finite mixture");
-        let report = collector.report().expect("enabled collector");
-        let hits = report.counter("bmu_warm_hits").unwrap_or(0);
-        let rescans = report.counter("bmu_exact_rescans").unwrap_or(0);
-        let searches = hits + rescans;
+        if let Some(server) = live {
+            // Quality sampling off, so the run adds no extra BMU passes.
+            let collector = Collector::enabled_live(
+                ObsConfig {
+                    epoch_quality_stride: 0,
+                    lanes: false,
+                    memory: false,
+                    ..ObsConfig::default()
+                },
+                server.publisher(&format!("bench_som_n{n}")),
+            );
+            b.train_traced(&points, &collector).expect("finite mixture");
+            // The final report publishes the run's counters to `/metrics`.
+            collector.report().expect("enabled collector");
+        }
         results.push(SomEpochTiming {
             n,
             dim,
             units: width * height,
             epochs,
             cold_ms,
-            warm_ms,
-            speedup: cold_ms / warm_ms,
-            warm_hit_rate: if searches == 0 {
-                0.0
-            } else {
-                hits as f64 / searches as f64
-            },
         });
     }
 
@@ -258,17 +215,11 @@ pub fn bench_som(live: Option<&LiveServer>) -> SomBenchReport {
 #[must_use]
 pub fn render_som_report(report: &SomBenchReport) -> String {
     let mut out = String::new();
-    out.push_str("n        units  epochs  cold_ms    warm_ms    speedup  hit_rate\n");
+    out.push_str("n        units  epochs  cold_ms\n");
     for t in &report.results {
         out.push_str(&format!(
-            "{:<8} {:<6} {:<7} {:>9.1} {:>10.1} {:>8.2}  {:>7.1}%\n",
-            t.n,
-            t.units,
-            t.epochs,
-            t.cold_ms,
-            t.warm_ms,
-            t.speedup,
-            t.warm_hit_rate * 100.0
+            "{:<8} {:<6} {:<7} {:>9.1}\n",
+            t.n, t.units, t.epochs, t.cold_ms
         ));
     }
     if let Some(s) = &report.stream {
@@ -288,40 +239,8 @@ pub fn render_som_report(report: &SomBenchReport) -> String {
     out
 }
 
-/// Fails when the warm path stops paying for itself: every row at
-/// `n ≥ SOM_WARM_GATE_MIN_N` must keep `speedup ≥ SOM_WARM_SPEEDUP_FLOOR`.
-///
-/// # Errors
-///
-/// Returns the offending rows when any large-`n` speedup fell under the
-/// floor.
-pub fn warm_speedup_gate(report: &SomBenchReport) -> Result<(), String> {
-    let slow: Vec<String> = report
-        .results
-        .iter()
-        .filter(|t| t.n >= SOM_WARM_GATE_MIN_N && t.speedup < SOM_WARM_SPEEDUP_FLOOR)
-        .map(|t| {
-            format!(
-                "n={}: {:.2}x (hit rate {:.1}%)",
-                t.n,
-                t.speedup,
-                t.warm_hit_rate * 100.0
-            )
-        })
-        .collect();
-    if slow.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "warm speedup gate failed (< {SOM_WARM_SPEEDUP_FLOOR}x at n >= {SOM_WARM_GATE_MIN_N}): {}",
-            slow.join(", ")
-        ))
-    }
-}
-
 /// Compares a fresh SOM bench report against a stored baseline, row by row
-/// (joined on `n`, warm and cold timed columns judged independently; the
-/// streaming row joins on its `n` too).
+/// (joined on `n`; the streaming row joins on its `n` too).
 ///
 /// A cell regresses when it exceeds the baseline's by more than
 /// [`SOM_TOLERANCE`] *and* more than [`SOM_FLOOR_MS`] absolute. Rows
@@ -363,10 +282,6 @@ pub fn compare_with_som_baseline(
             &mut out,
             judge(&format!("som/n={}/cold", base.n), base.cold_ms, cur.cold_ms),
         );
-        push(
-            &mut out,
-            judge(&format!("som/n={}/warm", base.n), base.warm_ms, cur.warm_ms),
-        );
     }
     if let Some(base) = &baseline.stream {
         match &current.stream {
@@ -396,16 +311,13 @@ pub fn compare_with_som_baseline(
 mod tests {
     use super::*;
 
-    fn row(n: usize, cold_ms: f64, warm_ms: f64) -> SomEpochTiming {
+    fn row(n: usize, cold_ms: f64) -> SomEpochTiming {
         SomEpochTiming {
             n,
             dim: 8,
             units: 484,
             epochs: 12,
             cold_ms,
-            warm_ms,
-            speedup: cold_ms / warm_ms,
-            warm_hit_rate: 0.9,
         }
     }
 
@@ -429,64 +341,44 @@ mod tests {
     }
 
     #[test]
-    fn speedup_gate_passes_fast_warm_rows() {
-        let r = report(vec![row(10_000, 2_000.0, 800.0)], None);
-        assert!(warm_speedup_gate(&r).is_ok());
-    }
-
-    #[test]
-    fn speedup_gate_fails_a_collapsed_warm_path() {
-        let r = report(vec![row(10_000, 2_000.0, 1_900.0)], None);
-        let err = warm_speedup_gate(&r).unwrap_err();
-        assert!(err.contains("n=10000"), "{err}");
-    }
-
-    #[test]
-    fn speedup_gate_ignores_small_n_noise() {
-        // 1k rows are floor-level; only n >= 10k is gated.
-        let r = report(vec![row(1_000, 10.0, 11.0)], None);
-        assert!(warm_speedup_gate(&r).is_ok());
-    }
-
-    #[test]
     fn baseline_gate_passes_within_tolerance() {
         let baseline = report(
-            vec![row(10_000, 2_000.0, 800.0)],
+            vec![row(10_000, 2_000.0)],
             Some(stream_row(1_000_000, 5_000.0)),
         );
         let current = report(
-            vec![row(10_000, 2_600.0, 900.0)],
+            vec![row(10_000, 2_600.0)],
             Some(stream_row(1_000_000, 6_000.0)),
         );
         let table = compare_with_som_baseline(&current, &baseline).unwrap();
-        assert!(table.contains("som/n=10000/warm"), "{table}");
+        assert!(table.contains("som/n=10000/cold"), "{table}");
         assert!(table.contains("stream/n=1000000"), "{table}");
     }
 
     #[test]
     fn baseline_gate_fails_on_large_regression() {
-        let baseline = report(vec![row(10_000, 2_000.0, 800.0)], None);
-        let slow = report(vec![row(10_000, 2_000.0, 1_800.0)], None);
+        let baseline = report(vec![row(10_000, 2_000.0)], None);
+        let slow = report(vec![row(10_000, 3_500.0)], None);
         let err = compare_with_som_baseline(&slow, &baseline).unwrap_err();
         assert!(err.contains("REGRESSED"), "{err}");
-        assert!(err.contains("som/n=10000/warm"), "{err}");
+        assert!(err.contains("som/n=10000/cold"), "{err}");
     }
 
     #[test]
     fn baseline_gate_ignores_sub_floor_noise() {
         // 3x slower but only ~100 ms absolute: below the floor.
-        let baseline = report(vec![row(1_000, 50.0, 40.0)], None);
-        let current = report(vec![row(1_000, 150.0, 140.0)], None);
+        let baseline = report(vec![row(1_000, 50.0)], None);
+        let current = report(vec![row(1_000, 150.0)], None);
         assert!(compare_with_som_baseline(&current, &baseline).is_ok());
     }
 
     #[test]
     fn baseline_gate_tolerates_row_set_changes() {
         let baseline = report(
-            vec![row(500_000, 9_000.0, 4_000.0)],
+            vec![row(500_000, 9_000.0)],
             Some(stream_row(1_000_000, 5_000.0)),
         );
-        let current = report(vec![row(10_000, 2_000.0, 800.0)], None);
+        let current = report(vec![row(10_000, 2_000.0)], None);
         let table = compare_with_som_baseline(&current, &baseline).unwrap();
         assert!(table.contains("missing from current run"), "{table}");
     }
@@ -494,7 +386,7 @@ mod tests {
     #[test]
     fn report_roundtrips_through_json() {
         let r = report(
-            vec![row(10_000, 2_000.0, 800.0)],
+            vec![row(10_000, 2_000.0)],
             Some(stream_row(1_000_000, 5_000.0)),
         );
         let json = serde_json::to_string_pretty(&r).unwrap();
@@ -506,12 +398,12 @@ mod tests {
     #[test]
     fn render_covers_every_row() {
         let r = report(
-            vec![row(10_000, 2_000.0, 800.0)],
+            vec![row(10_000, 2_000.0)],
             Some(stream_row(1_000_000, 5_000.0)),
         );
         let table = render_som_report(&r);
         assert!(table.contains("10000"), "{table}");
-        assert!(table.contains("2.50"), "{table}");
+        assert!(table.contains("2000.0"), "{table}");
         assert!(table.contains("stream"), "{table}");
         assert!(table.contains("MiB"), "{table}");
     }

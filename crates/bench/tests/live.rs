@@ -54,13 +54,15 @@ fn live_plane_serves_endpoints_without_perturbing_training() {
     assert_eq!(status, 200, "snapshot published, so the plane is ready");
     let (status, metrics) = http_get(&addr, "/metrics").expect("/metrics");
     assert_eq!(status, 200);
+    // Every counter is rendered, even at zero, so check the value: the
+    // run's BMU searches reached the plane under its study label.
+    let searches = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("hiermeans_bmu_searches{study=\"live_test\"} "))
+        .and_then(|v| v.parse::<u64>().ok());
     assert!(
-        metrics.contains("hiermeans_som_warm_hit_rate"),
-        "warm-hit gauge missing from:\n{metrics}"
-    );
-    assert!(
-        metrics.contains("live_test"),
-        "study label missing:\n{metrics}"
+        searches.is_some_and(|v| v > 0),
+        "no nonzero live_test BMU-search sample in:\n{metrics}"
     );
     let (status, trace) = http_get(&addr, "/trace").expect("/trace");
     assert_eq!(status, 200);

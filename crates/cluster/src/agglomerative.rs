@@ -275,7 +275,7 @@ pub(crate) fn naive_merges(
     let mut lane_buf = lane_clock.map(|_| LaneBuf::with_capacity(n - 1));
 
     for step in 0..(n - 1) {
-        let lane_begin = lane_clock.map_or(0, |c| c.now_us());
+        let lane_begin = lane_clock.map_or(0.0, |c| c.now_us());
         // Find the closest active pair (ties -> smallest (i, j)).
         let mut best: Option<(usize, usize, f64)> = None;
         for i in 0..n {

@@ -116,7 +116,7 @@ pub(crate) fn nn_chain_merges(
     }
     let lane_clock = collector.lane_clock();
     let mut lane_buf = lane_clock.map(|_| LaneBuf::with_capacity(n - 1));
-    let mut step_begin = lane_clock.map_or(0, |c| c.now_us());
+    let mut step_begin = lane_clock.map_or(0.0, |c| c.now_us());
     let found = chain_loop(dist, sizes, linkage, &mut |step| {
         if let (Some(clock), Some(lanes)) = (lane_clock, lane_buf.as_mut()) {
             let now = clock.now_us();

@@ -152,7 +152,7 @@ impl PipelineResult {
             .collector
             .lane_clock()
             .map(|clock| (clock, LaneBuf::with_capacity(ks.len())));
-        let cuts = parallel::try_map_items_lanes(
+        let cuts = parallel::try_map_items(
             ks.len(),
             SWEEP_CHUNKING,
             lane_buf.as_mut().map(|(clock, buf)| (*clock, buf)),
@@ -210,24 +210,10 @@ pub fn run_pipeline(
 ) -> Result<PipelineResult, CoreError> {
     let collector = &config.collector;
     let span = collector.span(stages::PIPELINE);
-    let diameter = hiermeans_som::Grid::new(
-        config.som_width.max(1),
-        config.som_height.max(1),
-        hiermeans_som::GridTopology::Rectangular,
-    )
-    .diameter();
+    let builder = som_builder(config);
     let som = {
         let _som_span = collector.span(stages::PIPELINE_SOM);
-        SomBuilder::new(config.som_width, config.som_height)
-            .seed(config.seed)
-            .epochs(config.epochs)
-            .metric(config.metric)
-            .sigma(hiermeans_som::DecaySchedule::Linear {
-                start: diameter / 2.0,
-                end: config.sigma_end,
-            })
-            .mode(config.training)
-            .train_traced(vectors, collector)?
+        builder.train_traced(vectors, collector)?
     };
     let positions = {
         let _project_span = collector.span(stages::PIPELINE_PROJECT);
@@ -253,10 +239,7 @@ pub fn run_pipeline(
 /// metric) is exactly [`run_pipeline`]'s, and a random-initialized
 /// streamed run is bitwise identical to the resident trainer on the same
 /// rows (PCA-plane initialization needs the resident matrix, so streaming
-/// falls back to random). Every row's BMU is searched exactly every epoch:
-/// the resident trainer's epoch-warm BMU cache costs 24 bytes per row, so
-/// streamed training never builds it and its memory stays free of `n` on
-/// the default configuration. Requires
+/// falls back to random). Requires
 /// [`hiermeans_som::TrainingMode::Batch`] (the [`PipelineConfig::scaled`]
 /// default). Each strip's BMU search and accumulation run on every worker,
 /// with the same result for any worker count.
@@ -277,13 +260,20 @@ pub fn train_som_streaming(
 ) -> Result<Som, CoreError> {
     let collector = &config.collector;
     let _span = collector.span(stages::PIPELINE_SOM);
+    Ok(som_builder(config).train_stream_traced(source, collector)?)
+}
+
+/// The SOM stage's builder, shared by [`run_pipeline`] and
+/// [`train_som_streaming`] so that the two train the same map: σ decays
+/// linearly from half the map diameter to `config.sigma_end`.
+fn som_builder(config: &PipelineConfig) -> SomBuilder {
     let diameter = hiermeans_som::Grid::new(
         config.som_width.max(1),
         config.som_height.max(1),
         hiermeans_som::GridTopology::Rectangular,
     )
     .diameter();
-    Ok(SomBuilder::new(config.som_width, config.som_height)
+    SomBuilder::new(config.som_width, config.som_height)
         .seed(config.seed)
         .epochs(config.epochs)
         .metric(config.metric)
@@ -292,7 +282,6 @@ pub fn train_som_streaming(
             end: config.sigma_end,
         })
         .mode(config.training)
-        .train_stream_traced(source, collector)?)
 }
 
 /// Skips the SOM and clusters directly on the raw characteristic vectors —

@@ -120,7 +120,7 @@ impl ScoreTable {
         let mut lane_buf = collector
             .lane_clock()
             .map(|clock| (clock, LaneBuf::with_capacity(ks.len())));
-        let rows = parallel::try_map_items_lanes(
+        let rows = parallel::try_map_items(
             ks.len(),
             SWEEP_CHUNKING,
             lane_buf.as_mut().map(|(clock, buf)| (*clock, buf)),

@@ -124,9 +124,11 @@ fn lane_intervals_sit_inside_their_attaching_span() {
         let span = &report.spans[span_id];
         let span_end = span.start_us + span.duration_us;
         assert!(!lane.intervals.is_empty(), "{}: empty lane set", lane.stage);
+        // Span stamps are whole microseconds, rounded down; lane stamps
+        // keep the nanoseconds, so compare them rounded down too.
         for iv in &lane.intervals {
             assert!(
-                iv.begin_us >= span.start_us && iv.end_us <= span_end,
+                iv.begin_us.floor() >= span.start_us as f64 && iv.end_us.floor() <= span_end as f64,
                 "{}: interval [{}, {}] outside span {} [{}, {}]",
                 lane.stage,
                 iv.begin_us,

@@ -2,9 +2,7 @@
 //!
 //! Out-of-core SOM training must hold peak heap under a fixed ceiling that
 //! does not grow with `n`: the codebook, one 4096-row strip, and the batch
-//! accumulators — never the `n × dim` matrix, and never the resident
-//! trainer's epoch-warm BMU cache (24 bytes per row). The ceilings hold on
-//! the default configuration: streamed training builds no warm cache. The shared tracking
+//! accumulators — never the `n × dim` matrix. The shared tracking
 //! allocator (`hiermeans_obs::memhook`) measures the peak of new bytes
 //! held at once across the whole training call, so a regression that
 //! materializes the corpus (or buffers a whole epoch) fails loudly.

@@ -218,7 +218,7 @@ where
     // Each chunk of rows yields its strict-upper-triangle strip
     // `(i, j > i, distance)` as one contiguous vector.
     let chunk_size = PAIRWISE_CHUNKING.chunk_size;
-    let strips = crate::parallel::try_map_chunks_lanes(n, PAIRWISE_CHUNKING, lanes, |rows| {
+    let strips = crate::parallel::try_map_chunks(n, PAIRWISE_CHUNKING, lanes, |rows| {
         let mut strip = Vec::with_capacity(rows.clone().map(|i| n - i - 1).sum());
         for i in rows {
             for j in (i + 1)..n {

@@ -469,23 +469,6 @@ pub fn candidate_band(dim: usize, xn: f64, wn: f64) -> f64 {
     8.0 * (dim as f64 + 8.0) * f64::EPSILON * (xn + wn)
 }
 
-/// The conservative *relative* error factor of a scalar squared-Euclidean
-/// distance evaluation in dimension `dim`.
-///
-/// A left-to-right scalar sum of `dim` non-negative terms carries at most
-/// `dim` roundings, each bounded by `ε` relative to the running (monotone)
-/// partial sum, so the true distance `D` and the computed distance `d`
-/// satisfy `|d − D| ≤ ρ·D` with `ρ = distance_rel_err(dim)` — the `+8` and
-/// `4x` factors mirror [`candidate_band`]'s safety margin. Warm-start BMU
-/// caching uses `ρ` to widen cached distances into certified upper/lower
-/// bounds on the *computed* (floating-point) distances a cold rescan would
-/// produce: `d·(1+ρ)` is a safe upper bound and `d·(1−ρ)` a safe lower
-/// bound for any other computed evaluation of the same true distance.
-#[must_use]
-pub fn distance_rel_err(dim: usize) -> f64 {
-    4.0 * (dim as f64 + 8.0) * f64::EPSILON
-}
-
 /// Batched norm-trick squared distances from one vector `x` against every
 /// row of `w`, written into `out`: `out[u] = xn + wn[u] − 2·x·w_u`.
 ///

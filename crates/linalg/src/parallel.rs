@@ -187,6 +187,12 @@ where
 /// order) when `len < chunking.min_parallel_len`, when there is at most one
 /// chunk, or when only one worker is available.
 ///
+/// With `lanes` set, each chunk's execution is stamped `(chunk, worker,
+/// begin_us, end_us)` into the buffer (serial chunks record as worker 0),
+/// the coordinator merges parallel workers' intervals in chunk order, and
+/// one run is closed per call. Chunk boundaries — and therefore the
+/// recorded lane *structure* — are identical for every worker count.
+///
 /// # Errors
 ///
 /// Returns the first failure in chunk order — the same one serial execution
@@ -198,29 +204,6 @@ where
 pub fn try_map_chunks<T, E, F>(
     len: usize,
     chunking: Chunking,
-    map: F,
-) -> Result<Vec<T>, ParallelError<E>>
-where
-    T: Send,
-    E: Send,
-    F: Fn(Range<usize>) -> Result<T, E> + Sync,
-{
-    try_map_chunks_with_workers(len, chunking, worker_count(), map)
-}
-
-/// [`try_map_chunks`] with worker-lane recording: each chunk's execution is
-/// stamped `(chunk, worker, begin_us, end_us)` into `lanes` (serial chunks
-/// record as worker 0), the coordinator merges parallel workers' intervals
-/// in chunk order, and one run is closed per call. Chunk boundaries — and
-/// therefore the recorded lane *structure* — are identical for every worker
-/// count.
-///
-/// # Errors
-///
-/// Identical to [`try_map_chunks`].
-pub fn try_map_chunks_lanes<T, E, F>(
-    len: usize,
-    chunking: Chunking,
     lanes: Lanes<'_>,
     map: F,
 ) -> Result<Vec<T>, ParallelError<E>>
@@ -229,37 +212,13 @@ where
     E: Send,
     F: Fn(Range<usize>) -> Result<T, E> + Sync,
 {
-    try_map_chunks_with_workers_lanes(len, chunking, worker_count(), lanes, map)
+    try_map_chunks_with_workers(len, chunking, worker_count(), lanes, map)
 }
 
 /// [`try_map_chunks`] with an explicit worker count, bypassing detection and
 /// the global override. `workers <= 1` is the serial path; tests use this to
 /// compare serial and parallel results without touching process state.
-///
-/// # Errors
-///
-/// Identical to [`try_map_chunks`].
-pub fn try_map_chunks_with_workers<T, E, F>(
-    len: usize,
-    chunking: Chunking,
-    workers: usize,
-    map: F,
-) -> Result<Vec<T>, ParallelError<E>>
-where
-    T: Send,
-    E: Send,
-    F: Fn(Range<usize>) -> Result<T, E> + Sync,
-{
-    try_map_chunks_with_workers_lanes(len, chunking, workers, None, map)
-}
-
-/// [`try_map_chunks_lanes`] with an explicit worker count — the full
-/// implementation every other chunk-mapping entry point delegates to.
-///
-/// # Errors
-///
-/// Identical to [`try_map_chunks`].
-pub fn try_map_chunks_with_workers_lanes<T, E, F>(
+fn try_map_chunks_with_workers<T, E, F>(
     len: usize,
     chunking: Chunking,
     workers: usize,
@@ -381,32 +340,14 @@ where
 
 /// Applies `map` to every index in `0..len` and returns the results in index
 /// order, parallelizing over chunks. Convenience wrapper for per-item work
-/// (e.g. one dendrogram cut per candidate `k`).
+/// (e.g. one dendrogram cut per candidate `k`); `lanes` records as in
+/// [`try_map_chunks`].
 ///
 /// # Errors
 ///
 /// Returns the first failure in index order, as serial execution would; a
 /// panicking worker surfaces as [`ParallelError::WorkerPanic`].
 pub fn try_map_items<T, E, F>(
-    len: usize,
-    chunking: Chunking,
-    map: F,
-) -> Result<Vec<T>, ParallelError<E>>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    try_map_items_lanes(len, chunking, None, map)
-}
-
-/// [`try_map_items`] with worker-lane recording (see
-/// [`try_map_chunks_lanes`]).
-///
-/// # Errors
-///
-/// Identical to [`try_map_items`].
-pub fn try_map_items_lanes<T, E, F>(
     len: usize,
     chunking: Chunking,
     lanes: Lanes<'_>,
@@ -417,7 +358,7 @@ where
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    let chunks = try_map_chunks_lanes(len, chunking, lanes, |range| {
+    let chunks = try_map_chunks(len, chunking, lanes, |range| {
         range.map(&map).collect::<Result<Vec<T>, E>>()
     })?;
     Ok(chunks.into_iter().flatten().collect())
@@ -587,7 +528,7 @@ mod tests {
     #[test]
     fn results_arrive_in_chunk_order() {
         let chunks: Vec<Vec<usize>> =
-            try_map_chunks(103, SMALL, |r| Ok::<_, ()>(r.collect())).unwrap();
+            try_map_chunks(103, SMALL, None, |r| Ok::<_, ()>(r.collect())).unwrap();
         let flat: Vec<usize> = chunks.into_iter().flatten().collect();
         assert_eq!(flat, (0..103).collect::<Vec<_>>());
     }
@@ -596,10 +537,11 @@ mod tests {
     fn serial_and_parallel_agree_for_all_worker_counts() {
         let expected: Vec<usize> = (0..257).map(|i| i * i).collect();
         for workers in [1, 2, 3, 7, 64] {
-            let chunks = try_map_chunks_with_workers(257, Chunking::new(16, 0), workers, |r| {
-                Ok::<_, ()>(r.map(|i| i * i).collect::<Vec<_>>())
-            })
-            .unwrap();
+            let chunks =
+                try_map_chunks_with_workers(257, Chunking::new(16, 0), workers, None, |r| {
+                    Ok::<_, ()>(r.map(|i| i * i).collect::<Vec<_>>())
+                })
+                .unwrap();
             let flat: Vec<usize> = chunks.into_iter().flatten().collect();
             assert_eq!(flat, expected, "workers = {workers}");
         }
@@ -609,7 +551,7 @@ mod tests {
     fn first_error_in_chunk_order_wins() {
         // Chunks 2 and 5 fail; chunk order says the caller sees chunk 2's.
         for workers in [1, 4] {
-            let err = try_map_chunks_with_workers(32, SMALL, workers, |r| {
+            let err = try_map_chunks_with_workers(32, SMALL, workers, None, |r| {
                 let chunk = r.start / 4;
                 if chunk == 2 || chunk == 5 {
                     Err(format!("chunk {chunk} failed"))
@@ -632,7 +574,7 @@ mod tests {
         // typed WorkerPanic carrying the chunk index and payload, on both
         // the serial and the parallel path.
         for workers in [1, 4] {
-            let err = try_map_chunks_with_workers(32, SMALL, workers, |r| {
+            let err = try_map_chunks_with_workers(32, SMALL, workers, None, |r| {
                 if r.start / 4 == 3 {
                     panic!("injected fault in chunk 3");
                 }
@@ -655,7 +597,7 @@ mod tests {
         // A panic in chunk 1 outranks an error in chunk 4 — failures are
         // ordered uniformly by chunk index, whatever their kind.
         for workers in [1, 4] {
-            let err = try_map_chunks_with_workers(32, SMALL, workers, |r| {
+            let err = try_map_chunks_with_workers(32, SMALL, workers, None, |r| {
                 let chunk = r.start / 4;
                 if chunk == 1 {
                     panic!("panic in chunk 1");
@@ -672,7 +614,7 @@ mod tests {
             );
         }
         // And the mirror image: an error in chunk 0 outranks a later panic.
-        let err = try_map_chunks_with_workers(32, SMALL, 4, |r| {
+        let err = try_map_chunks_with_workers(32, SMALL, 4, None, |r| {
             let chunk = r.start / 4;
             if chunk == 0 {
                 return Err("error in chunk 0".to_owned());
@@ -688,7 +630,7 @@ mod tests {
 
     #[test]
     fn non_string_panic_payload_is_placeholder() {
-        let err = try_map_chunks_with_workers(8, SMALL, 1, |r| {
+        let err = try_map_chunks_with_workers(8, SMALL, 1, None, |r| {
             if r.start == 0 {
                 std::panic::panic_any(42_i32);
             }
@@ -707,9 +649,10 @@ mod tests {
     #[test]
     fn below_threshold_runs_serially_with_identical_results() {
         let threshold = Chunking::new(4, 1_000_000);
-        let serial: Vec<usize> = try_map_items(100, threshold, |i| Ok::<_, ()>(i + 1)).unwrap();
+        let serial: Vec<usize> =
+            try_map_items(100, threshold, None, |i| Ok::<_, ()>(i + 1)).unwrap();
         let parallel: Vec<usize> =
-            try_map_items(100, Chunking::new(4, 0), |i| Ok::<_, ()>(i + 1)).unwrap();
+            try_map_items(100, Chunking::new(4, 0), None, |i| Ok::<_, ()>(i + 1)).unwrap();
         assert_eq!(serial, parallel);
     }
 
@@ -799,7 +742,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<()> = try_map_chunks(0, SMALL, |_| Ok::<_, ()>(())).unwrap();
+        let out: Vec<()> = try_map_chunks(0, SMALL, None, |_| Ok::<_, ()>(())).unwrap();
         assert!(out.is_empty());
     }
 
@@ -814,14 +757,11 @@ mod tests {
         let clock = lane_clock();
         for workers in [1, 2, 3, 8] {
             let mut buf = LaneBuf::with_capacity(26);
-            let out = try_map_chunks_with_workers_lanes(
-                103,
-                SMALL,
-                workers,
-                Some((clock, &mut buf)),
-                |r| Ok::<_, ()>(r.len()),
-            )
-            .unwrap();
+            let out =
+                try_map_chunks_with_workers(103, SMALL, workers, Some((clock, &mut buf)), |r| {
+                    Ok::<_, ()>(r.len())
+                })
+                .unwrap();
             assert_eq!(out.len(), 26);
             assert_eq!(buf.runs(), 1, "workers = {workers}");
             let chunks: Vec<u32> = buf.intervals().iter().map(|iv| iv.chunk).collect();
@@ -846,7 +786,7 @@ mod tests {
         let clock = lane_clock();
         let mut buf = LaneBuf::with_capacity(6);
         for _ in 0..3 {
-            try_map_items_lanes(8, SMALL, Some((clock, &mut buf)), Ok::<_, ()>).unwrap();
+            try_map_items(8, SMALL, Some((clock, &mut buf)), Ok::<_, ()>).unwrap();
         }
         assert_eq!(buf.runs(), 3);
         assert_eq!(buf.intervals().len(), 6);

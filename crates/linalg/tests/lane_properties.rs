@@ -49,7 +49,7 @@ proptest! {
         parallel::set_worker_override(Some(workers));
         let mut buf = LaneBuf::new();
         for _ in 0..runs {
-            parallel::try_map_chunks_lanes(len, chunking, Some((clock, &mut buf)), |r| {
+            parallel::try_map_chunks(len, chunking, Some((clock, &mut buf)), |r| {
                 Ok::<_, ()>(r.sum::<usize>())
             })
             .unwrap();
@@ -73,7 +73,7 @@ proptest! {
         let clock = lane_clock();
         parallel::set_worker_override(Some(workers));
         let mut buf = LaneBuf::new();
-        parallel::try_map_chunks_lanes(len, chunking, Some((clock, &mut buf)), |r| {
+        parallel::try_map_chunks(len, chunking, Some((clock, &mut buf)), |r| {
             Ok::<_, ()>(r.count())
         })
         .unwrap();
@@ -84,13 +84,13 @@ proptest! {
         let workers_seen: std::collections::BTreeSet<u32> =
             buf.intervals().iter().map(|iv| iv.worker).collect();
         for w in workers_seen {
-            let mut mine: Vec<(u64, u64)> = buf
+            let mut mine: Vec<(f64, f64)> = buf
                 .intervals()
                 .iter()
                 .filter(|iv| iv.worker == w)
                 .map(|iv| (iv.begin_us, iv.end_us))
                 .collect();
-            mine.sort_unstable();
+            mine.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite stamps"));
             for pair in mine.windows(2) {
                 prop_assert!(
                     pair[0].1 <= pair[1].0,
@@ -113,7 +113,7 @@ proptest! {
             parallel::set_worker_override(Some(workers));
             let mut buf = LaneBuf::new();
             let items =
-                parallel::try_map_items_lanes(len, chunking, Some((clock, &mut buf)), |i| {
+                parallel::try_map_items(len, chunking, Some((clock, &mut buf)), |i| {
                     Ok::<_, ()>(3 * i + 1)
                 })
                 .unwrap();

@@ -189,7 +189,7 @@ proptest! {
         // try_map_items must be a drop-in for a serial map at any length,
         // including the empty input and lengths below the serial threshold.
         let chunking = parallel::Chunking::new(16, 64);
-        let got = parallel::try_map_items(len, chunking, |i| {
+        let got = parallel::try_map_items(len, chunking, None, |i| {
             Ok::<_, std::convert::Infallible>(i as u64 * 3 + offset)
         })
         .unwrap();

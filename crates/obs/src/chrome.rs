@@ -33,8 +33,8 @@ struct TraceEvent {
     name: String,
     cat: String,
     ph: String,
-    ts: u64,
-    dur: u64,
+    ts: f64,
+    dur: f64,
     pid: u64,
     tid: u64,
 }
@@ -50,8 +50,8 @@ pub fn to_chrome_trace(doc: &TraceDocument) -> String {
                 name: format!("{}:{}", s.label, span.name),
                 cat: "span".to_owned(),
                 ph: "X".to_owned(),
-                ts: span.start_us,
-                dur: span.duration_us.max(1),
+                ts: span.start_us as f64,
+                dur: span.duration_us.max(1) as f64,
                 pid,
                 tid: 0,
             });
@@ -63,7 +63,7 @@ pub fn to_chrome_trace(doc: &TraceDocument) -> String {
                     cat: "lane".to_owned(),
                     ph: "X".to_owned(),
                     ts: iv.begin_us,
-                    dur: iv.duration_us().max(1),
+                    dur: iv.duration_us().max(1e-3),
                     pid,
                     tid: u64::from(iv.worker) + 1,
                 });
@@ -136,8 +136,8 @@ mod tests {
             let _root = c.span("pipeline");
             let _som = c.span("pipeline.som");
             let mut buf = LaneBuf::with_capacity(2);
-            buf.record(0, 0, 5, 9);
-            buf.record(1, 1, 5, 11);
+            buf.record(0, 0, 5.0, 9.0);
+            buf.record(1, 1, 5.0, 11.0);
             buf.end_run();
             c.attach_lanes("som.bmu_batch", 2, &buf);
         }

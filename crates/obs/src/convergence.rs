@@ -32,13 +32,6 @@ pub struct EpochRecord {
     pub topographic_error: f64,
     /// The neighborhood radius σ in effect during this epoch.
     pub sigma: f64,
-    /// Fraction of this epoch's batch BMU searches answered from the
-    /// epoch-warm cache (`None` when the warm path did not run, e.g.
-    /// online or streamed training). Advisory: excluded from fingerprints,
-    /// since the hit rate differs between resident (warm) and streamed
-    /// (cold) runs that produce bitwise-identical maps.
-    #[serde(default)]
-    pub warm_hit_rate: Option<f64>,
 }
 
 /// Default trailing-window fraction of the recorded epochs.
@@ -175,7 +168,6 @@ mod tests {
                 quantization_error,
                 topographic_error: 0.1,
                 sigma: 1.0,
-                warm_hit_rate: None,
             })
             .collect()
     }

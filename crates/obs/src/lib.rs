@@ -190,11 +190,11 @@ impl PartialEq for Collector {
 
 /// Slowest chunk over mean chunk duration for one run; `1.0` when all
 /// durations are zero (nothing measurable, so nothing imbalanced).
-fn imbalance(max: u64, sum: u64, count: u64) -> f64 {
-    if sum == 0 {
+fn imbalance(max: f64, sum: f64, count: u64) -> f64 {
+    if sum == 0.0 {
         1.0
     } else {
-        max as f64 * count as f64 / sum as f64
+        max * count as f64 / sum
     }
 }
 
@@ -386,10 +386,10 @@ impl Collector {
             // Chunk-duration observations plus one imbalance ratio
             // (max/mean duration) per run.
             let mut run = u32::MAX;
-            let (mut run_max, mut run_sum, mut run_count) = (0u64, 0u64, 0u64);
+            let (mut run_max, mut run_sum, mut run_count) = (0.0f64, 0.0f64, 0u64);
             for iv in buf.intervals() {
                 let duration = iv.duration_us();
-                state.histograms[HistogramId::ChunkDurationMicros as usize].record(duration as f64);
+                state.histograms[HistogramId::ChunkDurationMicros as usize].record(duration);
                 if iv.run != run {
                     if run_count > 0 {
                         state.histograms[HistogramId::ChunkImbalance as usize]
@@ -456,17 +456,10 @@ impl Collector {
         epoch: usize,
         total_epochs: usize,
         quantization_error: Option<f64>,
-        warm_hit_rate: Option<f64>,
         epoch_duration_us: u64,
     ) {
         if let Some(publisher) = self.live_publisher() {
-            publisher.publish_epoch(
-                epoch,
-                total_epochs,
-                quantization_error,
-                warm_hit_rate,
-                epoch_duration_us,
-            );
+            publisher.publish_epoch(epoch, total_epochs, quantization_error, epoch_duration_us);
         }
     }
 
@@ -676,7 +669,7 @@ mod tests {
         assert!(off.lane_clock().is_none());
         // Attaching to a lanes-off collector records nothing.
         let mut buf = LaneBuf::new();
-        buf.record(0, 0, 0, 5);
+        buf.record(0, 0, 0.0, 5.0);
         buf.end_run();
         off.attach_lanes("stage", 1, &buf);
         assert!(off.report().unwrap().lanes.is_empty());
@@ -690,10 +683,10 @@ mod tests {
             let _inner = c.span("inner");
             let mut buf = LaneBuf::with_capacity(4);
             // Run 0: durations 10 and 30 (imbalance 1.5); run 1: one chunk.
-            buf.record(0, 0, 0, 10);
-            buf.record(1, 1, 0, 30);
+            buf.record(0, 0, 0.0, 10.0);
+            buf.record(1, 1, 0.0, 30.0);
             buf.end_run();
-            buf.record(0, 0, 40, 50);
+            buf.record(0, 0, 40.0, 50.0);
             buf.end_run();
             c.attach_lanes("stage.lanes", 2, &buf);
         }

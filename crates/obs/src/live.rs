@@ -10,9 +10,8 @@
 //! Endpoints:
 //!
 //! * `GET /metrics` — the [`crate::prom`] text exposition rendered from the
-//!   latest [`TraceReport`] snapshots, plus two live-plane gauges:
-//!   `hiermeans_som_warm_hit_rate{study=…}` (latest per-study epoch value)
-//!   and `hiermeans_process_peak_rss_kb{study="process"}` sampled at scrape
+//!   latest [`TraceReport`] snapshots, plus the live-plane gauge
+//!   `hiermeans_process_peak_rss_kb{study="process"}` sampled at scrape
 //!   time from [`crate::memhook::peak_rss_kb`].
 //! * `GET /healthz` — liveness; `200 ok` whenever the server accepts.
 //! * `GET /readyz` — readiness; `503` until the first snapshot or progress
@@ -20,7 +19,7 @@
 //! * `GET /trace` — the current partial trace as a
 //!   [`TraceDocument`] JSON body (same schema as `OBS_trace.json`).
 //! * `GET /events` — a Server-Sent-Events stream of [`ProgressEvent`]
-//!   records (per-epoch quality + `warm_hit_rate` + trailing-window ETA,
+//!   records (per-epoch quality + trailing-window ETA,
 //!   streaming strip index/total, store ingestion accept/reject totals).
 //!
 //! # Never on the hot path
@@ -89,10 +88,6 @@ pub enum ProgressEvent {
         /// was quality-sampled (`None` on unsampled epochs).
         #[serde(default)]
         quantization_error: Option<f64>,
-        /// Epoch-warm BMU cache hit rate (`None` when the warm path did
-        /// not run, e.g. online or streamed training).
-        #[serde(default)]
-        warm_hit_rate: Option<f64>,
         /// Wall-clock duration of this epoch in microseconds.
         epoch_duration_us: u64,
         /// Estimated microseconds until training completes: mean of the
@@ -159,9 +154,6 @@ struct LiveState {
     workers: usize,
     /// Latest snapshot per publisher label, insertion-ordered.
     studies: Vec<(String, TraceReport)>,
-    /// Latest per-study `warm_hit_rate` from epoch events, for the
-    /// `hiermeans_som_warm_hit_rate` live gauge.
-    warm: Vec<(String, f64)>,
     /// Bounded ring of `(sequence, serialized event)`.
     events: VecDeque<(u64, String)>,
     /// Sequence number of the next event pushed.
@@ -187,17 +179,6 @@ impl ServerShared {
         };
         let mut state = lock(&self.state);
         state.ready = true;
-        if let ProgressEvent::Epoch {
-            study,
-            warm_hit_rate: Some(rate),
-            ..
-        } = event
-        {
-            match state.warm.iter_mut().find(|(label, _)| label == study) {
-                Some(entry) => entry.1 = *rate,
-                None => state.warm.push((study.clone(), *rate)),
-            }
-        }
         let seq = state.next_seq;
         state.next_seq += 1;
         state.events.push_back((seq, json));
@@ -269,7 +250,6 @@ impl LivePublisher {
         epoch: usize,
         total_epochs: usize,
         quantization_error: Option<f64>,
-        warm_hit_rate: Option<f64>,
         epoch_duration_us: u64,
     ) {
         let remaining = total_epochs.saturating_sub(epoch + 1);
@@ -279,7 +259,6 @@ impl LivePublisher {
             epoch,
             total_epochs,
             quantization_error,
-            warm_hit_rate,
             epoch_duration_us,
             eta_us: Some(eta_us),
         });
@@ -341,7 +320,6 @@ impl LiveServer {
                 ready: false,
                 workers,
                 studies: Vec::new(),
-                warm: Vec::new(),
                 events: VecDeque::new(),
                 next_seq: 0,
             }),
@@ -576,18 +554,7 @@ fn trace_json(shared: &ServerShared) -> String {
 fn metrics_text(shared: &ServerShared) -> String {
     use std::fmt::Write as _;
     let document = snapshot_document(shared);
-    let warm: Vec<(String, f64)> = lock(&shared.state).warm.clone();
     let mut out = prom::to_prometheus(&document);
-    if !warm.is_empty() {
-        let _ = writeln!(out, "# TYPE hiermeans_som_warm_hit_rate gauge");
-        for (study, rate) in &warm {
-            let _ = writeln!(
-                out,
-                "hiermeans_som_warm_hit_rate{{study=\"{}\"}} {rate}",
-                prom::escape(study)
-            );
-        }
-    }
     // The per-study `hiermeans_process_peak_rss_kb` gauge only exists when
     // a snapshot carried a memory block; the live plane always exposes the
     // process-wide value so RSS is scrapeable regardless of study config.
@@ -777,9 +744,7 @@ mod tests {
         let server = ephemeral();
         let addr = server.addr().to_string();
         assert_eq!(http_get(&addr, "/readyz").unwrap().0, 503);
-        server
-            .publisher("s")
-            .publish_epoch(0, 4, Some(1.0), None, 500);
+        server.publisher("s").publish_epoch(0, 4, Some(1.0), 500);
         assert_eq!(http_get(&addr, "/readyz").unwrap().0, 200);
     }
 
@@ -791,13 +756,12 @@ mod tests {
         let collector = crate::Collector::enabled();
         collector.add(crate::Counter::BmuSearches, 7);
         publisher.publish_snapshot(collector.report().unwrap());
-        publisher.publish_epoch(0, 2, Some(0.5), Some(0.75), 1_000);
+        publisher.publish_epoch(0, 2, Some(0.5), 1_000);
         let (status, body) = http_get(&addr, "/metrics").unwrap();
         assert_eq!(status, 200);
-        assert!(body.contains("hiermeans_bmu_searches"), "{body}");
-        // Live gauge carries the latest epoch hit rate, label escaped.
+        // The snapshot's counters, label escaped.
         assert!(
-            body.contains("hiermeans_som_warm_hit_rate{study=\"study\\\"a\\nb\\\\c\"} 0.75"),
+            body.contains("hiermeans_bmu_searches{study=\"study\\\"a\\nb\\\\c\"} 7"),
             "{body}"
         );
         // No study memory block: the process-wide RSS gauge fills in.
@@ -862,8 +826,8 @@ mod tests {
         let server = ephemeral();
         let addr = server.addr().to_string();
         let publisher = server.publisher("s");
-        publisher.publish_epoch(0, 3, None, None, 100);
-        publisher.publish_epoch(1, 3, None, None, 300);
+        publisher.publish_epoch(0, 3, None, 100);
+        publisher.publish_epoch(1, 3, None, 300);
         let mut client = SseClient::connect(&addr).unwrap();
         let _first = client.next_event().unwrap().unwrap();
         let second: ProgressEvent =
@@ -912,7 +876,6 @@ mod tests {
             epoch: 3,
             total_epochs: 10,
             quantization_error: Some(0.25),
-            warm_hit_rate: Some(0.9),
             epoch_duration_us: 1234,
             eta_us: Some(8638),
         };

@@ -38,19 +38,13 @@ pub enum Counter {
     WorkloadsCharacterized,
     /// Raw features dropped by the characterization filters.
     FeaturesDropped,
-    /// Batch BMU searches answered from the epoch-warm cache (the drift
-    /// bound certified the previous epoch's BMU, no scan ran).
-    BmuWarmHits,
-    /// Batch BMU searches that fell back to the exact scan because the
-    /// drift bound could not certify the cached BMU.
-    BmuExactRescans,
     /// Distinct rows (occupied cells) the agglomerative linkage ran over.
     ClusterCells,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 11] = [
+    pub const ALL: [Counter; 9] = [
         Counter::BmuSearches,
         Counter::DistanceEvaluations,
         Counter::KernelEvaluations,
@@ -59,8 +53,6 @@ impl Counter {
         Counter::ScoreSweepCells,
         Counter::WorkloadsCharacterized,
         Counter::FeaturesDropped,
-        Counter::BmuWarmHits,
-        Counter::BmuExactRescans,
         Counter::ClusterCells,
     ];
 
@@ -75,20 +67,8 @@ impl Counter {
             Counter::ScoreSweepCells => "score_sweep_cells",
             Counter::WorkloadsCharacterized => "workloads_characterized",
             Counter::FeaturesDropped => "features_dropped",
-            Counter::BmuWarmHits => "bmu_warm_hits",
-            Counter::BmuExactRescans => "bmu_exact_rescans",
             Counter::ClusterCells => "cluster_cells",
         }
-    }
-
-    /// Whether the counter is *advisory*: it describes which internal fast
-    /// path served a result, not the result itself. Advisory counters are
-    /// excluded from [`crate::report::TraceReport::fingerprint`] — the warm
-    /// hit/rescan split legitimately differs between resident (warm) and
-    /// streamed (cold) runs of the same rows even though every exported
-    /// artifact is bitwise identical.
-    pub fn advisory(self) -> bool {
-        matches!(self, Counter::BmuWarmHits | Counter::BmuExactRescans)
     }
 }
 

@@ -59,24 +59,6 @@ pub fn to_prometheus(doc: &TraceDocument) -> String {
             );
         }
     }
-    let mut wrote_warm_type = false;
-    for s in &doc.studies {
-        let hits = s.trace.counter("bmu_warm_hits").unwrap_or(0);
-        let rescans = s.trace.counter("bmu_exact_rescans").unwrap_or(0);
-        if hits + rescans == 0 {
-            continue;
-        }
-        if !wrote_warm_type {
-            let _ = writeln!(out, "# TYPE {PREFIX}bmu_warm_hit_rate gauge");
-            wrote_warm_type = true;
-        }
-        let _ = writeln!(
-            out,
-            "{PREFIX}bmu_warm_hit_rate{{study=\"{}\"}} {}",
-            escape(&s.label),
-            fmt_f64(hits as f64 / (hits + rescans) as f64)
-        );
-    }
     let mut wrote_rss_type = false;
     for s in &doc.studies {
         if let Some(memory) = &s.trace.memory {
@@ -172,7 +154,7 @@ mod tests {
             c.record(HistogramId::MergeDistance, 0.3);
             c.record(HistogramId::MergeDistance, 3.0);
             let mut buf = LaneBuf::new();
-            buf.record(0, 0, 0, 10);
+            buf.record(0, 0, 0.0, 10.0);
             buf.end_run();
             c.attach_lanes("score.sweep", 1, &buf);
         }
@@ -225,30 +207,6 @@ mod tests {
             last = value;
         }
         assert_eq!(last, 2);
-    }
-
-    #[test]
-    fn warm_hit_rate_gauge_present_iff_warm_counters_fired() {
-        // No warm counters -> no gauge at all.
-        let off = to_prometheus(&sample_document());
-        assert!(!off.contains("bmu_warm_hit_rate"));
-
-        let c = Collector::enabled();
-        {
-            let _root = c.span("pipeline");
-            c.add(Counter::BmuWarmHits, 3);
-            c.add(Counter::BmuExactRescans, 1);
-        }
-        let doc = TraceDocument::new(
-            1,
-            vec![StudyTrace {
-                label: "sar_machine_a".into(),
-                trace: c.report().expect("enabled"),
-            }],
-        );
-        let text = to_prometheus(&doc);
-        assert!(text.contains("# TYPE hiermeans_bmu_warm_hit_rate gauge"));
-        assert!(text.contains("hiermeans_bmu_warm_hit_rate{study=\"sar_machine_a\"} 0.75"));
     }
 
     #[test]

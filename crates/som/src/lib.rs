@@ -54,7 +54,6 @@ pub mod quality;
 pub mod schedule;
 pub mod train;
 pub mod umatrix;
-mod warm;
 
 pub use error::SomError;
 pub use grid::{Grid, GridTopology};

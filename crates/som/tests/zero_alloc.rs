@@ -1,8 +1,8 @@
 //! Steady-state training epochs perform zero heap allocations.
 //!
 //! The trainers preallocate their scratch up front (`SearchScratch` for the
-//! blocked BMU search; the strip, the epoch-warm cache and one
-//! `BatchWorker` per worker for the batch trainer), so on the serial path
+//! blocked BMU search; the strip and one `BatchWorker` per worker for the
+//! batch trainer), so on the serial path
 //! every allocation happens during setup: training for more epochs must
 //! allocate exactly as much as training for one. The shared
 //! tracking allocator (`hiermeans_obs::memhook`) makes that a hard test
@@ -106,8 +106,7 @@ fn steady_state_epochs_allocate_nothing() {
     // machine the test runs on.
     parallel::set_worker_override(Some(1));
     // Euclidean runs the blocked norm-trick search, Manhattan the scalar
-    // scan; resident Euclidean batch training also keeps the epoch-warm
-    // cache and its drift accounting, allocated once at setup.
+    // scan.
     let configs = [
         (TrainingMode::Online, Metric::Euclidean),
         (TrainingMode::Online, Metric::Manhattan),
@@ -156,9 +155,8 @@ fn steady_state_epochs_allocate_nothing_with_lanes_enabled() {
     parallel::set_worker_override(None);
 }
 
-/// The streaming trainer reuses one strip buffer and the same scratch, and
-/// builds no warm cache: steady-state streamed epochs allocate nothing
-/// either.
+/// The streaming trainer reuses one strip buffer and the same scratch:
+/// steady-state streamed epochs allocate nothing either.
 #[test]
 fn steady_state_stream_epochs_allocate_nothing() {
     parallel::set_worker_override(Some(1));
