@@ -74,7 +74,7 @@ fn study_pins() -> [StudyPin; 3] {
                 (19, 21, 0x4022f9422c23c47e, 7),
                 (22, 23, 0x402974b2334f2346, 13),
             ],
-            fingerprint: "dd08b51d541a9f8c",
+            fingerprint: "f989ced018668241",
         },
         StudyPin {
             label: "sar_machine_b",
@@ -103,7 +103,7 @@ fn study_pins() -> [StudyPin; 3] {
                 (18, 20, 0x4023b29d7d635662, 7),
                 (22, 23, 0x402974b2334f2346, 13),
             ],
-            fingerprint: "b1e9457d4f341f76",
+            fingerprint: "b80d8484c933adfb",
         },
         StudyPin {
             label: "method_utilization",
@@ -132,7 +132,7 @@ fn study_pins() -> [StudyPin; 3] {
                 (19, 21, 0x4023b29d7d635662, 9),
                 (22, 23, 0x402974b2334f2346, 13),
             ],
-            fingerprint: "3614e251f4cd9955",
+            fingerprint: "ffad14aa5ed72fcc",
         },
     ]
 }
