@@ -120,8 +120,9 @@ fn builder(width: usize, height: usize, epochs: usize, sigma_div: f64) -> SomBui
 /// the plane.
 pub fn bench_som(live: Option<&LiveServer>) -> SomBenchReport {
     let mut results = Vec::new();
-    // Grids near the heuristic ≈5·√n sizing the scaled pipeline uses,
-    // capped at the 32×32 = 1024-unit kernel-table ceiling. Epoch budgets
+    // Grids near the heuristic ≈5·√n sizing the scaled pipeline uses; the
+    // 100k row keeps the 32×32 grid its committed baseline row was timed
+    // on, so the rows stay comparable with `BENCH_som.json`. Epoch budgets
     // run long enough for the codebook to settle (the inverse-time
     // schedule's settling epoch is absolute, later for bigger grids). The
     // 100k row starts sigma tighter (diameter/4) so its 1024 units settle

@@ -241,8 +241,9 @@ pub fn run_pipeline(
 /// rows (PCA-plane initialization needs the resident matrix, so streaming
 /// falls back to random). Requires
 /// [`hiermeans_som::TrainingMode::Batch`] (the [`PipelineConfig::scaled`]
-/// default). Each strip's BMU search and accumulation run on every worker,
-/// with the same result for any worker count.
+/// default). Each strip's BMU search runs on every worker, and the rows
+/// are summed per BMU in row order, so the result is the same for any
+/// worker count.
 ///
 /// The downstream stages (projection, clustering) still need per-row
 /// outputs; callers at streaming scale project strip-wise themselves or

@@ -2,7 +2,8 @@
 //!
 //! Out-of-core SOM training must hold peak heap under a fixed ceiling that
 //! does not grow with `n`: the codebook, one 4096-row strip, and the batch
-//! accumulators — never the `n × dim` matrix. The shared tracking
+//! map's Voronoi sums — never the `n × dim` matrix, and no table with one
+//! entry per pair of units. The shared tracking
 //! allocator (`hiermeans_obs::memhook`) measures the peak of new bytes
 //! held at once across the whole training call, so a regression that
 //! materializes the corpus (or buffers a whole epoch) fails loudly.
@@ -21,17 +22,21 @@ use hiermeans_workload::synthetic::MixtureSpec;
 #[global_allocator]
 static ALLOCATOR: TrackingAlloc = TrackingAlloc;
 
-/// Held by every ceiling run: the measurement window and the worker
-/// override are both process-wide, so runs must not overlap.
+/// Held by every ceiling run through its assertions: the measurement
+/// window and the worker override are both process-wide, so runs must not
+/// overlap, and a failing run's panic must not allocate inside the next
+/// run's window.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn ceiling_run(n: usize, dim: usize, ceiling_bytes: i64, workers: Option<usize>) {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+/// Stream-trains a `side × side` map on `n` synthetic `dim`-wide rows for
+/// two batch epochs and returns the codebook's unit count with the peak
+/// heap of the training call. Callers hold [`SERIAL`].
+fn peak_heap(n: usize, dim: usize, side: usize, workers: Option<usize>) -> (usize, i64) {
     parallel::set_worker_override(workers);
     let spec = MixtureSpec::separated(n, dim, 8, 0x5CA1E);
     let config = PipelineConfig {
-        som_width: 4,
-        som_height: 4,
+        som_width: side,
+        som_height: side,
         epochs: 2,
         training: hiermeans_som::TrainingMode::Batch,
         ..PipelineConfig::default()
@@ -41,7 +46,13 @@ fn ceiling_run(n: usize, dim: usize, ceiling_bytes: i64, workers: Option<usize>)
         train_som_streaming(&mut source, &config).expect("streaming training succeeds")
     });
     parallel::set_worker_override(None);
-    assert_eq!(som.weights().nrows(), 16, "4x4 codebook");
+    (som.weights().nrows(), peak)
+}
+
+fn ceiling_run(n: usize, dim: usize, ceiling_bytes: i64, workers: Option<usize>) {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let (units, peak) = peak_heap(n, dim, 4, workers);
+    assert_eq!(units, 16, "4x4 codebook");
     let dense_bytes = (n * dim * std::mem::size_of::<f64>()) as i64;
     assert!(
         dense_bytes >= 4 * ceiling_bytes,
@@ -63,11 +74,33 @@ fn streaming_som_trains_under_a_fixed_memory_ceiling() {
 }
 
 /// The same case on four workers, under the same ceiling: each worker
-/// adds one search buffer and one `units × dim` partial, nothing that
-/// grows with `n` or with the chunk count.
+/// adds one search buffer and one chunk of BMUs, nothing that grows with
+/// `n` or with the chunk count.
 #[test]
 fn streaming_som_on_four_workers_stays_under_the_same_ceiling() {
     ceiling_run(1 << 16, 64, 8 << 20, Some(4));
+}
+
+/// A 40 × 40 map (1600 units) trains under 4 MiB. A table with one `f64`
+/// per pair of units would alone need 20 MB at this size, so the batch
+/// epoch must hold nothing that grows with `units²`.
+#[test]
+fn streaming_a_1600_unit_map_holds_no_unit_pair_table() {
+    let (side, ceiling_bytes) = (40, 4 << 20);
+    let pair_table_bytes = (side * side * side * side * std::mem::size_of::<f64>()) as i64;
+    assert!(
+        pair_table_bytes >= 4 * ceiling_bytes,
+        "test misconfigured: the ceiling must exclude a units² table \
+         ({pair_table_bytes} B vs ceiling {ceiling_bytes} B)"
+    );
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let (units, peak) = peak_heap(4096, 8, side, None);
+    assert_eq!(units, side * side, "40x40 codebook");
+    assert!(
+        peak <= ceiling_bytes,
+        "training a {units}-unit map peaked at {peak} B, over the {ceiling_bytes} B ceiling \
+         (a units² table would need {pair_table_bytes} B)"
+    );
 }
 
 /// The acceptance-scale run: one million rows (512 MiB dense) under the

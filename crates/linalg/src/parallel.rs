@@ -1,7 +1,7 @@
 //! Deterministic chunked map-reduce over index ranges.
 //!
 //! Every parallel hot path in the workspace — pairwise distance matrices,
-//! the SOM's best-matching-unit search and batch-epoch accumulation, and the
+//! the SOM's best-matching-unit searches, and the
 //! per-`k` dendrogram score sweep — routes through this module instead of
 //! hand-rolling its own thread pool. The design enforces four invariants:
 //!
@@ -28,8 +28,9 @@
 //! scattered into a pre-sized slot vector — no locks, and no reliance on
 //! arrival order.
 //!
-//! [`try_fold_ordered`] is the exception for per-chunk results too large to
-//! hold all at once (the batch SOM's accumulator partials): each worker
+//! [`try_fold_ordered`] is the exception for per-chunk results that must be
+//! consumed in order without holding them all at once (the batch SOM's
+//! per-chunk BMUs, added into its Voronoi sums in row order): each worker
 //! keeps one state and folds it into the caller's accumulator, one chunk
 //! at a time in chunk order, under a lock.
 

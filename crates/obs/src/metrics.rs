@@ -25,8 +25,9 @@ pub enum Counter {
     /// Point-to-point distance evaluations inside BMU searches and pairwise
     /// distance matrices.
     DistanceEvaluations,
-    /// Neighborhood-kernel evaluations that actually contributed a nonzero
-    /// weight during SOM training (data-dependent, counted per chunk).
+    /// Neighborhood-kernel evaluations during SOM training: online, the
+    /// units inside each step's support radius; batch, `units²` per epoch
+    /// (every unit pair of the smoothing pass, evaluated or skipped).
     KernelEvaluations,
     /// SOM training epochs completed.
     SomEpochs,

@@ -49,8 +49,6 @@ pub const SCORE_SWEEP: &str = "score.sweep";
 pub const LANE_SOM_ONLINE_EPOCHS: &str = "som.online_epochs";
 /// Lane stage: batch-mode best-matching-unit search chunks.
 pub const LANE_SOM_BMU_BATCH: &str = "som.bmu_batch";
-/// Lane stage: batch-mode numerator/denominator accumulation chunks.
-pub const LANE_SOM_BATCH_ACCUMULATE: &str = "som.batch_accumulate";
 
 /// Every span name guaranteed to appear in a full paper-study trace
 /// (`SuiteAnalysis::paper_with` under an enabled collector). Names recorded
@@ -87,7 +85,6 @@ mod tests {
             PIPELINE_DEGRADED_RAW_SPACE,
             LANE_SOM_ONLINE_EPOCHS,
             LANE_SOM_BMU_BATCH,
-            LANE_SOM_BATCH_ACCUMULATE,
         ]);
         let mut dedup = names.clone();
         dedup.sort_unstable();

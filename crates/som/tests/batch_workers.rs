@@ -1,11 +1,12 @@
 //! The batch trainer's result does not depend on the worker count.
 //!
-//! Within each strip, batch workers claim 64-row chunks, search their BMUs
-//! and fold their accumulator partials into the totals in ascending chunk
-//! order. Every bit of the trained map must therefore be the same for any
-//! worker count, for resident input ([`SomBuilder::train`]) and streamed
-//! input alike (`train_stream` over a `&Matrix` or a [`CharVecFile`]), and
-//! the three entry points must agree with each other.
+//! Within each strip, batch workers claim 64-row chunks and search their
+//! BMUs, and each chunk's rows are added into the Voronoi sums in
+//! ascending chunk order. Every bit of the trained map must therefore be
+//! the same for any worker count, for resident input
+//! ([`SomBuilder::train`]) and streamed input alike (`train_stream` over a
+//! `&Matrix` or a [`CharVecFile`]), and the three entry points must agree
+//! with each other.
 //!
 //! This lives in its own integration-test binary because
 //! [`parallel::set_worker_override`] is process-global: every case runs

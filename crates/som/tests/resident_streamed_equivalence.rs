@@ -61,7 +61,7 @@ proptest! {
 }
 
 /// Streaming at n past `STREAM_STRIP_ROWS` (4096): the Box–Muller state of
-/// the initializer and the chunked accumulation must line up with the
+/// the initializer and the row-order Voronoi sums must line up with the
 /// resident path across strip boundaries.
 #[test]
 fn streaming_crosses_strip_boundaries_bitwise() {

@@ -106,7 +106,7 @@ fn tracing_never_changes_batch_training() {
 }
 
 #[test]
-fn batch_training_counts_every_row_against_every_unit() {
+fn batch_training_counts_every_unit_pair_per_epoch() {
     let (n, side, epochs) = (700, 4, 5);
     let suite = gaussian_mixture(&MixtureSpec::separated(n, 3, 3, 8)).unwrap();
     let builder = batch(side, epochs);
@@ -119,11 +119,12 @@ fn batch_training_counts_every_row_against_every_unit() {
         };
         som.unwrap();
         let report = collector.report().unwrap();
-        // Every epoch pairs every row with every unit, whether the kernel
-        // weight is tabulated, skipped as zero support or evaluated.
+        // Every epoch's smoothing pass pairs every unit with every unit,
+        // whether the kernel weight is evaluated or skipped.
+        let units = side * side;
         assert_eq!(
             report.counter("kernel_evaluations"),
-            Some((epochs * n * side * side) as u64),
+            Some((epochs * units * units) as u64),
             "stream = {stream}"
         );
         let searches = report.counter("bmu_searches").unwrap();
@@ -217,7 +218,7 @@ fn streaming_surfaces_a_failure_before_the_first_update() {
 
 #[test]
 fn streaming_surfaces_a_failure_in_a_later_strip_of_a_later_epoch() {
-    // Epoch 1's second strip: one update and one strip of partials in.
+    // Epoch 1's second strip: one update and one strip of sums in.
     assert_eq!(streamed_failure(6, Collector::disabled()), 4096);
 }
 
