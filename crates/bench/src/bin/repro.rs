@@ -11,34 +11,31 @@
 //!                    curves of the naive and NN-chain merge loops; with
 //!                    --baseline, exits nonzero when any row regresses
 //!                    > 50% and > 250 ms over the stored report)
-//!                    bench-som [--baseline <file>]
+//!                    bench-som [--baseline <file>] [--progress <file>]
 //!                    (writes BENCH_som.json with the batch SOM
 //!                    epoch-throughput curve at n = 1k/10k/100k and the
 //!                    out-of-core streaming row at n = 10⁶ with its
 //!                    measured peak heap; with --baseline, gates each
 //!                    timed row against the stored report at > 50% and
 //!                    > 250 ms)
-//!   observability:   trace [--prom <file>] [--live [addr]] (writes
+//!   observability:   trace [--prom <file>] [--progress <file>] (writes
 //!                    OBS_trace.json; exits nonzero if any study's SOM did
 //!                    not converge; with --prom, also writes the document
 //!                    in Prometheus text exposition format)
-//!                    profile [--live [addr]] (writes OBS_profile.json
+//!                    profile [--progress <file>] (writes OBS_profile.json
 //!                    with per-worker lane timelines, occupancy, and
 //!                    parallel efficiency, plus OBS_profile.trace.json in
 //!                    Chrome trace-event format, loadable in Perfetto)
 //!                    check-trace <file> (validates a Chrome trace-event
 //!                    file's shape — every event has ph/ts/dur/tid — or,
 //!                    for an OBS_trace/OBS_profile document, the full
-//!                    schema: finite quality records, memory blocks,
-//!                    meta and live stamps)
-//!   live telemetry:  long-running runs (trace, profile, bench-scale,
-//!                    bench-som, submit, merge) accept --live [addr]
-//!                    (default 127.0.0.1:9184) to host in-process
-//!                    GET /metrics, /healthz, /readyz, /trace, and
-//!                    /events (SSE progress) endpoints for the run's
-//!                    duration; hosting changes no artifact bytes
-//!                    watch [addr] (attaches to a --live run's /events
-//!                    stream and renders progress rows until the run ends)
+//!                    schema: finite quality records, memory blocks and
+//!                    the meta stamp)
+//!   progress:        --progress <file> appends one JSON line per finished
+//!                    epoch, streamed strip or ingest batch as the run
+//!                    goes (follow it with tail -f); the run's closing
+//!                    line counts the events written; the file changes
+//!                    no artifact bytes
 //!   run history:     trace/profile/bench-scale/bench-som each append one
 //!                    compact record (kind trace, profile, bench_scale or
 //!                    bench_som) to OBS_history.jsonl
@@ -56,12 +53,14 @@
 //!                    storage fault scenarios against the result store)
 //!                    check <file> (validates a CSV/whitespace matrix and
 //!                    prints typed diagnostics with exact coordinates)
-//!   fleet store:     submit [--store <file>] (<subs.jsonl> | --paper |
-//!                    --synthetic <n> [--seed <s>]) (guarded ingest into
+//!   fleet store:     submit [--store <file>] [--progress <file>]
+//!                    (<subs.jsonl> | --paper | --synthetic <n>
+//!                    [--seed <s>]) (guarded ingest into
 //!                    the crash-safe result store, default
 //!                    STORE_fleet.jsonl; rejects go to the quarantine
 //!                    sidecar, accepts fold into the score cache)
-//!                    merge [--store <dst>] <src.jsonl> (re-ingests every
+//!                    merge [--store <dst>] [--progress <file>] <src.jsonl>
+//!                    (re-ingests every
 //!                    source line with full verification and dedup)
 //!                    query [--store <file>] (per-machine and fleet
 //!                    HGM/HAM/HHM via the incremental score cache)
@@ -78,10 +77,9 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use hiermeans_bench::{
-    check, experiments, extensions, faults, history, live_client, profile, scale, som, store_cli,
-    trace,
+    check, experiments, extensions, faults, history, profile, scale, som, store_cli, trace,
 };
-use hiermeans_obs::LiveServer;
+use hiermeans_obs::ProgressLog;
 use hiermeans_workload::measurement::Characterization;
 use hiermeans_workload::Machine;
 
@@ -157,7 +155,7 @@ fn run(artifact: &str) -> Result<String, String> {
 /// `BENCH_scale.json`, and — when a baseline file is given — applies the
 /// scale regression gate: any curve row more than 50% (and 250 ms) over the
 /// baseline's fails the run.
-fn run_bench_scale(baseline: Option<&str>, live_addr: Option<&str>) -> Result<String, String> {
+fn run_bench_scale(baseline: Option<&str>) -> Result<String, String> {
     // Parse the baseline before benching: the committed baseline
     // conventionally lives at BENCH_scale.json itself, which the write
     // below replaces.
@@ -169,11 +167,6 @@ fn run_bench_scale(baseline: Option<&str>, live_addr: Option<&str>) -> Result<St
                 .map_err(|e| format!("bench-scale: parsing baseline {path}: {e}"))
         })
         .transpose()?;
-    // The scale curves deliberately run without collectors (telemetry in
-    // the timed region would distort them), so the plane serves process
-    // liveness — /metrics with the process RSS gauge and /healthz — while
-    // the minutes-long run grinds, rather than per-epoch progress.
-    let server = host_live(live_addr)?;
     let report = scale::bench_scale();
     let json =
         serde_json::to_string_pretty(&report).map_err(|e| format!("bench-scale failed: {e}"))?;
@@ -185,16 +178,13 @@ fn run_bench_scale(baseline: Option<&str>, live_addr: Option<&str>) -> Result<St
         let table = scale::compare_with_scale_baseline(&report, &base)?;
         out.push_str(&format!("\nscale regression gate vs {path}: ok\n{table}"));
     }
-    if let Some(server) = &server {
-        out.push_str(&live_note(server));
-    }
     Ok(out)
 }
 
 /// Runs the SOM epoch-throughput curve and the out-of-core streaming row,
 /// writes `BENCH_som.json`, and — when a baseline file is given — gates
 /// each timed row against it at > 50% and > 250 ms.
-fn run_bench_som(baseline: Option<&str>, live_addr: Option<&str>) -> Result<String, String> {
+fn run_bench_som(baseline: Option<&str>, progress: Option<&str>) -> Result<String, String> {
     // Parse the baseline before benching: the committed baseline
     // conventionally lives at BENCH_som.json itself, which the write below
     // replaces.
@@ -206,8 +196,8 @@ fn run_bench_som(baseline: Option<&str>, live_addr: Option<&str>) -> Result<Stri
                 .map_err(|e| format!("bench-som: parsing baseline {path}: {e}"))
         })
         .transpose()?;
-    let server = host_live(live_addr)?;
-    let report = som::bench_som(server.as_ref());
+    let progress = progress.map(ProgressLog::create).transpose()?;
+    let report = som::bench_som(progress.as_ref());
     let json =
         serde_json::to_string_pretty(&report).map_err(|e| format!("bench-som failed: {e}"))?;
     std::fs::write("BENCH_som.json", &json).map_err(|e| format!("writing BENCH_som.json: {e}"))?;
@@ -220,37 +210,19 @@ fn run_bench_som(baseline: Option<&str>, live_addr: Option<&str>) -> Result<Stri
         let table = som::compare_with_som_baseline(&report, &base)?;
         out.push_str(&format!("\nsom regression gate vs {path}: ok\n{table}"));
     }
-    if let Some(server) = &server {
-        out.push_str(&live_note(server));
+    if let Some(log) = &progress {
+        out.push_str(&format!("\n{}", log.summary()));
     }
     Ok(out)
-}
-
-/// Hosts the live telemetry plane when `--live` was given: the server stays
-/// up for the duration of the calling subcommand and shuts down (joining
-/// every connection thread) when it drops.
-fn host_live(addr: Option<&str>) -> Result<Option<LiveServer>, String> {
-    addr.map(|a| LiveServer::bind(a, hiermeans_linalg::parallel::worker_count()))
-        .transpose()
-}
-
-/// One summary line appended to a `--live` run's output.
-fn live_note(server: &LiveServer) -> String {
-    let summary = server.summary();
-    let r = &summary.requests;
-    format!(
-        "\nlive telemetry on {}: {} events published; requests: {} /metrics, {} /healthz, {} /readyz, {} /trace, {} /events",
-        summary.addr, summary.events_published, r.metrics, r.healthz, r.readyz, r.trace, r.events
-    )
 }
 
 /// Runs the traced paper studies, writes `OBS_trace.json` (and, when
 /// `--prom` was given, the Prometheus text exposition), and applies the SOM
 /// convergence gate.
-fn run_trace(prom: Option<&str>, live_addr: Option<&str>) -> Result<String, String> {
-    let server = host_live(live_addr)?;
+fn run_trace(prom: Option<&str>, progress: Option<&str>) -> Result<String, String> {
+    let progress = progress.map(ProgressLog::create).transpose()?;
     let (document, json, rendered) =
-        trace::trace_artifact(server.as_ref()).map_err(|e| format!("trace failed: {e}"))?;
+        trace::trace_artifact(progress.as_ref()).map_err(|e| format!("trace failed: {e}"))?;
     std::fs::write("OBS_trace.json", &json).map_err(|e| format!("writing OBS_trace.json: {e}"))?;
     let mut wrote = "wrote OBS_trace.json".to_owned();
     if let Some(path) = prom {
@@ -258,8 +230,8 @@ fn run_trace(prom: Option<&str>, live_addr: Option<&str>) -> Result<String, Stri
         std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
         wrote.push_str(&format!(" and {path}"));
     }
-    if let Some(server) = &server {
-        wrote.push_str(&live_note(server));
+    if let Some(log) = &progress {
+        wrote.push_str(&format!("\n{}", log.summary()));
     }
     // The record lands before the convergence gate: a non-converged run
     // must appear in the history (the statistical gate fails it there too),
@@ -273,17 +245,17 @@ fn run_trace(prom: Option<&str>, live_addr: Option<&str>) -> Result<String, Stri
 
 /// Runs the profiled paper studies (`repro profile`), writing
 /// `OBS_profile.json` and the Chrome trace-event companion.
-fn run_profile(live_addr: Option<&str>) -> Result<String, String> {
-    let server = host_live(live_addr)?;
+fn run_profile(progress: Option<&str>) -> Result<String, String> {
+    let progress = progress.map(ProgressLog::create).transpose()?;
     let (document, json, chrome_json, rendered) =
-        profile::profile_artifact(server.as_ref()).map_err(|e| format!("profile failed: {e}"))?;
+        profile::profile_artifact(progress.as_ref()).map_err(|e| format!("profile failed: {e}"))?;
     std::fs::write("OBS_profile.json", &json)
         .map_err(|e| format!("writing OBS_profile.json: {e}"))?;
     std::fs::write("OBS_profile.trace.json", &chrome_json)
         .map_err(|e| format!("writing OBS_profile.trace.json: {e}"))?;
     let mut wrote = "wrote OBS_profile.json and OBS_profile.trace.json".to_owned();
-    if let Some(server) = &server {
-        wrote.push_str(&live_note(server));
+    if let Some(log) = &progress {
+        wrote.push_str(&format!("\n{}", log.summary()));
     }
     let appended = history::append(&history::record_from_profile(&document))?;
     Ok(format!("{wrote}\n{appended}\n{rendered}"))
@@ -348,8 +320,8 @@ fn run_check_report(path: &str) -> Result<String, String> {
 /// Perfetto's importer requires — every event a complete `ph: "X"`
 /// duration event with numeric `ts`/`dur`/`pid`/`tid`. Anything else is
 /// validated as an `OBS_trace.json`/`OBS_profile.json` document: schema
-/// version, finite per-epoch quality records, and the optional memory,
-/// meta, and live blocks.
+/// version, finite per-epoch quality records, and the optional memory and
+/// meta blocks.
 fn run_check_trace(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("check-trace: cannot read {path}: {e}"))?;
@@ -402,24 +374,23 @@ fn main() -> ExitCode {
             "usage: repro <artifact>...\n  paper artifacts: table1 table2 table3 fig3 fig4 \
              fig5 fig6 fig7 fig8 table4 table5 table6 all\n  extensions: merger jackknife \
              means-family duplication correlation mica evaluation json-reports extensions\n  \
-             performance: bench-scale [--baseline <file>] [--live [addr]] (writes BENCH_scale.json), \
-             bench-som [--baseline <file>] [--live [addr]] (writes BENCH_som.json with \
+             performance: bench-scale [--baseline <file>] (writes BENCH_scale.json), \
+             bench-som [--baseline <file>] [--progress <file>] (writes BENCH_som.json with \
              the batch epoch-throughput curve and the n = 10^6 streaming row)\n  \
-             observability: trace [--prom <file>] [--live [addr]] (writes OBS_trace.json), \
-             profile [--live [addr]] (writes OBS_profile.json + OBS_profile.trace.json), \
+             observability: trace [--prom <file>] [--progress <file>] (writes OBS_trace.json), \
+             profile [--progress <file>] (writes OBS_profile.json + OBS_profile.trace.json), \
              check-trace <file> (Chrome trace or OBS document)\n  \
-             live telemetry: --live [addr] (default 127.0.0.1:9184) hosts /metrics, \
-             /healthz, /readyz, /trace, and /events (SSE) for the run's duration; \
-             watch [addr] renders a --live run's progress stream\n  \
+             progress: --progress <file> appends one JSON line per finished epoch, \
+             streamed strip or ingest batch (follow with tail -f)\n  \
              run history: trace, profile, bench-scale and bench-som each append a \
              record (kind trace, profile, bench_scale or bench_som) to OBS_history.jsonl; \
              history [--gate] (trend table over the store; \
              --gate fails on statistical regressions), \
              report (writes OBS_report.html), check-report <file>\n  \
              robustness: faults (writes OBS_faults.json), check <file>\n  \
-             fleet store: submit [--store <file>] [--live [addr]] (<subs.jsonl> | --paper | \
+             fleet store: submit [--store <file>] [--progress <file>] (<subs.jsonl> | --paper | \
              --synthetic <n> [--seed <s>]), \
-             merge [--store <dst>] [--live [addr]] <src.jsonl>, \
+             merge [--store <dst>] [--progress <file>] <src.jsonl>, \
              query [--store <file>], \
              fsck [--store <file>] [--repair]"
         );
@@ -453,25 +424,16 @@ fn main() -> ExitCode {
         } else if artifact == "history" && args.peek().map(String::as_str) == Some("--gate") {
             args.next();
             run_guarded(|| run_history(true), "history")
-        } else if artifact == "watch" {
-            let addr = live_client::take_live_addr(&mut args);
-            run_guarded(
-                || {
-                    let mut out = std::io::stdout();
-                    live_client::watch(&addr, &mut out)
-                },
-                "watch",
-            )
         } else if matches!(
             artifact.as_str(),
             "trace" | "profile" | "bench-scale" | "bench-som"
         ) {
             // These subcommands take flags in any order: --baseline <file>
-            // (benches), --prom <file> (trace), --live [addr] (all the
-            // long-running ones).
+            // (benches), --prom <file> (trace), --progress <file> (all but
+            // bench-scale, whose curves run untraced).
             let mut baseline: Option<String> = None;
             let mut prom: Option<String> = None;
-            let mut live: Option<String> = None;
+            let mut progress: Option<String> = None;
             loop {
                 match args.peek().map(String::as_str) {
                     Some("--baseline") if artifact.starts_with("bench-") => {
@@ -490,22 +452,25 @@ fn main() -> ExitCode {
                         };
                         prom = Some(path);
                     }
-                    Some("--live") => {
+                    Some("--progress") if artifact != "bench-scale" => {
                         args.next();
-                        live = Some(live_client::take_live_addr(&mut args));
+                        let Some(path) = args.next() else {
+                            eprintln!("{artifact}: --progress requires a <file> argument");
+                            return ExitCode::FAILURE;
+                        };
+                        progress = Some(path);
                     }
                     _ => break,
                 }
             }
             match artifact.as_str() {
-                "trace" => run_guarded(|| run_trace(prom.as_deref(), live.as_deref()), "trace"),
-                "profile" => run_guarded(|| run_profile(live.as_deref()), "profile"),
-                "bench-scale" => run_guarded(
-                    || run_bench_scale(baseline.as_deref(), live.as_deref()),
-                    "bench-scale",
-                ),
+                "trace" => run_guarded(|| run_trace(prom.as_deref(), progress.as_deref()), "trace"),
+                "profile" => run_guarded(|| run_profile(progress.as_deref()), "profile"),
+                "bench-scale" => {
+                    run_guarded(|| run_bench_scale(baseline.as_deref()), "bench-scale")
+                }
                 _ => run_guarded(
-                    || run_bench_som(baseline.as_deref(), live.as_deref()),
+                    || run_bench_som(baseline.as_deref(), progress.as_deref()),
                     "bench-som",
                 ),
             }

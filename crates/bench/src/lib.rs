@@ -13,7 +13,6 @@ pub mod experiments;
 pub mod extensions;
 pub mod faults;
 pub mod history;
-pub mod live_client;
 pub mod profile;
 pub mod scale;
 pub mod som;

@@ -16,28 +16,18 @@
 use hiermeans_core::analysis::SuiteAnalysis;
 use hiermeans_linalg::parallel;
 use hiermeans_obs::history::BenchMeta;
-use hiermeans_obs::{chrome, Collector, LiveServer, ObsConfig, StudyTrace, TraceDocument};
+use hiermeans_obs::{chrome, ObsConfig, ProgressLog, StudyTrace, TraceDocument};
 
-use crate::trace::paper_studies;
+use crate::trace::{paper_studies, progress_collector};
 
 /// Runs every paper study under a profiling collector (lanes on, quality
-/// sampling off) and bundles the traces.
+/// sampling off) and bundles the traces. With a progress log, each study
+/// appends its epoch lines there.
 ///
 /// # Errors
 ///
 /// Returns the first study's failure, labeled.
-pub fn paper_profile_document() -> Result<TraceDocument, String> {
-    paper_profile_document_live(None)
-}
-
-/// [`paper_profile_document`] with an optional live telemetry plane.
-/// Quality sampling is off for profile fidelity, so the plane sees epoch
-/// and final-report snapshots rather than per-epoch quality records.
-///
-/// # Errors
-///
-/// Returns the first study's failure, labeled.
-pub fn paper_profile_document_live(live: Option<&LiveServer>) -> Result<TraceDocument, String> {
+pub fn paper_profile_document(progress: Option<&ProgressLog>) -> Result<TraceDocument, String> {
     let mut studies = Vec::new();
     for (label, characterization) in paper_studies() {
         let config = ObsConfig {
@@ -46,10 +36,7 @@ pub fn paper_profile_document_live(live: Option<&LiveServer>) -> Result<TraceDoc
             memory: true,
             ..ObsConfig::default()
         };
-        let collector = match live {
-            Some(server) => Collector::enabled_live(config, server.publisher(label)),
-            None => Collector::enabled_with(config),
-        };
+        let collector = progress_collector(config, progress, label);
         SuiteAnalysis::paper_with(characterization, &collector)
             .map_err(|e| format!("{label}: {e}"))?;
         let trace = collector
@@ -60,12 +47,7 @@ pub fn paper_profile_document_live(live: Option<&LiveServer>) -> Result<TraceDoc
             trace,
         });
     }
-    let mut document =
-        TraceDocument::new(parallel::worker_count(), studies).with_meta(BenchMeta::capture());
-    if let Some(server) = live {
-        document = document.with_live(server.summary());
-    }
-    Ok(document)
+    Ok(TraceDocument::new(parallel::worker_count(), studies).with_meta(BenchMeta::capture()))
 }
 
 /// Produces the `repro profile` outputs: the document, the pretty JSON for
@@ -76,9 +58,9 @@ pub fn paper_profile_document_live(live: Option<&LiveServer>) -> Result<TraceDoc
 ///
 /// Propagates study and serialization failures.
 pub fn profile_artifact(
-    live: Option<&LiveServer>,
+    progress: Option<&ProgressLog>,
 ) -> Result<(TraceDocument, String, String, String), String> {
-    let document = paper_profile_document_live(live)?;
+    let document = paper_profile_document(progress)?;
     let json = serde_json::to_string_pretty(&document).map_err(|e| e.to_string())?;
     let chrome_json = chrome::to_chrome_trace(&document);
     chrome::validate(&chrome_json).map_err(|e| format!("chrome trace self-check: {e}"))?;
@@ -89,7 +71,7 @@ pub fn profile_artifact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hiermeans_obs::stages;
+    use hiermeans_obs::{stages, Collector};
 
     /// One cheap profiled study (shared by the assertions below): the full
     /// three-study artifact is exercised by `tests/lanes.rs` and CI.

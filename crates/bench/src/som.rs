@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use hiermeans_obs::memhook;
-use hiermeans_obs::{Collector, LiveServer, ObsConfig};
+use hiermeans_obs::{Collector, ObsConfig, ProgressLog};
 use hiermeans_som::{
     DecaySchedule, Initializer, NeighborhoodKernel, Som, SomBuilder, TrainingMode,
 };
@@ -114,11 +114,10 @@ fn builder(width: usize, height: usize, epochs: usize, sigma_div: f64) -> SomBui
 /// streaming row. Takes a few minutes in release — the 100k row alone
 /// trains 192 epochs.
 ///
-/// With a live server attached (`repro bench-som --live`), one untimed
-/// traced run per row and the streaming row publish progress through it;
-/// the *timed* runs stay untraced so the curve measures the trainer, not
-/// the plane.
-pub fn bench_som(live: Option<&LiveServer>) -> SomBenchReport {
+/// With a progress log (`repro bench-som --progress <file>`), the n = 10⁶
+/// streaming row appends its strip and epoch lines there. The
+/// curve's timed rows never publish, so they measure the trainer alone.
+pub fn bench_som(progress: Option<&ProgressLog>) -> SomBenchReport {
     let mut results = Vec::new();
     // Grids near the heuristic ≈5·√n sizing the scaled pipeline uses; the
     // 100k row keeps the 32×32 grid its committed baseline row was timed
@@ -138,21 +137,6 @@ pub fn bench_som(live: Option<&LiveServer>) -> SomBenchReport {
         let cold_ms = best_of(reps, || {
             b.train_stream(&mut &points).expect("finite mixture")
         });
-        if let Some(server) = live {
-            // Quality sampling off, so the run adds no extra BMU passes.
-            let collector = Collector::enabled_live(
-                ObsConfig {
-                    epoch_quality_stride: 0,
-                    lanes: false,
-                    memory: false,
-                    ..ObsConfig::default()
-                },
-                server.publisher(&format!("bench_som_n{n}")),
-            );
-            b.train_traced(&points, &collector).expect("finite mixture");
-            // The final report publishes the run's counters to `/metrics`.
-            collector.report().expect("enabled collector");
-        }
         results.push(SomEpochTiming {
             n,
             dim,
@@ -172,12 +156,13 @@ pub fn bench_som(live: Option<&LiveServer>) -> SomBenchReport {
         let (som, peak) = memhook::global_window(|| {
             let mut source = SyntheticRowSource::new(spec).expect("valid spec");
             let b = builder(width, height, epochs, 2.0);
-            match live {
-                // Live strip/epoch beats for the multi-minute streamed
-                // pass. Publishing allocates inside the global window, so
-                // a `--live` run's recorded peak can sit slightly above a
-                // plain run's — the trained map stays bitwise identical.
-                Some(server) => {
+            match progress {
+                // Strip and epoch lines for the streamed pass, with
+                // quality sampling off so it adds no BMU pass.
+                // Publishing allocates inside the global window, so a
+                // `--progress` run's recorded peak can sit slightly above
+                // a plain run's; the trained map stays bitwise identical.
+                Some(log) => {
                     let collector = Collector::enabled_live(
                         ObsConfig {
                             epoch_quality_stride: 0,
@@ -185,7 +170,7 @@ pub fn bench_som(live: Option<&LiveServer>) -> SomBenchReport {
                             memory: false,
                             ..ObsConfig::default()
                         },
-                        server.publisher("bench_som_stream"),
+                        log.publisher("bench_som_stream"),
                     );
                     b.train_stream_traced(&mut source, &collector)
                 }

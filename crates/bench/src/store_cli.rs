@@ -19,13 +19,14 @@ use std::vec::IntoIter;
 
 use hiermeans_core::analysis::paper_vectors;
 use hiermeans_core::fleet::{ClusterModel, FleetScoreboard, DEFAULT_MAX_K};
-use hiermeans_linalg::parallel;
-use hiermeans_obs::{Collector, LiveServer, ObsConfig, ResilienceEvent};
+use hiermeans_obs::{Collector, ObsConfig, ProgressLog, ResilienceEvent};
 use hiermeans_store::{
     fsck, ingest_lines, ingest_submissions, synthetic_fleet, IngestConfig, ResultStore, Submission,
 };
 use hiermeans_workload::measurement::{paper_speedup, Characterization, N_WORKLOADS};
 use hiermeans_workload::{BenchmarkSuite, Machine};
+
+use crate::trace::progress_collector;
 
 /// Default fleet store path, relative to the working directory.
 pub const STORE_PATH: &str = "STORE_fleet.jsonl";
@@ -326,16 +327,16 @@ fn run_submit(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
     let mut synthetic: Option<usize> = None;
     let mut seed = 42u64;
     let mut file: Option<String> = None;
-    let mut live_addr: Option<String> = None;
+    let mut progress_path: Option<String> = None;
     loop {
         match args.peek().map(String::as_str) {
             Some("--store") => {
                 args.next();
                 store_path = take_value(args, "submit", "--store")?;
             }
-            Some("--live") => {
+            Some("--progress") => {
                 args.next();
-                live_addr = Some(crate::live_client::take_live_addr(args));
+                progress_path = Some(take_value(args, "submit", "--progress")?);
             }
             Some("--paper") => {
                 args.next();
@@ -363,8 +364,9 @@ fn run_submit(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
         }
     }
     let store = ResultStore::new(&store_path);
-    let server = host_live(live_addr.as_deref())?;
-    let collector = ingest_collector(server.as_ref(), &store_path);
+    let progress = progress_path.map(ProgressLog::create).transpose()?;
+    // `Ingest` lines carry the store path as their label.
+    let collector = progress_collector(ObsConfig::default(), progress.as_ref(), &store_path);
     let cfg = IngestConfig::default();
     let report = if paper {
         ingest_submissions(&store, &paper_submissions()?, &cfg, &collector)?
@@ -379,7 +381,8 @@ fn run_submit(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
             "submit: nothing to submit (give a JSONL file, --paper, or --synthetic N)".to_owned(),
         );
     };
-    render_submit(&store, &report, &collector)
+    let out = render_submit(&store, &report, &collector)?;
+    Ok(with_progress_summary(out, progress.as_ref()))
 }
 
 /// `repro merge`: re-ingests every line of a source store into the
@@ -389,16 +392,16 @@ fn run_submit(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
 /// damage silently.
 fn run_merge(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
     let mut store_path = STORE_PATH.to_owned();
-    let mut live_addr: Option<String> = None;
+    let mut progress_path: Option<String> = None;
     loop {
         match args.peek().map(String::as_str) {
             Some("--store") => {
                 args.next();
                 store_path = take_value(args, "merge", "--store")?;
             }
-            Some("--live") => {
+            Some("--progress") => {
                 args.next();
-                live_addr = Some(crate::live_client::take_live_addr(args));
+                progress_path = Some(take_value(args, "merge", "--progress")?);
             }
             _ => break,
         }
@@ -409,12 +412,13 @@ fn run_merge(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
     let text = std::fs::read_to_string(&source)
         .map_err(|e| format!("merge: cannot read {source}: {e}"))?;
     let store = ResultStore::new(&store_path);
-    let server = host_live(live_addr.as_deref())?;
-    let collector = ingest_collector(server.as_ref(), &store_path);
+    let progress = progress_path.map(ProgressLog::create).transpose()?;
+    // `Ingest` lines carry the store path as their label.
+    let collector = progress_collector(ObsConfig::default(), progress.as_ref(), &store_path);
     let report = ingest_lines(&store, &text, &IngestConfig::default(), &collector)?;
     let mut out = format!("merge {source} -> {store_path}\n");
     out.push_str(&render_submit(&store, &report, &collector)?);
-    Ok(out)
+    Ok(with_progress_summary(out, progress.as_ref()))
 }
 
 /// `repro query`: rescores the store (incrementally, via the sidecar
@@ -467,19 +471,13 @@ fn run_fsck(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
     Ok(out)
 }
 
-/// Hosts the live telemetry plane for one ingest run (`--live [addr]`).
-fn host_live(addr: Option<&str>) -> Result<Option<LiveServer>, String> {
-    addr.map(|a| LiveServer::bind(a, parallel::worker_count()))
-        .transpose()
-}
-
-/// The ingest collector: attached to the live plane (labeled with the
-/// store path, so SSE `Ingest` records name the store) when one is hosted.
-fn ingest_collector(server: Option<&LiveServer>, store_path: &str) -> Collector {
-    match server {
-        Some(server) => Collector::enabled_live(ObsConfig::default(), server.publisher(store_path)),
-        None => Collector::enabled(),
+/// Appends the progress log's closing line to a run's output.
+fn with_progress_summary(mut out: String, progress: Option<&ProgressLog>) -> String {
+    if let Some(log) = progress {
+        out.push('\n');
+        out.push_str(&log.summary());
     }
+    out
 }
 
 fn take_value(

@@ -10,7 +10,7 @@
 use hiermeans_core::analysis::SuiteAnalysis;
 use hiermeans_linalg::parallel;
 use hiermeans_obs::history::BenchMeta;
-use hiermeans_obs::{Collector, LiveServer, ObsConfig, StudyTrace, TraceDocument};
+use hiermeans_obs::{Collector, ObsConfig, ProgressLog, StudyTrace, TraceDocument};
 use hiermeans_workload::measurement::Characterization;
 use hiermeans_workload::Machine;
 
@@ -25,24 +25,13 @@ pub fn paper_studies() -> Vec<(&'static str, Characterization)> {
 }
 
 /// Runs every paper study under a fresh enabled collector and bundles the
-/// traces.
+/// traces. With a progress log, each study's collector appends its epoch
+/// lines there under the study's label; that changes no study output.
 ///
 /// # Errors
 ///
 /// Returns the first study's failure, labeled.
-pub fn paper_trace_document() -> Result<TraceDocument, String> {
-    paper_trace_document_live(None)
-}
-
-/// [`paper_trace_document`] with an optional live telemetry plane: when a
-/// server is given, each study's collector publishes snapshots and
-/// progress events through a per-study publisher. Live on vs. off changes
-/// no study output — publishing never writes into the recorded trace.
-///
-/// # Errors
-///
-/// Returns the first study's failure, labeled.
-pub fn paper_trace_document_live(live: Option<&LiveServer>) -> Result<TraceDocument, String> {
+pub fn paper_trace_document(progress: Option<&ProgressLog>) -> Result<TraceDocument, String> {
     let mut studies = Vec::new();
     for (label, characterization) in paper_studies() {
         // Memory telemetry is on for repro runs; the `repro` binary
@@ -52,10 +41,7 @@ pub fn paper_trace_document_live(live: Option<&LiveServer>) -> Result<TraceDocum
             memory: true,
             ..ObsConfig::default()
         };
-        let collector = match live {
-            Some(server) => Collector::enabled_live(config, server.publisher(label)),
-            None => Collector::enabled_with(config),
-        };
+        let collector = progress_collector(config, progress, label);
         SuiteAnalysis::paper_with(characterization, &collector)
             .map_err(|e| format!("{label}: {e}"))?;
         let trace = collector
@@ -66,24 +52,32 @@ pub fn paper_trace_document_live(live: Option<&LiveServer>) -> Result<TraceDocum
             trace,
         });
     }
-    let mut document =
-        TraceDocument::new(parallel::worker_count(), studies).with_meta(BenchMeta::capture());
-    if let Some(server) = live {
-        document = document.with_live(server.summary());
+    Ok(TraceDocument::new(parallel::worker_count(), studies).with_meta(BenchMeta::capture()))
+}
+
+/// An enabled collector for one labeled run, publishing to `progress`
+/// when a log is given.
+pub(crate) fn progress_collector(
+    config: ObsConfig,
+    progress: Option<&ProgressLog>,
+    label: &str,
+) -> Collector {
+    match progress {
+        Some(log) => Collector::enabled_live(config, log.publisher(label)),
+        None => Collector::enabled_with(config),
     }
-    Ok(document)
 }
 
 /// Produces the `repro trace` output: the document, its pretty JSON, and
-/// the rendered stage trees. Hosts the live plane when `live` is given.
+/// the rendered stage trees.
 ///
 /// # Errors
 ///
 /// Propagates study and serialization failures.
 pub fn trace_artifact(
-    live: Option<&LiveServer>,
+    progress: Option<&ProgressLog>,
 ) -> Result<(TraceDocument, String, String), String> {
-    let document = paper_trace_document_live(live)?;
+    let document = paper_trace_document(progress)?;
     let json = serde_json::to_string_pretty(&document).map_err(|e| e.to_string())?;
     let rendered = document.render();
     Ok((document, json, rendered))

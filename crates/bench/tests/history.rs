@@ -132,7 +132,7 @@ fn glue_records_carry_provenance_meta() {
 /// sample for every stage it holds.
 #[test]
 fn paper_trace_record_carries_the_gated_stage_timings() {
-    let document = paper_trace_document().unwrap();
+    let document = paper_trace_document(None).unwrap();
     let record = record_from_trace(&document);
     assert_eq!(record.kind, "trace");
     for (stage, _) in GATED_STAGES {

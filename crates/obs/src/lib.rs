@@ -52,9 +52,9 @@ pub mod hash;
 pub mod history;
 pub mod jsonl;
 pub mod lanes;
-pub mod live;
 pub mod memhook;
 pub mod metrics;
+pub mod progress;
 pub mod prom;
 pub mod report;
 pub mod resilience;
@@ -68,8 +68,8 @@ pub use convergence::{ConvergenceVerdict, EpochRecord};
 pub use hash::{fnv1a64, fnv1a64_hex, Fnv1a64};
 pub use jsonl::{JsonlScan, TornTail};
 pub use lanes::{LaneBuf, LaneClock, LaneInterval, LaneSetExport, LaneWorkerExport};
-pub use live::{LivePublisher, LiveServer, LiveSummary, ProgressEvent};
 pub use metrics::{Counter, CounterBuf, CounterExport, HistogramExport, HistogramId};
+pub use progress::{ProgressEvent, ProgressLog, ProgressPublisher};
 pub use report::{
     EventExport, MemoryReport, StageMemory, StudyTrace, TraceDocument, TraceReport, SCHEMA_VERSION,
 };
@@ -101,12 +101,12 @@ pub struct ObsConfig {
     /// pipeline outputs are bitwise identical to a memory-unaware build.
     /// The `repro` subcommands turn it on.
     pub memory: bool,
-    /// Publish live snapshots and progress events to an attached
-    /// [`LivePublisher`]. Off by default; even when set, publishing is a
-    /// no-op unless a publisher was attached via
-    /// [`Collector::enabled_live`], so plain `enabled_with` collectors
-    /// never pay for it. Publishing never writes into the recorded trace
-    /// state: live on vs. off leaves every output bitwise identical.
+    /// Write progress events (finished epochs, streamed strips, ingest
+    /// totals) to the [`ProgressPublisher`] attached via
+    /// [`Collector::enabled_live`], which sets this flag. Off by default;
+    /// without an attached publisher it does nothing. Publishing never
+    /// writes into the recorded trace state: progress on or off leaves
+    /// every output bitwise identical.
     pub live: bool,
 }
 
@@ -151,8 +151,8 @@ struct Inner {
     /// Whether the tracking allocator is installed AND `config.memory` is
     /// set — i.e. per-span allocation attribution is actually available.
     hooked: bool,
-    /// Live telemetry sink; only consulted when `config.live` is set.
-    live: Option<LivePublisher>,
+    /// Progress sink; only consulted when `config.live` is set.
+    live: Option<ProgressPublisher>,
     state: Mutex<State>,
 }
 
@@ -217,14 +217,13 @@ impl Collector {
         Self::construct(config, None)
     }
 
-    /// A live collector that also feeds a [`LiveServer`] through
-    /// `publisher`: every [`Collector::record_epoch`] (already gated by the
-    /// epoch-quality stride) and the final [`Collector::report`] publish a
-    /// snapshot, and the `live_*` progress hooks emit SSE events.
+    /// A live collector whose `live_*` hooks append [`ProgressEvent`]s to
+    /// a [`ProgressLog`] through `publisher`: one line per finished epoch,
+    /// per streamed strip and per ingest batch, written when it happens.
     /// Publishing never touches the recorded trace state, so outputs stay
     /// bitwise identical to a publisher-less collector.
     #[must_use]
-    pub fn enabled_live(config: ObsConfig, publisher: LivePublisher) -> Self {
+    pub fn enabled_live(config: ObsConfig, publisher: ProgressPublisher) -> Self {
         Self::construct(
             ObsConfig {
                 live: true,
@@ -234,7 +233,7 @@ impl Collector {
         )
     }
 
-    fn construct(config: ObsConfig, live: Option<LivePublisher>) -> Self {
+    fn construct(config: ObsConfig, live: Option<ProgressPublisher>) -> Self {
         let hooked = if config.memory {
             memhook::rss_sampler_acquire();
             // Registers this collector for worker-tally accounting; the
@@ -421,35 +420,19 @@ impl Collector {
         if let Some(inner) = self.0.as_ref() {
             let mut state = inner.state.lock().expect("obs state poisoned");
             state.epochs.push(record);
-            // Live snapshot publishing rides the epoch-quality stride:
-            // `record_epoch` only fires on sampled epochs, so an attached
-            // server sees a fresh partial trace at exactly that cadence.
-            // The export is read-only over `state` and the publish happens
-            // after the lock drops, so hot paths never wait on the plane.
-            if inner.config.live {
-                if let Some(publisher) = inner.live.as_ref() {
-                    let peak_rss_kb = inner
-                        .config
-                        .memory
-                        .then(|| memhook::peak_rss_kb().unwrap_or(0));
-                    let snapshot = report::export(&state, peak_rss_kb);
-                    drop(state);
-                    publisher.publish_snapshot(snapshot);
-                }
-            }
         }
     }
 
-    /// The attached live publisher, when this collector both carries one
-    /// and has `config.live` set.
-    fn live_publisher(&self) -> Option<&LivePublisher> {
+    /// The attached progress publisher, when this collector both carries
+    /// one and has `config.live` set.
+    fn live_publisher(&self) -> Option<&ProgressPublisher> {
         self.0
             .as_ref()
             .filter(|inner| inner.config.live)
             .and_then(|inner| inner.live.as_ref())
     }
 
-    /// Publishes one finished training epoch to an attached live plane
+    /// Appends one finished training epoch to the attached progress log
     /// (quality values only on sampled epochs). No-op without one.
     pub fn live_epoch(
         &self,
@@ -463,16 +446,16 @@ impl Collector {
         }
     }
 
-    /// Publishes one out-of-core streaming strip advance to an attached
-    /// live plane. No-op without one.
+    /// Appends one out-of-core streaming strip advance to the attached
+    /// progress log. No-op without one.
     pub fn live_strip(&self, epoch: usize, strip: usize, total_strips: usize) {
         if let Some(publisher) = self.live_publisher() {
             publisher.publish_strip(epoch, strip, total_strips);
         }
     }
 
-    /// Publishes store-ingestion outcome deltas (accepted, rejected) to an
-    /// attached live plane, which accumulates the running totals. No-op
+    /// Appends store-ingestion outcome deltas (accepted, rejected) to the
+    /// attached progress log, which accumulates the running totals. No-op
     /// without one.
     pub fn live_ingest(&self, accepted_delta: u64, rejected_delta: u64) {
         if let Some(publisher) = self.live_publisher() {
@@ -554,17 +537,7 @@ impl Collector {
                 .config
                 .memory
                 .then(|| memhook::peak_rss_kb().unwrap_or(0));
-            let report = report::export(&state, peak_rss_kb);
-            drop(state);
-            // The final export is the most complete snapshot the plane
-            // will ever see; push it so `/trace` and `/metrics` end the
-            // run consistent with the written artifact.
-            if inner.config.live {
-                if let Some(publisher) = inner.live.as_ref() {
-                    publisher.publish_snapshot(report.clone());
-                }
-            }
-            report
+            report::export(&state, peak_rss_kb)
         })
     }
 }

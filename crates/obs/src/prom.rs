@@ -132,8 +132,8 @@ fn fmt_f64(v: f64) -> String {
 
 /// Escapes a label value per the exposition format: backslash first (so
 /// introduced escapes are not re-escaped), then double quote, then
-/// newline. Shared with the live plane's scrape-time gauges.
-pub(crate) fn escape(label: &str) -> String {
+/// newline.
+fn escape(label: &str) -> String {
     label
         .replace('\\', "\\\\")
         .replace('"', "\\\"")

@@ -54,17 +54,19 @@ use crate::State;
 /// * v7 — adds two document-level fields on [`TraceDocument`]: `meta`
 ///   (provenance — schema version, git revision, host fingerprint, cargo
 ///   profile, [`crate::history::BenchMeta`] — matching what the
-///   `BENCH_*.json` baselines already carry) and `live` (the telemetry
-///   plane's end-of-run [`crate::live::LiveSummary`] when the run hosted
-///   `--live`). Both are run-varying metadata outside every
-///   [`TraceReport::fingerprint`], additive, and
-///   `#[serde(default)]`-compatible: v6 artifacts still parse.
+///   `BENCH_*.json` baselines already carry) and `live` (the end-of-run
+///   summary of an HTTP telemetry server, since removed). Both are
+///   run-varying metadata outside every [`TraceReport::fingerprint`],
+///   additive, and `#[serde(default)]`-compatible: v6 artifacts still
+///   parse.
 /// * v8 — removes the v6 warm-BMU telemetry with the cache it described,
 ///   and stamps lane intervals at nanosecond resolution: `begin_us`, `end_us`, `busy_us`
 ///   and `wall_us` become fractional microseconds, and a lane set that
 ///   recorded work always reports positive busy and wall time. v7
 ///   artifacts still parse: the warm fields are ignored and whole-µs lane
-///   stamps read as floats.
+///   stamps read as floats. The v7 `live` field is no longer written; a
+///   v8 reader ignores it, so documents that still carry it validate and
+///   load, and the version stays 8.
 pub const SCHEMA_VERSION: u32 = 8;
 
 /// One recorded point event, exported.
@@ -472,10 +474,6 @@ pub struct TraceDocument {
     /// artifacts.
     #[serde(default)]
     pub meta: Option<crate::history::BenchMeta>,
-    /// End-of-run summary of the live telemetry plane when the run hosted
-    /// `--live`; `None` otherwise.
-    #[serde(default)]
-    pub live: Option<crate::live::LiveSummary>,
 }
 
 impl TraceDocument {
@@ -487,7 +485,6 @@ impl TraceDocument {
             workers,
             studies,
             meta: None,
-            live: None,
         }
     }
 
@@ -495,13 +492,6 @@ impl TraceDocument {
     #[must_use]
     pub fn with_meta(mut self, meta: crate::history::BenchMeta) -> Self {
         self.meta = Some(meta);
-        self
-    }
-
-    /// Stamps the live telemetry-plane summary.
-    #[must_use]
-    pub fn with_live(mut self, live: crate::live::LiveSummary) -> Self {
-        self.live = Some(live);
         self
     }
 
@@ -541,7 +531,8 @@ impl TraceDocument {
 /// `#[serde(default)]` would silently paper over a missing or mistyped
 /// field, which is exactly the corruption this check exists to catch. On
 /// top of the document skeleton it pins the `memory` block and the v7
-/// additions (the `meta` provenance block, the `live` plane summary).
+/// `meta` provenance block. A v7 `live` block, no longer written, is
+/// ignored.
 ///
 /// Returns `(studies, epoch_records)` counts on success.
 ///
@@ -647,24 +638,6 @@ pub fn validate_document(text: &str) -> Result<(usize, usize), String> {
             as_u64(require(meta, "captured_ms", "meta.")?, "meta.captured_ms")?;
             for field in ["git_rev", "host", "cargo_profile"] {
                 as_str(require(meta, field, "meta.")?, &format!("meta.{field}"))?;
-            }
-        }
-    }
-    // v7: the live telemetry-plane summary — absent, null, or fully shaped.
-    match root.get("live") {
-        None | Some(Value::Null) => {}
-        Some(live) => {
-            as_str(require(live, "addr", "live.")?, "live.addr")?;
-            as_u64(
-                require(live, "events_published", "live.")?,
-                "live.events_published",
-            )?;
-            let requests = require(live, "requests", "live.")?;
-            for field in ["metrics", "healthz", "readyz", "trace", "events"] {
-                as_u64(
-                    require(requests, field, "live.requests.")?,
-                    &format!("live.requests.{field}"),
-                )?;
             }
         }
     }
@@ -887,11 +860,6 @@ mod tests {
             }],
         )
         .with_meta(crate::history::BenchMeta::capture())
-        .with_live(crate::live::LiveSummary {
-            addr: "127.0.0.1:9184".into(),
-            requests: crate::live::LiveRequestCounts::default(),
-            events_published: 3,
-        })
     }
 
     /// Navigates into an object field of the shim's [`serde::Value`].
@@ -923,20 +891,18 @@ mod tests {
     }
 
     #[test]
-    fn meta_and_live_stamps_round_trip_and_stay_optional() {
+    fn meta_stamp_round_trips_and_stays_optional() {
         let doc = stamped_document();
         let json = serde_json::to_string(&doc).unwrap();
         let back: TraceDocument = serde_json::from_str(&json).unwrap();
         assert_eq!(doc, back);
-        // A v6-style document without the stamps still parses.
+        // A v6-style document without the stamp still parses.
         let bare = serde_json::to_string(&TraceDocument::new(1, Vec::new())).unwrap();
         let mut value: serde::Value = serde_json::from_str(&bare).unwrap();
         drop_field(&mut value, "meta");
-        drop_field(&mut value, "live");
         let back: TraceDocument =
             serde_json::from_str(&serde_json::to_string(&value).unwrap()).unwrap();
         assert_eq!(back.meta, None);
-        assert_eq!(back.live, None);
     }
 
     #[test]
@@ -970,22 +936,15 @@ mod tests {
         let err = validate_document(&rendered(&bad_memory)).unwrap_err();
         assert!(err.contains("peak_rss_kb"), "{err}");
 
-        let mut bad_meta = base.clone();
+        let mut bad_meta = base;
         *field_mut(field_mut(&mut bad_meta, "meta"), "git_rev") = serde::Value::UInt(42);
         let err = validate_document(&rendered(&bad_meta)).unwrap_err();
         assert!(err.contains("git_rev"), "{err}");
-
-        let mut bad_live = base;
-        drop_field(
-            field_mut(field_mut(&mut bad_live, "live"), "requests"),
-            "metrics",
-        );
-        let err = validate_document(&rendered(&bad_live)).unwrap_err();
-        assert!(err.contains("metrics"), "{err}");
     }
 
     /// A v7 document as a v7 writer left it: the two warm-BMU counters, a
-    /// per-epoch warm hit rate and lane stamps in whole microseconds.
+    /// per-epoch warm hit rate, lane stamps in whole microseconds and a
+    /// `live` server summary.
     const V7_DOCUMENT: &str = r#"{"schema_version":7,"workers":2,"studies":[{"label":"sar_machine_a",
         "trace":{"schema_version":7,
         "spans":[{"id":0,"parent":null,"name":"pipeline.som","start_us":48,"duration_us":37}],
@@ -1003,7 +962,9 @@ mod tests {
         "intervals":[{"chunk":0,"worker":0,"run":0,"begin_us":50,"end_us":60}],
         "workers":[{"worker":0,"intervals":1,"busy_us":10,"occupancy":1.0}],
         "wall_us":10,"busy_us":10,"parallel_efficiency":1.0}],
-        "memory":null}}],"meta":null,"live":null}"#;
+        "memory":null}}],"meta":null,"live":{"addr":"127.0.0.1:9184",
+        "requests":{"metrics":3,"healthz":5,"readyz":1,"trace":1,"events":2},
+        "events_published":612}}"#;
 
     #[test]
     fn v7_documents_with_warm_telemetry_still_validate_and_load() {
@@ -1023,7 +984,7 @@ mod tests {
 
     #[test]
     fn validate_document_tolerates_absent_optional_blocks() {
-        // Null / absent memory, meta, live all pass.
+        // Null / absent memory and meta pass.
         let doc = TraceDocument::new(
             1,
             vec![StudyTrace {
