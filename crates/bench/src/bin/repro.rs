@@ -68,6 +68,10 @@
 //!                    record; exits nonzero on unrepaired damage)
 //! ```
 //!
+//! The whole command line is parsed before any artifact runs: an unknown
+//! artifact or flag, or a flag without its value, exits nonzero at once
+//! with a message naming it.
+//!
 //! Malformed or degenerate input never produces a raw panic backtrace:
 //! every artifact runs under a panic guard that converts any residual
 //! panic into a one-line structured diagnostic and a nonzero exit.
@@ -79,6 +83,7 @@ use std::process::ExitCode;
 use hiermeans_bench::{
     check, experiments, extensions, faults, history, profile, scale, som, store_cli, trace,
 };
+use hiermeans_core::CoreError;
 use hiermeans_obs::ProgressLog;
 use hiermeans_workload::measurement::Characterization;
 use hiermeans_workload::Machine;
@@ -90,65 +95,63 @@ use hiermeans_workload::Machine;
 #[global_allocator]
 static ALLOC: hiermeans_obs::memhook::TrackingAlloc = hiermeans_obs::memhook::TrackingAlloc;
 
-fn run(artifact: &str) -> Result<String, String> {
-    if artifact == "history" {
-        return run_history(false);
-    }
-    if artifact == "report" {
-        return run_report();
-    }
-    if artifact == "faults" {
-        let (_document, json, rendered) =
-            faults::faults_artifact().map_err(|e| format!("faults failed: {e}"))?;
-        std::fs::write("OBS_faults.json", &json)
-            .map_err(|e| format!("writing OBS_faults.json: {e}"))?;
-        return Ok(format!("wrote OBS_faults.json\n{rendered}"));
-    }
-    let sar_a = Characterization::SarCounters(Machine::A);
-    let sar_b = Characterization::SarCounters(Machine::B);
-    let methods = Characterization::MethodUtilization;
-    let result = match artifact {
-        "table1" => Ok(experiments::table1()),
-        "table2" => Ok(experiments::table2()),
-        "table3" => experiments::table3(),
-        "fig3" => experiments::figure_som(sar_a),
-        "fig4" => experiments::figure_dendrogram(sar_a),
-        "fig5" => experiments::figure_som(sar_b),
-        "fig6" => experiments::figure_dendrogram(sar_b),
-        "fig7" => experiments::figure_som(methods),
-        "fig8" => experiments::figure_dendrogram(methods),
-        "table4" => experiments::table_hgm(sar_a),
-        "table5" => experiments::table_hgm(sar_b),
-        "table6" => experiments::table_hgm(methods),
-        // `report` itself now names the run-history dashboard above; the
-        // archivable per-study JSON dump keeps an explicit name.
-        "json-reports" => extensions::json_reports(),
-        "correlation" => extensions::counter_correlation(),
-        "mica" => extensions::mica_characterization(),
-        "evaluation" => extensions::suite_evaluation(),
-        "merger" => extensions::merger_sweep(),
-        "jackknife" => extensions::jackknife_table(),
-        "means-family" => extensions::mean_family_table(),
-        "duplication" => extensions::duplication_curve(),
-        "all" => experiments::all(),
-        "extensions" => extensions::merger_sweep().and_then(|mut out| {
-            out.push('\n');
-            out.push_str(&extensions::jackknife_table()?);
-            out.push('\n');
-            out.push_str(&extensions::mean_family_table()?);
-            out.push('\n');
-            out.push_str(&extensions::duplication_curve()?);
-            out.push('\n');
-            out.push_str(&extensions::counter_correlation()?);
-            out.push('\n');
-            out.push_str(&extensions::mica_characterization()?);
-            out.push('\n');
-            out.push_str(&extensions::suite_evaluation()?);
-            Ok(out)
-        }),
-        other => return Err(format!("unknown artifact: {other}")),
+/// A paper artifact or extension: runs the study and renders its output.
+type Artifact = fn() -> Result<String, CoreError>;
+
+/// The paper artifact or extension called `name`, or `None` if there is
+/// none.
+fn artifact(name: &str) -> Option<Artifact> {
+    const SAR_A: Characterization = Characterization::SarCounters(Machine::A);
+    const SAR_B: Characterization = Characterization::SarCounters(Machine::B);
+    const METHODS: Characterization = Characterization::MethodUtilization;
+    let run: Artifact = match name {
+        "table1" => || Ok(experiments::table1()),
+        "table2" => || Ok(experiments::table2()),
+        "table3" => experiments::table3,
+        "fig3" => || experiments::figure_som(SAR_A),
+        "fig4" => || experiments::figure_dendrogram(SAR_A),
+        "fig5" => || experiments::figure_som(SAR_B),
+        "fig6" => || experiments::figure_dendrogram(SAR_B),
+        "fig7" => || experiments::figure_som(METHODS),
+        "fig8" => || experiments::figure_dendrogram(METHODS),
+        "table4" => || experiments::table_hgm(SAR_A),
+        "table5" => || experiments::table_hgm(SAR_B),
+        "table6" => || experiments::table_hgm(METHODS),
+        // `report` names the run-history dashboard; the archivable
+        // per-study JSON dump keeps an explicit name.
+        "json-reports" => extensions::json_reports,
+        "correlation" => extensions::counter_correlation,
+        "mica" => extensions::mica_characterization,
+        "evaluation" => extensions::suite_evaluation,
+        "merger" => extensions::merger_sweep,
+        "jackknife" => extensions::jackknife_table,
+        "means-family" => extensions::mean_family_table,
+        "duplication" => extensions::duplication_curve,
+        "all" => experiments::all,
+        "extensions" => || {
+            let parts = [
+                extensions::merger_sweep()?,
+                extensions::jackknife_table()?,
+                extensions::mean_family_table()?,
+                extensions::duplication_curve()?,
+                extensions::counter_correlation()?,
+                extensions::mica_characterization()?,
+                extensions::suite_evaluation()?,
+            ];
+            Ok(parts.join("\n"))
+        },
+        _ => return None,
     };
-    result.map_err(|e| format!("{artifact} failed: {e}"))
+    Some(run)
+}
+
+/// Runs the fault-injection matrix and writes `OBS_faults.json`.
+fn run_faults() -> Result<String, String> {
+    let (_document, json, rendered) =
+        faults::faults_artifact().map_err(|e| format!("faults failed: {e}"))?;
+    std::fs::write("OBS_faults.json", &json)
+        .map_err(|e| format!("writing OBS_faults.json: {e}"))?;
+    Ok(format!("wrote OBS_faults.json\n{rendered}"))
 }
 
 /// Runs the scaling curves (naive vs NN-chain merge loops), writes
@@ -367,6 +370,78 @@ fn run_guarded(run: impl FnOnce() -> Result<String, String>, what: &str) -> Resu
     }
 }
 
+/// A parsed command: its name, for the panic guard, and its run.
+type Command = (String, Box<dyn FnOnce() -> Result<String, String>>);
+
+/// Parses the whole command line before any command runs, so an unknown
+/// artifact or flag, or a flag missing its value, fails at once.
+fn parse(args: Vec<String>) -> Result<Vec<Command>, String> {
+    let mut args = args.into_iter().peekable();
+    let mut commands: Vec<Command> = Vec::new();
+    while let Some(name) = args.next() {
+        let mut path = || {
+            args.next()
+                .ok_or_else(|| format!("{name}: missing <file> argument"))
+        };
+        let run: Box<dyn FnOnce() -> Result<String, String>> = match name.as_str() {
+            "check" => {
+                let path = path()?;
+                Box::new(move || run_check(&path))
+            }
+            "check-trace" => {
+                let path = path()?;
+                Box::new(move || run_check_trace(&path))
+            }
+            "check-report" => {
+                let path = path()?;
+                Box::new(move || run_check_report(&path))
+            }
+            "history" => {
+                let gate = args.next_if_eq("--gate").is_some();
+                Box::new(move || run_history(gate))
+            }
+            "report" => Box::new(run_report),
+            "faults" => Box::new(run_faults),
+            "submit" | "merge" | "query" | "fsck" => {
+                store_cli::parse_store_command(&name, &mut args)?
+            }
+            "trace" | "profile" | "bench-scale" | "bench-som" => {
+                // Flags in any order: --baseline <file> (benches), --prom
+                // <file> (trace), --progress <file> (all but bench-scale,
+                // whose curves run untraced).
+                let mut baseline: Option<String> = None;
+                let mut prom: Option<String> = None;
+                let mut progress: Option<String> = None;
+                while let Some(flag) = args.next_if(|arg| arg.starts_with("--")) {
+                    let slot = match flag.as_str() {
+                        "--baseline" if name.starts_with("bench-") => &mut baseline,
+                        "--prom" if name == "trace" => &mut prom,
+                        "--progress" if name != "bench-scale" => &mut progress,
+                        _ => return Err(format!("{name}: unknown flag {flag}")),
+                    };
+                    *slot = Some(
+                        args.next()
+                            .ok_or_else(|| format!("{name}: {flag} requires a <file> argument"))?,
+                    );
+                }
+                match name.as_str() {
+                    "trace" => Box::new(move || run_trace(prom.as_deref(), progress.as_deref())),
+                    "profile" => Box::new(move || run_profile(progress.as_deref())),
+                    "bench-scale" => Box::new(move || run_bench_scale(baseline.as_deref())),
+                    _ => Box::new(move || run_bench_som(baseline.as_deref(), progress.as_deref())),
+                }
+            }
+            _ => {
+                let run = artifact(&name).ok_or_else(|| format!("unknown artifact: {name}"))?;
+                let label = name.clone();
+                Box::new(move || run().map_err(|e| format!("{label} failed: {e}")))
+            }
+        };
+        commands.push((name, run));
+    }
+    Ok(commands)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -396,88 +471,15 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let mut args = args.into_iter().peekable();
-    while let Some(artifact) = args.next() {
-        let outcome = if matches!(artifact.as_str(), "submit" | "merge" | "query" | "fsck") {
-            run_guarded(
-                || store_cli::run_store_command(&artifact, &mut args),
-                &artifact,
-            )
-        } else if artifact == "check" {
-            let Some(path) = args.next() else {
-                eprintln!("check: missing <file> argument");
-                return ExitCode::FAILURE;
-            };
-            run_guarded(|| run_check(&path), "check")
-        } else if artifact == "check-trace" {
-            let Some(path) = args.next() else {
-                eprintln!("check-trace: missing <file> argument");
-                return ExitCode::FAILURE;
-            };
-            run_guarded(|| run_check_trace(&path), "check-trace")
-        } else if artifact == "check-report" {
-            let Some(path) = args.next() else {
-                eprintln!("check-report: missing <file> argument");
-                return ExitCode::FAILURE;
-            };
-            run_guarded(|| run_check_report(&path), "check-report")
-        } else if artifact == "history" && args.peek().map(String::as_str) == Some("--gate") {
-            args.next();
-            run_guarded(|| run_history(true), "history")
-        } else if matches!(
-            artifact.as_str(),
-            "trace" | "profile" | "bench-scale" | "bench-som"
-        ) {
-            // These subcommands take flags in any order: --baseline <file>
-            // (benches), --prom <file> (trace), --progress <file> (all but
-            // bench-scale, whose curves run untraced).
-            let mut baseline: Option<String> = None;
-            let mut prom: Option<String> = None;
-            let mut progress: Option<String> = None;
-            loop {
-                match args.peek().map(String::as_str) {
-                    Some("--baseline") if artifact.starts_with("bench-") => {
-                        args.next();
-                        let Some(path) = args.next() else {
-                            eprintln!("{artifact}: --baseline requires a <file> argument");
-                            return ExitCode::FAILURE;
-                        };
-                        baseline = Some(path);
-                    }
-                    Some("--prom") if artifact == "trace" => {
-                        args.next();
-                        let Some(path) = args.next() else {
-                            eprintln!("trace: --prom requires a <file> argument");
-                            return ExitCode::FAILURE;
-                        };
-                        prom = Some(path);
-                    }
-                    Some("--progress") if artifact != "bench-scale" => {
-                        args.next();
-                        let Some(path) = args.next() else {
-                            eprintln!("{artifact}: --progress requires a <file> argument");
-                            return ExitCode::FAILURE;
-                        };
-                        progress = Some(path);
-                    }
-                    _ => break,
-                }
-            }
-            match artifact.as_str() {
-                "trace" => run_guarded(|| run_trace(prom.as_deref(), progress.as_deref()), "trace"),
-                "profile" => run_guarded(|| run_profile(progress.as_deref()), "profile"),
-                "bench-scale" => {
-                    run_guarded(|| run_bench_scale(baseline.as_deref()), "bench-scale")
-                }
-                _ => run_guarded(
-                    || run_bench_som(baseline.as_deref(), progress.as_deref()),
-                    "bench-som",
-                ),
-            }
-        } else {
-            run_guarded(|| run(&artifact), &artifact)
-        };
-        match outcome {
+    let commands = match parse(args) {
+        Ok(commands) => commands,
+        Err(message) => {
+            eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
+    };
+    for (name, run) in commands {
+        match run_guarded(run, &name) {
             Ok(text) => println!("{text}"),
             Err(message) => {
                 eprintln!("{message}");

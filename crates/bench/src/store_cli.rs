@@ -318,68 +318,139 @@ fn render_submit(
     }
 }
 
-/// `repro submit`: ingests submissions from a JSONL file, the paper's
-/// machines (`--paper`), or a seeded synthetic fleet (`--synthetic N`),
-/// then rescores.
-fn run_submit(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
-    let mut store_path = STORE_PATH.to_owned();
+/// What `repro submit` ingests.
+enum SubmitSource {
+    /// The paper's three machines (`--paper`).
+    Paper,
+    /// A seeded synthetic fleet (`--synthetic <n> [--seed <s>]`).
+    Synthetic { n: usize, seed: u64 },
+    /// A JSONL file of submissions.
+    File(String),
+}
+
+/// Parses one fleet-store subcommand (`submit`, `merge`, `query`, `fsck`),
+/// consuming its flags and operands from the argument stream, and returns
+/// the run it stands for without starting it. Parsing stops at the first
+/// argument the subcommand does not take.
+///
+/// The run fails on I/O errors and on unabsorbed store damage (`fsck`
+/// without `--repair` on a dirty store).
+///
+/// # Errors
+///
+/// An unknown subcommand, a flag without its value, a malformed number, or
+/// a missing operand.
+pub fn parse_store_command(
+    cmd: &str,
+    args: &mut Peekable<IntoIter<String>>,
+) -> Result<Box<dyn FnOnce() -> Result<String, String>>, String> {
+    let mut store = STORE_PATH.to_owned();
+    let mut progress: Option<String> = None;
+    let mut repair = false;
     let mut paper = false;
     let mut synthetic: Option<usize> = None;
     let mut seed = 42u64;
     let mut file: Option<String> = None;
-    let mut progress_path: Option<String> = None;
     loop {
         match args.peek().map(String::as_str) {
             Some("--store") => {
                 args.next();
-                store_path = take_value(args, "submit", "--store")?;
+                store = take_value(args, cmd, "--store")?;
             }
-            Some("--progress") => {
+            Some("--progress") if matches!(cmd, "submit" | "merge") => {
                 args.next();
-                progress_path = Some(take_value(args, "submit", "--progress")?);
+                progress = Some(take_value(args, cmd, "--progress")?);
             }
-            Some("--paper") => {
+            Some("--repair") if cmd == "fsck" => {
+                args.next();
+                repair = true;
+            }
+            Some("--paper") if cmd == "submit" => {
                 args.next();
                 paper = true;
             }
-            Some("--synthetic") => {
+            Some("--synthetic") if cmd == "submit" => {
                 args.next();
-                let n = take_value(args, "submit", "--synthetic")?;
+                let n = take_value(args, cmd, "--synthetic")?;
                 synthetic = Some(
                     n.parse()
                         .map_err(|_| format!("submit: --synthetic takes a count, got {n:?}"))?,
                 );
             }
-            Some("--seed") => {
+            Some("--seed") if cmd == "submit" => {
                 args.next();
-                let s = take_value(args, "submit", "--seed")?;
+                let s = take_value(args, cmd, "--seed")?;
                 seed = s
                     .parse()
                     .map_err(|_| format!("submit: --seed takes an integer, got {s:?}"))?;
             }
-            Some(s) if !s.starts_with("--") && !paper && synthetic.is_none() && file.is_none() => {
+            Some(s)
+                if cmd == "submit"
+                    && !s.starts_with("--")
+                    && !paper
+                    && synthetic.is_none()
+                    && file.is_none() =>
+            {
                 file = args.next();
             }
             _ => break,
         }
     }
-    let store = ResultStore::new(&store_path);
-    let progress = progress_path.map(ProgressLog::create).transpose()?;
+    match cmd {
+        "submit" => {
+            let source = if paper {
+                SubmitSource::Paper
+            } else if let Some(n) = synthetic {
+                SubmitSource::Synthetic { n, seed }
+            } else if let Some(path) = file {
+                SubmitSource::File(path)
+            } else {
+                return Err(
+                    "submit: nothing to submit (give a JSONL file, --paper, or --synthetic N)"
+                        .to_owned(),
+                );
+            };
+            Ok(Box::new(move || {
+                run_submit(&store, progress.as_deref(), &source)
+            }))
+        }
+        "merge" => {
+            let source = args
+                .next()
+                .ok_or_else(|| "merge: missing <source.jsonl> argument".to_owned())?;
+            Ok(Box::new(move || {
+                run_merge(&store, progress.as_deref(), &source)
+            }))
+        }
+        "query" => Ok(Box::new(move || run_query(&store))),
+        "fsck" => Ok(Box::new(move || run_fsck(&store, repair))),
+        other => Err(format!("unknown store command: {other}")),
+    }
+}
+
+/// `repro submit`: ingests submissions from a JSONL file, the paper's
+/// machines (`--paper`), or a seeded synthetic fleet (`--synthetic N`),
+/// then rescores.
+fn run_submit(
+    store_path: &str,
+    progress: Option<&str>,
+    source: &SubmitSource,
+) -> Result<String, String> {
+    let store = ResultStore::new(store_path);
+    let progress = progress.map(ProgressLog::create).transpose()?;
     // `Ingest` lines carry the store path as their label.
-    let collector = progress_collector(ObsConfig::default(), progress.as_ref(), &store_path);
+    let collector = progress_collector(ObsConfig::default(), progress.as_ref(), store_path);
     let cfg = IngestConfig::default();
-    let report = if paper {
-        ingest_submissions(&store, &paper_submissions()?, &cfg, &collector)?
-    } else if let Some(n) = synthetic {
-        ingest_submissions(&store, &synthetic_fleet(n, seed)?, &cfg, &collector)?
-    } else if let Some(path) = file {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("submit: cannot read {path}: {e}"))?;
-        ingest_lines(&store, &text, &cfg, &collector)?
-    } else {
-        return Err(
-            "submit: nothing to submit (give a JSONL file, --paper, or --synthetic N)".to_owned(),
-        );
+    let report = match source {
+        SubmitSource::Paper => ingest_submissions(&store, &paper_submissions()?, &cfg, &collector)?,
+        SubmitSource::Synthetic { n, seed } => {
+            ingest_submissions(&store, &synthetic_fleet(*n, *seed)?, &cfg, &collector)?
+        }
+        SubmitSource::File(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("submit: cannot read {path}: {e}"))?;
+            ingest_lines(&store, &text, &cfg, &collector)?
+        }
     };
     let out = render_submit(&store, &report, &collector)?;
     Ok(with_progress_summary(out, progress.as_ref()))
@@ -390,31 +461,13 @@ fn run_submit(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
 /// destination already holds, and malformed source lines (including a torn
 /// source tail) are quarantined at the destination — merging never imports
 /// damage silently.
-fn run_merge(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
-    let mut store_path = STORE_PATH.to_owned();
-    let mut progress_path: Option<String> = None;
-    loop {
-        match args.peek().map(String::as_str) {
-            Some("--store") => {
-                args.next();
-                store_path = take_value(args, "merge", "--store")?;
-            }
-            Some("--progress") => {
-                args.next();
-                progress_path = Some(take_value(args, "merge", "--progress")?);
-            }
-            _ => break,
-        }
-    }
-    let source = args
-        .next()
-        .ok_or_else(|| "merge: missing <source.jsonl> argument".to_owned())?;
-    let text = std::fs::read_to_string(&source)
-        .map_err(|e| format!("merge: cannot read {source}: {e}"))?;
-    let store = ResultStore::new(&store_path);
-    let progress = progress_path.map(ProgressLog::create).transpose()?;
+fn run_merge(store_path: &str, progress: Option<&str>, source: &str) -> Result<String, String> {
+    let text =
+        std::fs::read_to_string(source).map_err(|e| format!("merge: cannot read {source}: {e}"))?;
+    let store = ResultStore::new(store_path);
+    let progress = progress.map(ProgressLog::create).transpose()?;
     // `Ingest` lines carry the store path as their label.
-    let collector = progress_collector(ObsConfig::default(), progress.as_ref(), &store_path);
+    let collector = progress_collector(ObsConfig::default(), progress.as_ref(), store_path);
     let report = ingest_lines(&store, &text, &IngestConfig::default(), &collector)?;
     let mut out = format!("merge {source} -> {store_path}\n");
     out.push_str(&render_submit(&store, &report, &collector)?);
@@ -423,13 +476,8 @@ fn run_merge(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
 
 /// `repro query`: rescores the store (incrementally, via the sidecar
 /// cache) and renders the fleet table.
-fn run_query(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
-    let mut store_path = STORE_PATH.to_owned();
-    if args.peek().map(String::as_str) == Some("--store") {
-        args.next();
-        store_path = take_value(args, "query", "--store")?;
-    }
-    let store = ResultStore::new(&store_path);
+fn run_query(store_path: &str) -> Result<String, String> {
+    let store = ResultStore::new(store_path);
     let collector = Collector::enabled();
     let outcome = rescore(&store, &collector)?;
     let mut out = render_query(&store, &outcome);
@@ -442,23 +490,8 @@ fn run_query(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
 /// `repro fsck`: verifies every store line; with `--repair`, rewrites the
 /// store to the valid lines and quarantines the rest. A dirty store that
 /// was not repaired exits nonzero.
-fn run_fsck(args: &mut Peekable<IntoIter<String>>) -> Result<String, String> {
-    let mut store_path = STORE_PATH.to_owned();
-    let mut repair = false;
-    loop {
-        match args.peek().map(String::as_str) {
-            Some("--store") => {
-                args.next();
-                store_path = take_value(args, "fsck", "--store")?;
-            }
-            Some("--repair") => {
-                args.next();
-                repair = true;
-            }
-            _ => break,
-        }
-    }
-    let store = ResultStore::new(&store_path);
+fn run_fsck(store_path: &str, repair: bool) -> Result<String, String> {
+    let store = ResultStore::new(store_path);
     let collector = Collector::enabled();
     let report = fsck(&store, repair, &collector)?;
     let mut out = report.render(&store);
@@ -487,26 +520,6 @@ fn take_value(
 ) -> Result<String, String> {
     args.next()
         .ok_or_else(|| format!("{cmd}: {flag} requires an argument"))
-}
-
-/// Dispatches one fleet-store subcommand (`submit`, `merge`, `query`,
-/// `fsck`), consuming its flags from the argument stream.
-///
-/// # Errors
-///
-/// Argument errors, I/O failures, and unabsorbed store damage (`fsck`
-/// without `--repair` on a dirty store).
-pub fn run_store_command(
-    cmd: &str,
-    args: &mut Peekable<IntoIter<String>>,
-) -> Result<String, String> {
-    match cmd {
-        "submit" => run_submit(args),
-        "merge" => run_merge(args),
-        "query" => run_query(args),
-        "fsck" => run_fsck(args),
-        other => Err(format!("unknown store command: {other}")),
-    }
 }
 
 #[cfg(test)]

@@ -21,11 +21,11 @@
 //! smallest leaf index a cluster holds, so results are deterministic;
 //! NN-chain keeps the same rule.
 
+use hiermeans_linalg::cells::Cells;
 use hiermeans_linalg::distance::{pairwise_norm_trick, Metric, PAIRWISE_CHUNKING};
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::{stages, Collector, Counter, CounterBuf, LaneBuf};
 
-use crate::cells::Cells;
 use crate::dendrogram::{Dendrogram, Merge};
 use crate::{nnchain, ClusterError, Linkage};
 
@@ -109,9 +109,9 @@ pub fn cluster(
         return Err(ClusterError::InvalidData { report });
     }
     let _span = collector.span(stages::CLUSTER_AGGLOMERATE);
-    let cells = Cells::new(points)?;
+    let cells = Cells::new(points);
     let sizes = cells.sizes();
-    let mut dist = pairwise_traced(&cells.representatives, metric, collector)?;
+    let mut dist = pairwise_traced(&cells.representatives(points), metric, collector)?;
     if linkage == Linkage::Ward {
         scale_ward(&mut dist, &sizes);
     }

@@ -6,10 +6,10 @@
 //! it over dendrogram cuts, and the suite-analysis facade recommends a
 //! cluster count from that sweep.
 
+use hiermeans_linalg::cells::Cells;
 use hiermeans_linalg::distance::{pairwise, Metric};
 use hiermeans_linalg::Matrix;
 
-use crate::cells::Cells;
 use crate::{ClusterAssignment, ClusterError};
 
 // The per-pair reference silhouettes the cell kernel must match bit for
@@ -85,13 +85,11 @@ pub(crate) struct CellDistances {
 impl CellDistances {
     /// Groups `points` into cells and computes the cell-distance table.
     pub(crate) fn new(points: &Matrix) -> Result<Self, ClusterError> {
-        let Cells {
-            cell_of_row,
-            representatives,
-        } = Cells::new(points)?;
+        let cells = Cells::new(points);
+        let table = pairwise(&cells.representatives(points), Metric::Euclidean)?;
         Ok(CellDistances {
-            cell_of_row,
-            table: pairwise(&representatives, Metric::Euclidean)?,
+            cell_of_row: cells.cell_of_row,
+            table,
         })
     }
 

@@ -19,6 +19,8 @@
 //!   SOM against.
 //! * [`kernels`] — cache-blocked compute kernels (matmul/syrk, norm-trick
 //!   batched distances) behind the hot paths.
+//! * [`cells`] — rows grouped by bit pattern, the one grouping behind
+//!   duplicate-row validation, cell-level clustering and the silhouette.
 //!
 //! # Example
 //!
@@ -48,6 +50,7 @@
 mod error;
 mod matrix;
 
+pub mod cells;
 pub mod distance;
 pub mod eigen;
 pub mod kernels;

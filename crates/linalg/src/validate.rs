@@ -7,6 +7,10 @@
 //! matrix — **with coordinates**, so the failure names the exact cell
 //! instead of surfacing as a distant `NonFinite` somewhere downstream.
 //!
+//! Validation runs in linear time, O(n·dim): duplicate rows are found
+//! through [`crate::cells::Cells`], the same bit-pattern grouping that
+//! clustering and the silhouette use, not by comparing pairs of rows.
+//!
 //! Two consumption modes:
 //!
 //! * **Strict** ([`ensure_valid`]) — fatal issues (non-finite cells, empty
@@ -19,6 +23,7 @@
 //!   the paper's cluster analysis exists to find, so deduplicating here
 //!   would erase the signal under study.
 
+use crate::cells::Cells;
 use crate::{LinalgError, Matrix};
 
 /// Which way a cell was non-finite.
@@ -231,8 +236,14 @@ impl std::fmt::Display for ValidationReport {
 
 /// Diagnoses `matrix` without modifying it: non-finite cells (row-major,
 /// with coordinates), zero-variance columns (computed over the rows free of
-/// non-finite cells), duplicate rows (bitwise comparison, so the check is
-/// exact and deterministic), and empty shapes.
+/// non-finite cells), duplicate rows, and empty shapes.
+///
+/// Runs in O(n·dim) time. Duplicates are found by grouping the rows into
+/// [`Cells`] by exact bit pattern, so the check is exact and deterministic:
+/// each finite row that is not its cell's first row is reported as
+/// duplicating that first row, the earliest row with the same bits, in
+/// ascending row order. Rows with a non-finite cell are never reported as
+/// duplicates.
 #[must_use]
 pub fn validate(matrix: &Matrix) -> ValidationReport {
     let (rows, cols) = matrix.shape();
@@ -276,22 +287,15 @@ pub fn validate(matrix: &Matrix) -> ValidationReport {
             }
         }
     }
-    // Duplicate detection by bit pattern; O(n² · d) is fine at suite scale
-    // (tens of workloads) and exact.
-    for (i, &r) in finite_rows.iter().enumerate() {
-        for &earlier in &finite_rows[..i] {
-            let same = matrix
-                .row(r)
-                .iter()
-                .zip(matrix.row(earlier))
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            if same {
-                report.issues.push(ValidationIssue::DuplicateRow {
-                    row: r,
-                    of: earlier,
-                });
-                break;
-            }
+    // A finite row's cell holds only rows with its bits, so the cell's first
+    // row is finite too: the earliest row with the same bits.
+    let cells = Cells::new(matrix);
+    for &r in &finite_rows {
+        let of = cells.first_row[cells.cell_of_row[r]];
+        if of != r {
+            report
+                .issues
+                .push(ValidationIssue::DuplicateRow { row: r, of });
         }
     }
     report
