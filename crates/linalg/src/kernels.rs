@@ -14,14 +14,18 @@
 //! * [`syrk_rows`] — the symmetric rank-k product `MᵀM` streamed over the
 //!   rows of `M`, used by covariance and the dual-PCA Gram matrix. Also
 //!   ascending-order exact.
-//! * [`sq_dists_into`] / [`refine_best_two`] — batched squared Euclidean
-//!   distances via the norm trick `‖x‖² + ‖w‖² − 2·x·w` with precomputed row
-//!   norms and unrolled dot products. The trick reorders
+//! * [`trick_dists_wt_into`] / [`refine_best_two`] — batched squared
+//!   Euclidean distances via the norm trick `‖x‖² + ‖w‖² − 2·x·w` against a
+//!   transposed codebook with precomputed unit norms. The trick reorders
 //!   floating-point operations, so trick distances agree with the scalar
-//!   formula only to ULP tolerance; argmin consumers (BMU search) therefore
-//!   run a **scalar refinement pass** over the candidates inside a
-//!   conservative error band ([`candidate_band`]), which restores *exact*
+//!   formula only to ULP tolerance; argmin consumers (batched BMU search)
+//!   therefore run a **scalar refinement pass** over the candidates inside
+//!   a conservative error band ([`candidate_band`]), which restores *exact*
 //!   agreement with a scalar scan — same unit indices, same distance bits.
+//! * [`exact_dists_wt_into`] / [`neighborhood_update_wt`] — the online SOM
+//!   step against a unit-major codebook: exact per-unit distances (the
+//!   scalar formula's own operations, so no refinement is needed) and the
+//!   neighborhood update, both vectorized across units.
 //!
 //! The norm-trick path runs whenever the metric is (squared) Euclidean;
 //! other metrics take the scalar per-pair loops. The matrix-product
@@ -469,25 +473,6 @@ pub fn candidate_band(dim: usize, xn: f64, wn: f64) -> f64 {
     8.0 * (dim as f64 + 8.0) * f64::EPSILON * (xn + wn)
 }
 
-/// Batched norm-trick squared distances from one vector `x` against every
-/// row of `w`, written into `out`: `out[u] = xn + wn[u] − 2·x·w_u`.
-///
-/// Values can be a few ULPs off the scalar formula and are clamped at zero
-/// (the trick can round slightly negative for near-identical vectors).
-///
-/// # Panics
-///
-/// Panics if buffer lengths disagree with `w`'s shape.
-pub fn sq_dists_into(x: &[f64], xn: f64, w: &Matrix, wn: &[f64], out: &mut [f64]) {
-    assert_eq!(x.len(), w.ncols(), "query dimension");
-    assert_eq!(wn.len(), w.nrows(), "norm buffer length");
-    assert_eq!(out.len(), w.nrows(), "distance buffer length");
-    for (u, (o, row)) in out.iter_mut().zip(w.rows_iter()).enumerate() {
-        let d = xn + wn[u] - 2.0 * dot_fast(x, row);
-        *o = d.max(0.0);
-    }
-}
-
 /// Batched norm-trick squared distances against a *transposed* codebook
 /// `wt` (`dim x units`): `out[u] = max(0, (xn + wn[u]) + Σ_d (−2·x[d])·wt[d][u])`
 /// with the sum accumulated in ascending `d`.
@@ -503,7 +488,7 @@ pub fn sq_dists_into(x: &[f64], xn: f64, w: &Matrix, wn: &[f64], out: &mut [f64]
 /// rounding error after `dim + 2` additions is below
 /// `(dim + 2)·ε·2·(xn + wn[u])` — comfortably inside
 /// [`candidate_band`]`(dim, xn, wn[u])`, making the band's refinement
-/// contract hold for these distances exactly as for [`sq_dists_into`].
+/// contract hold for these distances.
 ///
 /// # Panics
 ///
@@ -537,6 +522,139 @@ pub fn trick_dists_wt_into(x: &[f64], xn: f64, wt: &Matrix, wn: &[f64], out: &mu
     }
     for u in tail {
         out[u] = out[u].max(0.0);
+    }
+}
+
+/// Units per register block of [`exact_dists_wt_into`]: four AVX2 vectors
+/// of accumulators, held in registers across the whole `d` loop.
+const UNIT_BLOCK: usize = 16;
+
+/// Exact distances from `x` to every unit of a transposed codebook `wt`
+/// (`dim x units`): `out[u] = Σ_d (x[d] − wt[d][u])²`, summed in ascending
+/// `d` from zero, then its square root when `root` is set.
+///
+/// Each unit's value comes from exactly the operations of
+/// [`Metric::SquaredEuclidean`](crate::distance::Metric::SquaredEuclidean)
+/// (and [`Metric::Euclidean`](crate::distance::Metric::Euclidean) with
+/// `root`), so it equals [`Metric::distance`](crate::distance::Metric::distance)
+/// of `x` and the unit's weight vector bit for bit: the lanes are
+/// independent units, and Rust never fuses a multiply and an add. The loop
+/// runs `UNIT_BLOCK` units at a time with the accumulators in registers,
+/// compiled for AVX2 when the CPU has it; the dispatch changes only speed.
+///
+/// # Panics
+///
+/// Panics if `x.len() != wt.nrows()` or `out.len() != wt.ncols()`.
+pub fn exact_dists_wt_into(x: &[f64], wt: &Matrix, root: bool, out: &mut [f64]) {
+    assert_eq!(x.len(), wt.nrows(), "query dimension");
+    assert_eq!(out.len(), wt.ncols(), "distance buffer length");
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected on this CPU just above.
+        unsafe { exact_dists_avx2(x, wt, root, out) };
+        return;
+    }
+    exact_dists_body(x, wt, root, out);
+}
+
+/// [`exact_dists_body`] compiled for AVX2; callers must have detected it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn exact_dists_avx2(x: &[f64], wt: &Matrix, root: bool, out: &mut [f64]) {
+    exact_dists_body(x, wt, root, out);
+}
+
+/// The one body behind [`exact_dists_wt_into`], for both dispatch paths.
+#[inline(always)]
+fn exact_dists_body(x: &[f64], wt: &Matrix, root: bool, out: &mut [f64]) {
+    let units = wt.ncols();
+    let mut blocks = out.chunks_exact_mut(UNIT_BLOCK);
+    for (b, block) in blocks.by_ref().enumerate() {
+        let j0 = b * UNIT_BLOCK;
+        let mut acc = [0.0f64; UNIT_BLOCK];
+        for (row, &xd) in wt.rows_iter().zip(x) {
+            let w = &row[j0..j0 + UNIT_BLOCK];
+            for (a, &wv) in acc.iter_mut().zip(w) {
+                let t = xd - wv;
+                *a += t * t;
+            }
+        }
+        for (o, a) in block.iter_mut().zip(acc) {
+            *o = if root { a.sqrt() } else { a };
+        }
+    }
+    let tail = blocks.into_remainder();
+    let j0 = units - tail.len();
+    tail.fill(0.0);
+    for (row, &xd) in wt.rows_iter().zip(x) {
+        for (a, &wv) in tail.iter_mut().zip(&row[j0..]) {
+            let t = xd - wv;
+            *a += t * t;
+        }
+    }
+    if root {
+        for a in tail {
+            *a = a.sqrt();
+        }
+    }
+}
+
+/// The index of the first minimum of `values` in ascending order: the BMU
+/// a scalar scan keeps when it replaces its best only on a strictly smaller
+/// distance. Values that are NaN or `+∞` never win, and unit 0 is returned
+/// when nothing beats `+∞`.
+#[must_use]
+pub fn first_min(values: &[f64]) -> usize {
+    let mut best = (0, f64::INFINITY);
+    for (u, &v) in values.iter().enumerate() {
+        if v < best.1 {
+            best = (u, v);
+        }
+    }
+    best.0
+}
+
+/// The online SOM update against a transposed codebook `wt` (`dim x
+/// units`): `wt[d][u] = wt[d][u] + h[u]·(x[d] − wt[d][u])` wherever
+/// `h[u] != 0`, with every other weight left as it is.
+///
+/// The zero-weight units are kept by a select, not by a multiply with zero,
+/// so a `-0.0` weight keeps its sign and each updated weight is the scalar
+/// update's bits. Compiled for AVX2 when the CPU has it, like
+/// [`exact_dists_wt_into`].
+///
+/// # Panics
+///
+/// Panics if `x.len() != wt.nrows()` or `h.len() != wt.ncols()`.
+pub fn neighborhood_update_wt(x: &[f64], h: &[f64], wt: &mut Matrix) {
+    assert_eq!(x.len(), wt.nrows(), "query dimension");
+    assert_eq!(h.len(), wt.ncols(), "kernel weight length");
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected on this CPU just above.
+        unsafe { neighborhood_update_avx2(x, h, wt) };
+        return;
+    }
+    neighborhood_update_body(x, h, wt);
+}
+
+/// [`neighborhood_update_body`] compiled for AVX2; callers must have
+/// detected it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn neighborhood_update_avx2(x: &[f64], h: &[f64], wt: &mut Matrix) {
+    neighborhood_update_body(x, h, wt);
+}
+
+/// The one body behind [`neighborhood_update_wt`], for both dispatch paths.
+#[inline(always)]
+fn neighborhood_update_body(x: &[f64], h: &[f64], wt: &mut Matrix) {
+    for (d, &xd) in x.iter().enumerate() {
+        for (w, &hu) in wt.row_mut(d).iter_mut().zip(h) {
+            let cur = *w;
+            let next = cur + hu * (xd - cur);
+            *w = if hu != 0.0 { next } else { cur };
+        }
     }
 }
 
@@ -632,25 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn norm_trick_within_band_of_scalar() {
-        let w = pseudo_matrix(40, 37, 99);
-        let x: Vec<f64> = pseudo_matrix(1, 37, 5).into_vec();
-        let xn = sq_norm_fast(&x);
-        let mut wn = vec![0.0; 40];
-        row_sq_norms_into(&w, &mut wn);
-        let mut d2 = vec![0.0; 40];
-        sq_dists_into(&x, xn, &w, &wn, &mut d2);
-        for (u, &trick) in d2.iter().enumerate() {
-            let scalar: f64 = x.iter().zip(w.row(u)).map(|(a, b)| (a - b) * (a - b)).sum();
-            let band = candidate_band(37, xn, wn[u]);
-            assert!(
-                (trick - scalar).abs() <= band,
-                "unit {u}: trick {trick} vs scalar {scalar}, band {band}"
-            );
-        }
-    }
-
-    #[test]
     fn transposed_trick_matches_chain_bitwise_and_scalar_within_band() {
         // 131 units exercises two full 64-column SIMD strips plus a
         // 3-column portable tail; 13 dims exercises the ascending-d chain.
@@ -681,6 +780,89 @@ mod tests {
                 trick[u]
             );
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn online_kernels_dispatch_paths_agree_bitwise() {
+        // The public functions take the AVX2 wrapper on hosts that have it
+        // and the portable body elsewhere, where this compares the body
+        // with itself. Unit counts straddle the 16-unit register block:
+        // full blocks with and without tail lanes, tail only, one unit.
+        for (units, dim, seed) in [(37, 7, 3), (16, 1, 5), (5, 13, 8), (100, 30, 11), (1, 4, 2)] {
+            let mut wt = pseudo_matrix(dim, units, seed);
+            let mut x = pseudo_matrix(1, dim, seed + 1).into_vec();
+            let mut h = pseudo_matrix(1, units, seed + 2).into_vec();
+            for hu in h.iter_mut().step_by(3) {
+                *hu = 0.0;
+            }
+            // A `-0.0` weight under a zero kernel weight: multiplying by
+            // zero would give `-0.0 + 0·0.25 = +0.0`; the select keeps it.
+            wt[(0, 0)] = -0.0;
+            x[0] = 0.25;
+            for root in [false, true] {
+                let mut portable = vec![0.0; units];
+                exact_dists_body(&x, &wt, root, &mut portable);
+                let mut dispatched = vec![f64::NAN; units];
+                exact_dists_wt_into(&x, &wt, root, &mut dispatched);
+                assert_eq!(
+                    bits(&portable),
+                    bits(&dispatched),
+                    "{units}x{dim} root={root}"
+                );
+            }
+            let mut portable = wt.clone();
+            neighborhood_update_body(&x, &h, &mut portable);
+            let mut dispatched = wt.clone();
+            neighborhood_update_wt(&x, &h, &mut dispatched);
+            assert_eq!(
+                bits(portable.as_slice()),
+                bits(dispatched.as_slice()),
+                "{units}x{dim}"
+            );
+            assert_eq!(dispatched[(0, 0)].to_bits(), (-0.0f64).to_bits());
+        }
+    }
+
+    #[test]
+    fn online_kernels_match_the_scalar_formulas_bitwise() {
+        use crate::distance::Metric;
+        let (units, dim) = (37, 7);
+        let wt = pseudo_matrix(dim, units, 21);
+        let x = pseudo_matrix(1, dim, 22).into_vec();
+        let mut h = pseudo_matrix(1, units, 23).into_vec();
+        h[4] = 0.0;
+        for (metric, root) in [(Metric::SquaredEuclidean, false), (Metric::Euclidean, true)] {
+            let mut dists = vec![0.0; units];
+            exact_dists_wt_into(&x, &wt, root, &mut dists);
+            for (u, &d) in dists.iter().enumerate() {
+                let w: Vec<f64> = (0..dim).map(|c| wt[(c, u)]).collect();
+                let scalar = metric.distance(&x, &w).unwrap();
+                assert_eq!(d.to_bits(), scalar.to_bits(), "{metric:?} unit {u}");
+            }
+        }
+        let mut updated = wt.clone();
+        neighborhood_update_wt(&x, &h, &mut updated);
+        for u in 0..units {
+            for (c, &xc) in x.iter().enumerate() {
+                let mut w = wt[(c, u)];
+                if h[u] != 0.0 {
+                    w += h[u] * (xc - w);
+                }
+                assert_eq!(updated[(c, u)].to_bits(), w.to_bits(), "unit {u} dim {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn first_min_keeps_the_first_of_tied_minima() {
+        assert_eq!(first_min(&[3.0, 1.0, 2.0, 1.0]), 1);
+        assert_eq!(first_min(&[f64::NAN, 2.0, 2.0]), 1);
+        assert_eq!(first_min(&[f64::INFINITY, f64::NAN]), 0);
+        assert_eq!(first_min(&[0.0, -0.0]), 0);
     }
 
     #[test]

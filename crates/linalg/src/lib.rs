@@ -18,7 +18,8 @@
 //!   components) and as the dimension-reduction baseline the paper compares
 //!   SOM against.
 //! * [`kernels`] — cache-blocked compute kernels (matmul/syrk, norm-trick
-//!   batched distances) behind the hot paths.
+//!   batched distances, the online SOM step's unit-major loops) behind the
+//!   hot paths.
 //! * [`cells`] — rows grouped by bit pattern, the one grouping behind
 //!   duplicate-row validation, cell-level clustering and the silhouette.
 //!

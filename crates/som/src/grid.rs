@@ -114,12 +114,19 @@ impl Grid {
     /// The location vector `r_i` of unit `index` on the map plane.
     pub fn location(&self, index: usize) -> [f64; 2] {
         let (col, row) = self.coords(index);
+        let (shift, y) = self.row_frame(row);
+        [col as f64 + shift, y]
+    }
+
+    /// The `x` shift and the `y` coordinate shared by every unit of lattice
+    /// row `row`: unit `(col, row)` sits at `[col + shift, y]`. Hexagonal
+    /// grids shift odd rows by half a unit and space rows `sqrt(3)/2` apart.
+    fn row_frame(&self, row: usize) -> (f64, f64) {
         match self.topology {
-            GridTopology::Rectangular | GridTopology::Toroidal => [col as f64, row as f64],
+            GridTopology::Rectangular | GridTopology::Toroidal => (0.0, row as f64),
             GridTopology::Hexagonal => {
-                let x = col as f64 + if row % 2 == 1 { 0.5 } else { 0.0 };
-                let y = row as f64 * (3.0f64.sqrt() / 2.0);
-                [x, y]
+                let shift = if row % 2 == 1 { 0.5 } else { 0.0 };
+                (shift, row as f64 * (3.0f64.sqrt() / 2.0))
             }
         }
     }
@@ -127,8 +134,29 @@ impl Grid {
     /// Distance between the location vectors of two units: Euclidean, except
     /// on the torus, where each axis wraps around the grid edge.
     pub fn unit_distance(&self, a: usize, b: usize) -> f64 {
-        let ra = self.location(a);
-        let rb = self.location(b);
+        self.separation(self.location(a), self.location(b))
+    }
+
+    /// Writes the distance from unit `from` to every unit into `out`, in
+    /// unit order: `out[u]` equals [`Grid::unit_distance`]`(from, u)` bit
+    /// for bit. The row-by-row loop needs no per-unit index division.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from >= len()` or `out.len() != len()`.
+    pub fn distances_from(&self, from: usize, out: &mut [f64]) {
+        assert_eq!(out.len(), self.len(), "distance row length");
+        let ra = self.location(from);
+        for (row, units) in out.chunks_exact_mut(self.width).enumerate() {
+            let (shift, y) = self.row_frame(row);
+            for (col, o) in units.iter_mut().enumerate() {
+                *o = self.separation(ra, [col as f64 + shift, y]);
+            }
+        }
+    }
+
+    /// The distance between two map-plane locations under the topology.
+    fn separation(&self, ra: [f64; 2], rb: [f64; 2]) -> f64 {
         let mut dx = (ra[0] - rb[0]).abs();
         let mut dy = (ra[1] - rb[1]).abs();
         if self.topology == GridTopology::Toroidal {
@@ -330,6 +358,30 @@ mod tests {
             assert_eq!(ns.len(), 2, "unit {a}: {ns:?}");
             for b in ns {
                 assert!(g.neighbors(b).contains(&a));
+            }
+        }
+    }
+
+    #[test]
+    fn distances_from_equal_unit_distance_bitwise() {
+        for topology in [
+            GridTopology::Rectangular,
+            GridTopology::Hexagonal,
+            GridTopology::Toroidal,
+        ] {
+            for (w, h) in [(1, 1), (5, 3), (4, 7), (10, 10)] {
+                let g = Grid::new(w, h, topology);
+                let mut row = vec![f64::NAN; g.len()];
+                for from in 0..g.len() {
+                    g.distances_from(from, &mut row);
+                    for (u, &d) in row.iter().enumerate() {
+                        assert_eq!(
+                            d.to_bits(),
+                            g.unit_distance(from, u).to_bits(),
+                            "{topology:?} {w}x{h} {from}->{u}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -1,12 +1,12 @@
 //! Steady-state training epochs perform zero heap allocations.
 //!
-//! The trainers preallocate their scratch up front (`SearchScratch` for the
-//! blocked BMU search; the strip and one `BatchWorker` per worker for the
-//! batch trainer), so on the serial path
-//! every allocation happens during setup: training for more epochs must
-//! allocate exactly as much as training for one. The shared
-//! tracking allocator (`hiermeans_obs::memhook`) makes that a hard test
-//! rather than a code-review claim.
+//! The trainers preallocate their scratch up front (the online trainer its
+//! unit-major codebook and per-step distance rows; the batch trainer its
+//! strip and one `BatchWorker` per worker, each with its blocked-search
+//! buffers), so on the serial path every allocation happens during setup:
+//! training for more epochs must allocate exactly as much as training for
+//! one. The shared tracking allocator (`hiermeans_obs::memhook`) makes that
+//! a hard test rather than a code-review claim.
 //!
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide. Measurement uses
