@@ -22,10 +22,12 @@
 //!   therefore run a **scalar refinement pass** over the candidates inside
 //!   a conservative error band ([`candidate_band`]), which restores *exact*
 //!   agreement with a scalar scan — same unit indices, same distance bits.
-//! * [`exact_dists_wt_into`] / [`neighborhood_update_wt`] — the online SOM
-//!   step against a unit-major codebook: exact per-unit distances (the
-//!   scalar formula's own operations, so no refinement is needed) and the
-//!   neighborhood update, both vectorized across units.
+//! * [`exact_dists_wt_into`] / [`online_step_wt`] — the online SOM step
+//!   against a unit-major codebook: exact per-unit distances (the scalar
+//!   formula's own operations, so no refinement is needed), and the
+//!   neighborhood update fused with the next step's distances into one
+//!   sweep, both vectorized across units (AVX-512, AVX2 or portable, picked
+//!   at run time).
 //!
 //! The norm-trick path runs whenever the metric is (squared) Euclidean;
 //! other metrics take the scalar per-pair loops. The matrix-product
@@ -525,8 +527,9 @@ pub fn trick_dists_wt_into(x: &[f64], xn: f64, wt: &Matrix, wn: &[f64], out: &mu
     }
 }
 
-/// Units per register block of [`exact_dists_wt_into`]: four AVX2 vectors
-/// of accumulators, held in registers across the whole `d` loop.
+/// Units per register block of [`exact_dists_wt_into`] and
+/// [`online_step_wt`]: four AVX2 (two AVX-512) vectors of accumulators,
+/// held in registers across the whole `d` loop.
 const UNIT_BLOCK: usize = 16;
 
 /// Exact distances from `x` to every unit of a transposed codebook `wt`
@@ -614,46 +617,205 @@ pub fn first_min(values: &[f64]) -> usize {
     best.0
 }
 
-/// The online SOM update against a transposed codebook `wt` (`dim x
-/// units`): `wt[d][u] = wt[d][u] + h[u]·(x[d] − wt[d][u])` wherever
-/// `h[u] != 0`, with every other weight left as it is.
+/// One online SOM step against a transposed codebook `wt` (`dim x units`),
+/// in one sweep over the codebook.
 ///
-/// The zero-weight units are kept by a select, not by a multiply with zero,
-/// so a `-0.0` weight keeps its sign and each updated weight is the scalar
-/// update's bits. Compiled for AVX2 when the CPU has it, like
-/// [`exact_dists_wt_into`].
+/// It applies the neighborhood update `wt[d][u] = wt[d][u] + h[u]·(x[d] −
+/// wt[d][u])` wherever `h[u] != 0`, with every other weight left as it is.
+/// When `next` is given, the same sweep also writes the next step's exact
+/// distances into `dists`: `dists[u] = Σ_d (next[d] − wt'[d][u])²` over the
+/// updated weights `wt'`, summed in ascending `d` from zero, then its square
+/// root when `root` is set. Each weight is read once, updated, stored and,
+/// still in a register, added into its unit's distance, so the update and
+/// the next BMU scan cost one pass over the codebook instead of two. With
+/// `next` set to `None` it only updates and leaves `dists` alone.
+///
+/// Every value is the scalar formulas' own bits: the zero-weight units are
+/// kept by a select, not by a multiply with zero, so a `-0.0` weight keeps
+/// its sign; each unit's distance depends only on its own updated weights,
+/// and its operations are [`exact_dists_wt_into`]'s, in the same order.
+/// The loop runs blocks of units with the accumulators in registers,
+/// compiled for AVX-512 or AVX2 when the CPU has it (see
+/// [`online_step_tier`]); the tier changes only speed.
 ///
 /// # Panics
 ///
-/// Panics if `x.len() != wt.nrows()` or `h.len() != wt.ncols()`.
-pub fn neighborhood_update_wt(x: &[f64], h: &[f64], wt: &mut Matrix) {
+/// Panics if `x.len() != wt.nrows()` or `h.len() != wt.ncols()`, or, with
+/// `next` given, if `next.len() != wt.nrows()` or `dists.len() !=
+/// wt.ncols()`.
+pub fn online_step_wt(
+    x: &[f64],
+    h: &[f64],
+    next: Option<&[f64]>,
+    root: bool,
+    wt: &mut Matrix,
+    dists: &mut [f64],
+) {
     assert_eq!(x.len(), wt.nrows(), "query dimension");
     assert_eq!(h.len(), wt.ncols(), "kernel weight length");
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was detected on this CPU just above.
-        unsafe { neighborhood_update_avx2(x, h, wt) };
-        return;
+    if let Some(next) = next {
+        assert_eq!(next.len(), wt.nrows(), "next query dimension");
+        assert_eq!(dists.len(), wt.ncols(), "distance buffer length");
     }
-    neighborhood_update_body(x, h, wt);
+    match OnlineTier::best() {
+        // SAFETY: `best` reports a SIMD tier only when the CPU has it.
+        #[cfg(target_arch = "x86_64")]
+        OnlineTier::Avx512 => unsafe { online_step_avx512(x, h, next, root, wt, dists) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        OnlineTier::Avx2 => unsafe { online_step_avx2(x, h, next, root, wt, dists) },
+        _ => online_step_body(x, h, next, root, wt, dists),
+    }
 }
 
-/// [`neighborhood_update_body`] compiled for AVX2; callers must have
-/// detected it.
+/// The name of the instruction-set tier [`online_step_wt`] runs on this
+/// CPU: `"avx512f"`, `"avx2"` or `"portable"`.
+#[must_use]
+pub fn online_step_tier() -> &'static str {
+    match OnlineTier::best() {
+        OnlineTier::Avx512 => "avx512f",
+        OnlineTier::Avx2 => "avx2",
+        OnlineTier::Portable => "portable",
+    }
+}
+
+/// The builds of [`online_step_body`], best first.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum OnlineTier {
+    Avx512,
+    Avx2,
+    Portable,
+}
+
+impl OnlineTier {
+    /// The best tier this CPU runs. The detection macro caches the CPUID
+    /// result process-wide.
+    fn best() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                return OnlineTier::Avx512;
+            }
+            if is_x86_feature_detected!("avx2") {
+                return OnlineTier::Avx2;
+            }
+        }
+        OnlineTier::Portable
+    }
+}
+
+/// [`online_step_body`] compiled for AVX-512; callers must have detected
+/// it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn online_step_avx512(
+    x: &[f64],
+    h: &[f64],
+    next: Option<&[f64]>,
+    root: bool,
+    wt: &mut Matrix,
+    dists: &mut [f64],
+) {
+    online_step_body(x, h, next, root, wt, dists);
+}
+
+/// [`online_step_body`] compiled for AVX2; callers must have detected it.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn neighborhood_update_avx2(x: &[f64], h: &[f64], wt: &mut Matrix) {
-    neighborhood_update_body(x, h, wt);
+unsafe fn online_step_avx2(
+    x: &[f64],
+    h: &[f64],
+    next: Option<&[f64]>,
+    root: bool,
+    wt: &mut Matrix,
+    dists: &mut [f64],
+) {
+    online_step_body(x, h, next, root, wt, dists);
 }
 
-/// The one body behind [`neighborhood_update_wt`], for both dispatch paths.
+/// The one body behind [`online_step_wt`], for every tier: the update-only
+/// sweep when `next` is `None` (reading `x` in its place), the fused one
+/// otherwise.
 #[inline(always)]
-fn neighborhood_update_body(x: &[f64], h: &[f64], wt: &mut Matrix) {
-    for (d, &xd) in x.iter().enumerate() {
-        for (w, &hu) in wt.row_mut(d).iter_mut().zip(h) {
+fn online_step_body(
+    x: &[f64],
+    h: &[f64],
+    next: Option<&[f64]>,
+    root: bool,
+    wt: &mut Matrix,
+    dists: &mut [f64],
+) {
+    match next {
+        Some(next) => online_sweep::<true>(x, h, next, root, wt, dists),
+        None => online_sweep::<false>(x, h, x, root, wt, dists),
+    }
+}
+
+/// The sweep of [`online_step_body`] in register blocks: `UNIT_BLOCK`
+/// units at a time, then the tail in blocks of 8, 4 and its last one to
+/// three units, so every accumulator stays in a register across the `d`
+/// loop.
+#[inline(always)]
+fn online_sweep<const SCAN: bool>(
+    x: &[f64],
+    h: &[f64],
+    next: &[f64],
+    root: bool,
+    wt: &mut Matrix,
+    dists: &mut [f64],
+) {
+    let units = wt.ncols();
+    let mut j0 = 0;
+    while j0 + UNIT_BLOCK <= units {
+        online_block::<UNIT_BLOCK, SCAN>(x, h, next, root, wt, dists, j0);
+        j0 += UNIT_BLOCK;
+    }
+    if j0 + 8 <= units {
+        online_block::<8, SCAN>(x, h, next, root, wt, dists, j0);
+        j0 += 8;
+    }
+    if j0 + 4 <= units {
+        online_block::<4, SCAN>(x, h, next, root, wt, dists, j0);
+        j0 += 4;
+    }
+    match units - j0 {
+        3 => online_block::<3, SCAN>(x, h, next, root, wt, dists, j0),
+        2 => online_block::<2, SCAN>(x, h, next, root, wt, dists, j0),
+        1 => online_block::<1, SCAN>(x, h, next, root, wt, dists, j0),
+        _ => {}
+    }
+}
+
+/// Units `j0..j0 + B` of [`online_sweep`]. `SCAN` adds each updated
+/// weight's `(next[d] − w')²` into its unit's distance.
+#[inline(always)]
+fn online_block<const B: usize, const SCAN: bool>(
+    x: &[f64],
+    h: &[f64],
+    next: &[f64],
+    root: bool,
+    wt: &mut Matrix,
+    dists: &mut [f64],
+    j0: usize,
+) {
+    let hb = &h[j0..j0 + B];
+    let mut acc = [0.0f64; B];
+    for (row, (&xd, &nd)) in wt.rows_iter_mut().zip(x.iter().zip(next)) {
+        let w = &mut row[j0..j0 + B];
+        for ((w, &hu), a) in w.iter_mut().zip(hb).zip(&mut acc) {
             let cur = *w;
-            let next = cur + hu * (xd - cur);
-            *w = if hu != 0.0 { next } else { cur };
+            let upd = cur + hu * (xd - cur);
+            let new = if hu != 0.0 { upd } else { cur };
+            *w = new;
+            if SCAN {
+                let t = nd - new;
+                *a += t * t;
+            }
+        }
+    }
+    if SCAN {
+        for (o, a) in dists[j0..j0 + B].iter_mut().zip(acc) {
+            *o = if root { a.sqrt() } else { a };
         }
     }
 }
@@ -786,16 +948,63 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The online update written row by row: the formula
+    /// [`online_step_wt`] fuses with the next step's distance scan.
+    fn neighborhood_update_body(x: &[f64], h: &[f64], wt: &mut Matrix) {
+        for (d, &xd) in x.iter().enumerate() {
+            for (w, &hu) in wt.row_mut(d).iter_mut().zip(h) {
+                let cur = *w;
+                let next = cur + hu * (xd - cur);
+                *w = if hu != 0.0 { next } else { cur };
+            }
+        }
+    }
+
+    type OnlineStep = fn(&[f64], &[f64], Option<&[f64]>, bool, &mut Matrix, &mut [f64]);
+
+    /// Every build of the online step this host runs, by name, and the
+    /// public dispatch.
+    fn online_step_tiers() -> Vec<(&'static str, OnlineStep)> {
+        let mut tiers: Vec<(&'static str, OnlineStep)> = vec![
+            ("portable", online_step_body),
+            ("dispatched", online_step_wt),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 was detected just above.
+                tiers.push(("avx2", |x, h, n, r, w, d| unsafe {
+                    online_step_avx2(x, h, n, r, w, d)
+                }));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F was detected just above.
+                tiers.push(("avx512f", |x, h, n, r, w, d| unsafe {
+                    online_step_avx512(x, h, n, r, w, d)
+                }));
+            }
+        }
+        tiers
+    }
+
     #[test]
     fn online_kernels_dispatch_paths_agree_bitwise() {
-        // The public functions take the AVX2 wrapper on hosts that have it
-        // and the portable body elsewhere, where this compares the body
-        // with itself. Unit counts straddle the 16-unit register block:
-        // full blocks with and without tail lanes, tail only, one unit.
-        for (units, dim, seed) in [(37, 7, 3), (16, 1, 5), (5, 13, 8), (100, 30, 11), (1, 4, 2)] {
+        // Unit counts straddle the 16-unit register block: full blocks
+        // with and without tail lanes, tail only, one unit. Every tier of
+        // the fused step must equal the update followed by the exact scan.
+        let tiers = online_step_tiers();
+        for (units, dim, seed) in [
+            (37, 7, 3),
+            (16, 1, 5),
+            (5, 13, 8),
+            (8, 9, 14),
+            (100, 30, 11),
+            (1, 4, 2),
+        ] {
             let mut wt = pseudo_matrix(dim, units, seed);
             let mut x = pseudo_matrix(1, dim, seed + 1).into_vec();
             let mut h = pseudo_matrix(1, units, seed + 2).into_vec();
+            let other = pseudo_matrix(1, dim, seed + 3).into_vec();
             for hu in h.iter_mut().step_by(3) {
                 *hu = 0.0;
             }
@@ -813,17 +1022,29 @@ mod tests {
                     bits(&dispatched),
                     "{units}x{dim} root={root}"
                 );
+                for (label, next) in [
+                    ("none", None),
+                    ("x", Some(&x[..])),
+                    ("other", Some(&other[..])),
+                ] {
+                    let mut updated = wt.clone();
+                    neighborhood_update_body(&x, &h, &mut updated);
+                    // `None` leaves the distance buffer as it was.
+                    let mut scanned = vec![f64::NAN; units];
+                    if let Some(next) = next {
+                        exact_dists_body(next, &updated, root, &mut scanned);
+                    }
+                    for &(tier, step) in &tiers {
+                        let case = format!("{tier} {units}x{dim} root={root} next={label}");
+                        let mut fused = wt.clone();
+                        let mut dists = vec![f64::NAN; units];
+                        step(&x, &h, next, root, &mut fused, &mut dists);
+                        assert_eq!(bits(fused.as_slice()), bits(updated.as_slice()), "{case}");
+                        assert_eq!(bits(&dists), bits(&scanned), "{case}");
+                        assert_eq!(fused[(0, 0)].to_bits(), (-0.0f64).to_bits(), "{case}");
+                    }
+                }
             }
-            let mut portable = wt.clone();
-            neighborhood_update_body(&x, &h, &mut portable);
-            let mut dispatched = wt.clone();
-            neighborhood_update_wt(&x, &h, &mut dispatched);
-            assert_eq!(
-                bits(portable.as_slice()),
-                bits(dispatched.as_slice()),
-                "{units}x{dim}"
-            );
-            assert_eq!(dispatched[(0, 0)].to_bits(), (-0.0f64).to_bits());
         }
     }
 
@@ -833,19 +1054,12 @@ mod tests {
         let (units, dim) = (37, 7);
         let wt = pseudo_matrix(dim, units, 21);
         let x = pseudo_matrix(1, dim, 22).into_vec();
+        let next = pseudo_matrix(1, dim, 24).into_vec();
         let mut h = pseudo_matrix(1, units, 23).into_vec();
         h[4] = 0.0;
-        for (metric, root) in [(Metric::SquaredEuclidean, false), (Metric::Euclidean, true)] {
-            let mut dists = vec![0.0; units];
-            exact_dists_wt_into(&x, &wt, root, &mut dists);
-            for (u, &d) in dists.iter().enumerate() {
-                let w: Vec<f64> = (0..dim).map(|c| wt[(c, u)]).collect();
-                let scalar = metric.distance(&x, &w).unwrap();
-                assert_eq!(d.to_bits(), scalar.to_bits(), "{metric:?} unit {u}");
-            }
-        }
+        let column = |m: &Matrix, u: usize| (0..dim).map(|c| m[(c, u)]).collect::<Vec<f64>>();
         let mut updated = wt.clone();
-        neighborhood_update_wt(&x, &h, &mut updated);
+        online_step_wt(&x, &h, None, false, &mut updated, &mut []);
         for u in 0..units {
             for (c, &xc) in x.iter().enumerate() {
                 let mut w = wt[(c, u)];
@@ -853,6 +1067,21 @@ mod tests {
                     w += h[u] * (xc - w);
                 }
                 assert_eq!(updated[(c, u)].to_bits(), w.to_bits(), "unit {u} dim {c}");
+            }
+        }
+        for (metric, root) in [(Metric::SquaredEuclidean, false), (Metric::Euclidean, true)] {
+            let mut dists = vec![0.0; units];
+            exact_dists_wt_into(&x, &wt, root, &mut dists);
+            for (u, &d) in dists.iter().enumerate() {
+                let scalar = metric.distance(&x, &column(&wt, u)).unwrap();
+                assert_eq!(d.to_bits(), scalar.to_bits(), "{metric:?} unit {u}");
+            }
+            let mut fused = wt.clone();
+            online_step_wt(&x, &h, Some(&next), root, &mut fused, &mut dists);
+            assert_eq!(bits(fused.as_slice()), bits(updated.as_slice()));
+            for (u, &d) in dists.iter().enumerate() {
+                let scalar = metric.distance(&next, &column(&updated, u)).unwrap();
+                assert_eq!(d.to_bits(), scalar.to_bits(), "{metric:?} next, unit {u}");
             }
         }
     }

@@ -207,6 +207,11 @@ impl Matrix {
         self.data.chunks_exact(self.cols)
     }
 
+    /// Iterates over the rows as mutable slices.
+    pub(crate) fn rows_iter_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        self.data.chunks_exact_mut(self.cols)
+    }
+
     /// Returns the underlying row-major data slice.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
