@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hiermeans_cluster::{agglomerative, nnchain, Linkage};
-use hiermeans_linalg::distance::{pairwise_norm_trick, Metric};
+use hiermeans_linalg::distance::{pairwise, Metric};
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
 
@@ -63,7 +63,7 @@ fn bench_nnchain_vs_naive(c: &mut Criterion) {
     let mut group = c.benchmark_group("nnchain_vs_naive");
     group.sample_size(10);
     for n in [13usize, 32, 128, 256] {
-        let dist = pairwise_norm_trick(&points(n), Metric::Euclidean, None).unwrap();
+        let dist = pairwise(&points(n), Metric::Euclidean).unwrap();
         group.bench_with_input(BenchmarkId::new("naive", n), &dist, |b, dist| {
             b.iter(|| {
                 agglomerative::cluster_from_distances(

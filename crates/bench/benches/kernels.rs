@@ -2,9 +2,10 @@
 //! (`hiermeans_linalg::kernels`): the register-tile matmul against the
 //! naive triple loop at the pipeline's projection shape
 //! `(n x dim) · (dim x dim)`, the streamed covariance against the seed's
-//! strided column-pair loop, and the norm-trick BMU batch search against
-//! the per-row scalar scan (`Som::bmu2`), at 13 (the paper's suite), 128,
-//! and 1024 rows and 12/64 dimensions.
+//! strided column-pair loop, and the batched BMU search (the exact
+//! codebook sweep, `kernels::exact_dists_wt_into`) against the per-row
+//! scalar scan (`Som::bmu2`), at 13 (the paper's suite), 128, and 1024
+//! rows and 12/64 dimensions.
 //!
 //! All comparisons pin the worker override to 1 so the numbers isolate
 //! the kernel change.

@@ -22,7 +22,7 @@
 //! NN-chain keeps the same rule.
 
 use hiermeans_linalg::cells::Cells;
-use hiermeans_linalg::distance::{pairwise_norm_trick, Metric, PAIRWISE_CHUNKING};
+use hiermeans_linalg::distance::{pairwise_lanes, Metric, PAIRWISE_CHUNKING};
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::{stages, Collector, Counter, CounterBuf, LaneBuf};
 
@@ -51,7 +51,8 @@ use crate::{nnchain, ClusterError, Linkage};
 /// (k ≤ U) bit for bit; the others agree up to rounding.
 ///
 /// The pairwise distances come from
-/// [`hiermeans_linalg::distance::pairwise_norm_trick`]. The merge loop is
+/// [`hiermeans_linalg::distance::pairwise_lanes`], each entry
+/// [`Metric::distance`] of its two cells. The merge loop is
 /// the NN-chain algorithm (as in [`nnchain::cluster_nn_chain_owned`]) for
 /// the reducible linkages and the naive loop (as in
 /// [`cluster_from_distances`]) for centroid and median linkage. NN-chain
@@ -140,7 +141,7 @@ fn pairwise_traced(
     let mut lane_buf = collector
         .lane_clock()
         .map(|clock| (clock, LaneBuf::with_capacity(n_chunks)));
-    let dist = pairwise_norm_trick(
+    let dist = pairwise_lanes(
         cells,
         metric,
         lane_buf.as_mut().map(|(clock, buf)| (*clock, buf)),
@@ -483,7 +484,7 @@ mod tests {
         ])
         .unwrap();
         let d = untraced(&pts, Linkage::Complete);
-        let dist = pairwise_norm_trick(&pts, Metric::Euclidean, None).unwrap();
+        let dist = pairwise(&pts, Metric::Euclidean).unwrap();
         let rows = cluster_from_distances(&dist, Linkage::Complete, &Collector::disabled());
         assert_eq!(d, rows.unwrap());
         let zeros: Vec<(usize, usize, usize)> = d.merges()[..3]
@@ -587,7 +588,7 @@ mod tests {
     #[test]
     fn centroid_and_median_take_the_naive_loop_at_any_size() {
         let pts = scattered(200);
-        let dist = pairwise_norm_trick(&pts, Metric::Euclidean, None).unwrap();
+        let dist = pairwise(&pts, Metric::Euclidean).unwrap();
         for linkage in [Linkage::Centroid, Linkage::Median] {
             let d = untraced(&pts, linkage);
             let naive = cluster_from_distances(&dist, linkage, &Collector::disabled()).unwrap();
@@ -611,7 +612,7 @@ mod tests {
     fn complete_linkage_matches_the_naive_loop_at_every_size() {
         for n in [2, 13, 127, 128, 200] {
             for pts in [scattered(n), lattice(n)] {
-                let dist = pairwise_norm_trick(&pts, Metric::Euclidean, None).unwrap();
+                let dist = pairwise(&pts, Metric::Euclidean).unwrap();
                 let traced = Collector::enabled();
                 let d = cluster(&pts, Metric::Euclidean, Linkage::Complete, &traced).unwrap();
                 let oracle_trace = Collector::enabled();

@@ -2,9 +2,8 @@
 //!
 //! [`cluster`] groups duplicate rows into cells and links the cells as
 //! sized leaves. The oracle is the row-level path it replaced:
-//! [`pairwise_norm_trick`] over every row, then NN-chain for reducible
-//! linkages and the naive loop otherwise. Duplicate rows
-//! merge at height 0 either way, so the two dendrograms may number those
+//! [`pairwise`] over every row, then NN-chain for reducible linkages and
+//! the naive loop otherwise. Duplicate rows merge at height 0 either way, so the two dendrograms may number those
 //! merges differently; every cut into k ≤ U clusters (U = occupied cells)
 //! and every merge height must still agree.
 //!
@@ -24,7 +23,7 @@ use std::collections::HashSet;
 use hiermeans_cluster::agglomerative::{cluster, cluster_from_distances};
 use hiermeans_cluster::nnchain::{cluster_nn_chain_owned, is_reducible};
 use hiermeans_cluster::{ClusterError, Dendrogram, Linkage};
-use hiermeans_linalg::distance::{pairwise_norm_trick, Metric};
+use hiermeans_linalg::distance::{pairwise, Metric};
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
 use proptest::prelude::*;
@@ -32,7 +31,7 @@ use proptest::prelude::*;
 /// The row-level dendrogram: one leaf per row, NN-chain for reducible
 /// linkages and the naive loop otherwise.
 fn row_oracle(pts: &Matrix, linkage: Linkage) -> Result<Dendrogram, ClusterError> {
-    let dist = pairwise_norm_trick(pts, Metric::Euclidean, None).unwrap();
+    let dist = pairwise(pts, Metric::Euclidean).unwrap();
     if is_reducible(linkage) {
         cluster_nn_chain_owned(dist, linkage, &Collector::disabled())
     } else {

@@ -27,7 +27,7 @@ use std::collections::HashSet;
 use hiermeans_cluster::agglomerative::{cluster, cluster_from_distances};
 use hiermeans_cluster::nnchain::cluster_nn_chain_owned;
 use hiermeans_cluster::{ClusterError, Dendrogram, Linkage};
-use hiermeans_linalg::distance::{pairwise, pairwise_norm_trick, Metric};
+use hiermeans_linalg::distance::{pairwise, Metric};
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
 use proptest::prelude::*;
@@ -49,7 +49,7 @@ fn points(n: usize, dim: usize) -> impl Strategy<Value = Matrix> {
 /// Naive and NN-chain dendrograms over the distance matrix `cluster`
 /// computes for `pts`.
 fn naive_and_chain(pts: &Matrix, metric: Metric, linkage: Linkage) -> (Dendrogram, Dendrogram) {
-    let dist = pairwise_norm_trick(pts, metric, None).unwrap();
+    let dist = pairwise(pts, metric).unwrap();
     let naive = cluster_from_distances(&dist, linkage, &Collector::disabled()).unwrap();
     let chain = cluster_nn_chain_owned(dist, linkage, &Collector::disabled()).unwrap();
     (naive, chain)
@@ -193,7 +193,7 @@ fn tie_lattice() -> impl Strategy<Value = Matrix> {
 
 /// The tie contract of NN-chain against the naive loop on `pts`.
 fn tie_contract(pts: &Matrix, linkage: Linkage) -> Result<(), TestCaseError> {
-    let dist = pairwise_norm_trick(pts, Metric::Euclidean, None).unwrap();
+    let dist = pairwise(pts, Metric::Euclidean).unwrap();
     let naive = cluster_from_distances(&dist, linkage, &Collector::disabled()).unwrap();
     let chain = cluster_nn_chain_owned(dist, linkage, &Collector::disabled());
     let chain = match chain {

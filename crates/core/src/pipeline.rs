@@ -44,10 +44,11 @@ pub struct PipelineConfig {
     pub training: hiermeans_som::TrainingMode,
     /// Linkage rule (the paper uses complete linkage).
     pub linkage: Linkage,
-    /// Point-to-point metric (the paper uses Euclidean). A (squared)
-    /// Euclidean metric runs the norm-trick kernels for the SOM's BMU
-    /// searches and the clustering stage's pairwise distances; other
-    /// metrics run the scalar per-pair loops.
+    /// Point-to-point distance: Euclidean (the paper's, the default) or its
+    /// square. The SOM's BMU searches compute it with the exact codebook
+    /// sweep (`kernels::exact_dists_wt_into`) and the clustering stage
+    /// with the scalar pairwise loop (`distance::pairwise_lanes`); both
+    /// give [`Metric::distance`]'s bits.
     pub metric: Metric,
     /// Observability collector. The default is the disabled no-op handle,
     /// which costs one branch per instrumentation point; pass
@@ -359,10 +360,10 @@ mod tests {
     #[test]
     fn naive_and_nn_chain_agree_end_to_end() {
         use hiermeans_cluster::nnchain::cluster_nn_chain_owned;
-        use hiermeans_linalg::distance::pairwise_norm_trick;
+        use hiermeans_linalg::distance::pairwise;
 
         let chain = |points: &Matrix| {
-            let dist = pairwise_norm_trick(points, Metric::Euclidean, None).unwrap();
+            let dist = pairwise(points, Metric::Euclidean).unwrap();
             cluster_nn_chain_owned(dist, Linkage::Complete, &Collector::disabled()).unwrap()
         };
         // Six rows take the naive loop; NN-chain on the same input must

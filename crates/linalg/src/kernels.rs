@@ -1,9 +1,7 @@
 //! Blocked compute kernels for the workspace's dense hot paths.
 //!
-//! Every distance- and product-shaped inner loop in the pipeline — the SOM's
-//! best-matching-unit search, the clustering stage's pairwise matrix, and the
-//! covariance/Gram products behind PCA — bottoms out in one of three kernels
-//! here:
+//! Every distance- and product-shaped inner loop of the SOM and PCA stages
+//! bottoms out in one of the kernels here:
 //!
 //! * [`matmul`] — a register-blocked matrix product that folds eight `k`
 //!   contributions into the output row per bounds-check-free column sweep,
@@ -14,28 +12,23 @@
 //! * [`syrk_rows`] — the symmetric rank-k product `MᵀM` streamed over the
 //!   rows of `M`, used by covariance and the dual-PCA Gram matrix. Also
 //!   ascending-order exact.
-//! * [`trick_dists_wt_into`] / [`refine_best_two`] — batched squared
-//!   Euclidean distances via the norm trick `‖x‖² + ‖w‖² − 2·x·w` against a
-//!   transposed codebook with precomputed unit norms. The trick reorders
-//!   floating-point operations, so trick distances agree with the scalar
-//!   formula only to ULP tolerance; argmin consumers (batched BMU search)
-//!   therefore run a **scalar refinement pass** over the candidates inside
-//!   a conservative error band ([`candidate_band`]), which restores *exact*
-//!   agreement with a scalar scan — same unit indices, same distance bits.
-//! * [`exact_dists_wt_into`] / [`online_step_wt`] — the online SOM step
-//!   against a unit-major codebook: exact per-unit distances (the scalar
-//!   formula's own operations, so no refinement is needed), and the
-//!   neighborhood update fused with the next step's distances into one
-//!   sweep, both vectorized across units (AVX-512, AVX2 or portable, picked
-//!   at run time).
+//! * [`exact_dists_wt_into`] / [`online_step_wt`] — one sweep over a
+//!   unit-major (transposed) codebook, vectorized across units (AVX-512,
+//!   AVX2 or portable, picked at run time; [`sweep_tier`] names it). The
+//!   scan-only build gives every unit's exact (squared) Euclidean distance
+//!   to a query, with the scalar formula's own operations; the online
+//!   build also applies the neighborhood update, fused with the next
+//!   step's distances. [`best_two`] and [`first_min`] read the BMUs off a
+//!   row of those distances. Every SOM search — the online step, batch
+//!   training, projection and map quality — runs this one kernel.
 //!
-//! The norm-trick path runs whenever the metric is (squared) Euclidean;
-//! other metrics take the scalar per-pair loops. The matrix-product
-//! kernels are bit-for-bit interchangeable with the loops they replaced.
+//! The clustering stage's pairwise distances are
+//! [`crate::distance::pairwise`]'s scalar loop. Every kernel here is bit
+//! for bit interchangeable with the scalar loop it replaced.
 
 use crate::{LinalgError, Matrix};
 
-/// AVX-512 micro-kernels behind [`matmul`] and [`trick_dists_wt_into`].
+/// AVX-512 micro-kernels behind [`matmul`].
 ///
 /// Every kernel applies, per output cell, exactly the scalar ascending-`k`
 /// multiply-then-add chain — separate rounding for every multiply and every
@@ -184,47 +177,6 @@ mod x86 {
             }
             j0 += w;
         }
-    }
-
-    /// Norm-trick distances against a transposed codebook, for full
-    /// 64-column strips: `out[u] = max(0, (xn + wn[u]) + Σ_d (−2·x[d])·wt[d][u])`
-    /// accumulated in ascending `d` — the identical chain to the portable
-    /// loop in [`super::trick_dists_wt_into`]. Handles `units - units % 64`
-    /// columns; the caller finishes the tail with the portable loop.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn trick_dists_wt_strips(
-        x: &[f64],
-        xn: f64,
-        wt: &Matrix,
-        wn: &[f64],
-        out: &mut [f64],
-    ) -> usize {
-        let units = wt.ncols();
-        let dim = wt.nrows();
-        let xnv = _mm512_set1_pd(xn);
-        let zero = _mm512_setzero_pd();
-        let mut j0 = 0;
-        while j0 + 64 <= units {
-            let wnp = wn.as_ptr().add(j0);
-            let mut acc = [zero; 8];
-            for t in 0..8 {
-                acc[t] = _mm512_add_pd(xnv, _mm512_loadu_pd(wnp.add(8 * t)));
-            }
-            for d in 0..dim {
-                let avv = _mm512_set1_pd(-2.0 * *x.get_unchecked(d));
-                let wrow = wt.row(d).as_ptr().add(j0);
-                for t in 0..8 {
-                    acc[t] =
-                        _mm512_add_pd(acc[t], _mm512_mul_pd(avv, _mm512_loadu_pd(wrow.add(8 * t))));
-                }
-            }
-            let op = out.as_mut_ptr().add(j0);
-            for t in 0..8 {
-                _mm512_storeu_pd(op.add(8 * t), _mm512_max_pd(acc[t], zero));
-            }
-            j0 += 64;
-        }
-        j0
     }
 }
 
@@ -407,143 +359,24 @@ pub fn syrk_rows(m: &Matrix) -> Matrix {
     out
 }
 
-/// Squared L2 norm of `v` with fixed four-way unrolled accumulators.
-///
-/// The reassociation is deterministic (a pure function of the length), so
-/// results are machine-independent, but they differ from a serial
-/// left-to-right sum by ULPs — use only where the norm trick's tolerance
-/// applies.
-#[must_use]
-pub fn sq_norm_fast(v: &[f64]) -> f64 {
-    let mut acc = [0.0f64; 4];
-    let mut chunks = v.chunks_exact(4);
-    for c in chunks.by_ref() {
-        acc[0] += c[0] * c[0];
-        acc[1] += c[1] * c[1];
-        acc[2] += c[2] * c[2];
-        acc[3] += c[3] * c[3];
-    }
-    let mut tail = 0.0;
-    for &x in chunks.remainder() {
-        tail += x * x;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// Dot product with fixed four-way unrolled accumulators (deterministic
-/// reassociation; ULP-tolerance only, like [`sq_norm_fast`]).
-#[must_use]
-pub fn dot_fast(a: &[f64], b: &[f64]) -> f64 {
-    let mut acc = [0.0f64; 4];
-    let mut ac = a.chunks_exact(4);
-    let mut bc = b.chunks_exact(4);
-    for (ca, cb) in ac.by_ref().zip(bc.by_ref()) {
-        acc[0] += ca[0] * cb[0];
-        acc[1] += ca[1] * cb[1];
-        acc[2] += ca[2] * cb[2];
-        acc[3] += ca[3] * cb[3];
-    }
-    let mut tail = 0.0;
-    for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
-        tail += x * y;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// Writes the squared L2 norm of every row of `m` into `out`.
-///
-/// # Panics
-///
-/// Panics if `out.len() != m.nrows()`.
-pub fn row_sq_norms_into(m: &Matrix, out: &mut [f64]) {
-    assert_eq!(out.len(), m.nrows(), "row norm buffer length");
-    for (o, row) in out.iter_mut().zip(m.rows_iter()) {
-        *o = sq_norm_fast(row);
-    }
-}
-
-/// The conservative absolute error band of a norm-trick squared distance
-/// for vectors of dimension `dim` with squared norms `xn` and `wn`.
-///
-/// Covers both the trick's own rounding (three length-`dim` summations plus
-/// the final combination) and the scalar formula's, with a ~4x safety
-/// margin: any unit whose trick distance lies more than twice this band
-/// above the running second-best provably cannot be the scalar best or
-/// second-best.
-#[must_use]
-pub fn candidate_band(dim: usize, xn: f64, wn: f64) -> f64 {
-    8.0 * (dim as f64 + 8.0) * f64::EPSILON * (xn + wn)
-}
-
-/// Batched norm-trick squared distances against a *transposed* codebook
-/// `wt` (`dim x units`): `out[u] = max(0, (xn + wn[u]) + Σ_d (−2·x[d])·wt[d][u])`
-/// with the sum accumulated in ascending `d`.
-///
-/// The column-major traversal turns the whole search into `dim` contiguous
-/// streaming sweeps over `wt`'s rows, which the AVX-512 path runs 64 units
-/// at a time with the accumulators held in registers. The ascending-`d`
-/// chain is identical between the SIMD and portable paths, so the values
-/// are machine-independent.
-///
-/// Error bound: each partial sum of `(−2·x[d])·wt[d][u]` is bounded by
-/// `2·√(xn·wn[u]) ≤ xn + wn[u]` (Cauchy–Schwarz), so the accumulated
-/// rounding error after `dim + 2` additions is below
-/// `(dim + 2)·ε·2·(xn + wn[u])` — comfortably inside
-/// [`candidate_band`]`(dim, xn, wn[u])`, making the band's refinement
-/// contract hold for these distances.
-///
-/// # Panics
-///
-/// Panics if buffer lengths disagree with `wt`'s shape (`x.len() !=
-/// wt.nrows()` or `wn.len()`/`out.len() != wt.ncols()`).
-pub fn trick_dists_wt_into(x: &[f64], xn: f64, wt: &Matrix, wn: &[f64], out: &mut [f64]) {
-    assert_eq!(x.len(), wt.nrows(), "query dimension");
-    assert_eq!(wn.len(), wt.ncols(), "norm buffer length");
-    assert_eq!(out.len(), wt.ncols(), "distance buffer length");
-    let units = wt.ncols();
-    let mut done = 0;
-    #[cfg(target_arch = "x86_64")]
-    if x86::available() {
-        // SAFETY: shapes were asserted above; the kernel touches only full
-        // 64-column strips and reports how many columns it covered.
-        done = unsafe { x86::trick_dists_wt_strips(x, xn, wt, wn, out) };
-    }
-    if done == units {
-        return;
-    }
-    let tail = done..units;
-    for u in tail.clone() {
-        out[u] = xn + wn[u];
-    }
-    for (d, &xd) in x.iter().enumerate() {
-        let av = -2.0 * xd;
-        let wrow = &wt.row(d)[tail.clone()];
-        for (o, &wv) in out[tail.clone()].iter_mut().zip(wrow) {
-            *o += av * wv;
-        }
-    }
-    for u in tail {
-        out[u] = out[u].max(0.0);
-    }
-}
-
-/// Units per register block of [`exact_dists_wt_into`] and
-/// [`online_step_wt`]: four AVX2 (two AVX-512) vectors of accumulators,
-/// held in registers across the whole `d` loop.
+/// Units per register block of the codebook sweep behind
+/// [`exact_dists_wt_into`] and [`online_step_wt`]: four AVX2 (two AVX-512)
+/// vectors of accumulators, held in registers across the whole `d` loop.
 const UNIT_BLOCK: usize = 16;
 
 /// Exact distances from `x` to every unit of a transposed codebook `wt`
 /// (`dim x units`): `out[u] = Σ_d (x[d] − wt[d][u])²`, summed in ascending
 /// `d` from zero, then its square root when `root` is set.
 ///
-/// Each unit's value comes from exactly the operations of
+/// This is the scan-only build of [`online_step_wt`]'s sweep: the same
+/// register blocks and the same instruction-set tier ([`sweep_tier`]),
+/// with no update. Each unit's value comes from exactly the operations of
 /// [`Metric::SquaredEuclidean`](crate::distance::Metric::SquaredEuclidean)
 /// (and [`Metric::Euclidean`](crate::distance::Metric::Euclidean) with
 /// `root`), so it equals [`Metric::distance`](crate::distance::Metric::distance)
 /// of `x` and the unit's weight vector bit for bit: the lanes are
-/// independent units, and Rust never fuses a multiply and an add. The loop
-/// runs `UNIT_BLOCK` units at a time with the accumulators in registers,
-/// compiled for AVX2 when the CPU has it; the dispatch changes only speed.
+/// independent units, and Rust never fuses a multiply and an add. The tier
+/// changes only speed.
 ///
 /// # Panics
 ///
@@ -551,55 +384,8 @@ const UNIT_BLOCK: usize = 16;
 pub fn exact_dists_wt_into(x: &[f64], wt: &Matrix, root: bool, out: &mut [f64]) {
     assert_eq!(x.len(), wt.nrows(), "query dimension");
     assert_eq!(out.len(), wt.ncols(), "distance buffer length");
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was detected on this CPU just above.
-        unsafe { exact_dists_avx2(x, wt, root, out) };
-        return;
-    }
-    exact_dists_body(x, wt, root, out);
-}
-
-/// [`exact_dists_body`] compiled for AVX2; callers must have detected it.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn exact_dists_avx2(x: &[f64], wt: &Matrix, root: bool, out: &mut [f64]) {
-    exact_dists_body(x, wt, root, out);
-}
-
-/// The one body behind [`exact_dists_wt_into`], for both dispatch paths.
-#[inline(always)]
-fn exact_dists_body(x: &[f64], wt: &Matrix, root: bool, out: &mut [f64]) {
-    let units = wt.ncols();
-    let mut blocks = out.chunks_exact_mut(UNIT_BLOCK);
-    for (b, block) in blocks.by_ref().enumerate() {
-        let j0 = b * UNIT_BLOCK;
-        let mut acc = [0.0f64; UNIT_BLOCK];
-        for (row, &xd) in wt.rows_iter().zip(x) {
-            let w = &row[j0..j0 + UNIT_BLOCK];
-            for (a, &wv) in acc.iter_mut().zip(w) {
-                let t = xd - wv;
-                *a += t * t;
-            }
-        }
-        for (o, a) in block.iter_mut().zip(acc) {
-            *o = if root { a.sqrt() } else { a };
-        }
-    }
-    let tail = blocks.into_remainder();
-    let j0 = units - tail.len();
-    tail.fill(0.0);
-    for (row, &xd) in wt.rows_iter().zip(x) {
-        for (a, &wv) in tail.iter_mut().zip(&row[j0..]) {
-            let t = xd - wv;
-            *a += t * t;
-        }
-    }
-    if root {
-        for a in tail {
-            *a = a.sqrt();
-        }
-    }
+    // SAFETY: `Tier::best` reports only a tier this CPU runs.
+    unsafe { sweep_on::<true, _>(Tier::best(), &mut &*wt, x, &[], x, root, out) };
 }
 
 /// The index of the first minimum of `values` in ascending order: the BMU
@@ -615,6 +401,27 @@ pub fn first_min(values: &[f64]) -> usize {
         }
     }
     best.0
+}
+
+/// The best and second-best entries of `values` as `(index, value)`
+/// pairs, from one ascending scan: an entry becomes the best only when it
+/// is strictly smaller, and otherwise the second only when strictly
+/// smaller than that, so tied entries keep the lower index and the best
+/// is [`first_min`]'s. NaN and `+∞` never win; a place nothing won stays
+/// `(0, +∞)` (the second, for a single entry).
+#[must_use]
+pub fn best_two(values: &[f64]) -> ((usize, f64), (usize, f64)) {
+    let mut best = (0, f64::INFINITY);
+    let mut second = (0, f64::INFINITY);
+    for (u, &v) in values.iter().enumerate() {
+        if v < best.1 {
+            second = best;
+            best = (u, v);
+        } else if v < second.1 {
+            second = (u, v);
+        }
+    }
+    (best, second)
 }
 
 /// One online SOM step against a transposed codebook `wt` (`dim x units`),
@@ -634,9 +441,8 @@ pub fn first_min(values: &[f64]) -> usize {
 /// kept by a select, not by a multiply with zero, so a `-0.0` weight keeps
 /// its sign; each unit's distance depends only on its own updated weights,
 /// and its operations are [`exact_dists_wt_into`]'s, in the same order.
-/// The loop runs blocks of units with the accumulators in registers,
-/// compiled for AVX-512 or AVX2 when the CPU has it (see
-/// [`online_step_tier`]); the tier changes only speed.
+/// Both run one sweep body on the tier [`sweep_tier`] names; the tier
+/// changes only speed.
 ///
 /// # Panics
 ///
@@ -648,167 +454,229 @@ pub fn online_step_wt(
     h: &[f64],
     next: Option<&[f64]>,
     root: bool,
-    wt: &mut Matrix,
+    mut wt: &mut Matrix,
     dists: &mut [f64],
 ) {
     assert_eq!(x.len(), wt.nrows(), "query dimension");
     assert_eq!(h.len(), wt.ncols(), "kernel weight length");
-    if let Some(next) = next {
-        assert_eq!(next.len(), wt.nrows(), "next query dimension");
-        assert_eq!(dists.len(), wt.ncols(), "distance buffer length");
-    }
-    match OnlineTier::best() {
-        // SAFETY: `best` reports a SIMD tier only when the CPU has it.
-        #[cfg(target_arch = "x86_64")]
-        OnlineTier::Avx512 => unsafe { online_step_avx512(x, h, next, root, wt, dists) },
-        // SAFETY: as above.
-        #[cfg(target_arch = "x86_64")]
-        OnlineTier::Avx2 => unsafe { online_step_avx2(x, h, next, root, wt, dists) },
-        _ => online_step_body(x, h, next, root, wt, dists),
+    let tier = Tier::best();
+    // SAFETY (both arms): `Tier::best` reports only a tier this CPU runs.
+    match next {
+        Some(next) => {
+            assert_eq!(next.len(), wt.nrows(), "next query dimension");
+            assert_eq!(dists.len(), wt.ncols(), "distance buffer length");
+            unsafe { sweep_on::<true, _>(tier, &mut wt, x, h, next, root, dists) }
+        }
+        None => unsafe { sweep_on::<false, _>(tier, &mut wt, x, h, x, root, dists) },
     }
 }
 
-/// The name of the instruction-set tier [`online_step_wt`] runs on this
-/// CPU: `"avx512f"`, `"avx2"` or `"portable"`.
+/// The name of the instruction-set tier the codebook sweep (both
+/// [`exact_dists_wt_into`] and [`online_step_wt`]) runs on this CPU:
+/// `"avx512f"`, `"avx2"` or `"portable"`.
 #[must_use]
-pub fn online_step_tier() -> &'static str {
-    match OnlineTier::best() {
-        OnlineTier::Avx512 => "avx512f",
-        OnlineTier::Avx2 => "avx2",
-        OnlineTier::Portable => "portable",
+pub fn sweep_tier() -> &'static str {
+    match Tier::best() {
+        Tier::Avx512 => "avx512f",
+        Tier::Avx2 => "avx2",
+        Tier::Portable => "portable",
     }
 }
 
-/// The builds of [`online_step_body`], best first.
+/// The builds of [`sweep`], best first.
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-enum OnlineTier {
+#[derive(Debug, Clone, Copy)]
+enum Tier {
     Avx512,
     Avx2,
     Portable,
 }
 
-impl OnlineTier {
+impl Tier {
     /// The best tier this CPU runs. The detection macro caches the CPUID
     /// result process-wide.
     fn best() -> Self {
         #[cfg(target_arch = "x86_64")]
         {
             if is_x86_feature_detected!("avx512f") {
-                return OnlineTier::Avx512;
+                return Tier::Avx512;
             }
             if is_x86_feature_detected!("avx2") {
-                return OnlineTier::Avx2;
+                return Tier::Avx2;
             }
         }
-        OnlineTier::Portable
+        Tier::Portable
     }
 }
 
-/// [`online_step_body`] compiled for AVX-512; callers must have detected
-/// it.
+/// [`sweep`] on the build for `tier`.
+///
+/// # Safety
+///
+/// The CPU must run `tier`'s instructions.
+unsafe fn sweep_on<const SCAN: bool, W: Codebook>(
+    tier: Tier,
+    wt: &mut W,
+    x: &[f64],
+    h: &[f64],
+    next: &[f64],
+    root: bool,
+    dists: &mut [f64],
+) {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => sweep_avx512::<SCAN, W>(wt, x, h, next, root, dists),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => sweep_avx2::<SCAN, W>(wt, x, h, next, root, dists),
+        _ => sweep::<SCAN, W>(wt, x, h, next, root, dists),
+    }
+}
+
+/// [`sweep`] compiled for AVX-512; callers must have detected it.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn online_step_avx512(
+unsafe fn sweep_avx512<const SCAN: bool, W: Codebook>(
+    wt: &mut W,
     x: &[f64],
     h: &[f64],
-    next: Option<&[f64]>,
+    next: &[f64],
     root: bool,
-    wt: &mut Matrix,
     dists: &mut [f64],
 ) {
-    online_step_body(x, h, next, root, wt, dists);
+    sweep::<SCAN, W>(wt, x, h, next, root, dists);
 }
 
-/// [`online_step_body`] compiled for AVX2; callers must have detected it.
+/// [`sweep`] compiled for AVX2; callers must have detected it.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn online_step_avx2(
+unsafe fn sweep_avx2<const SCAN: bool, W: Codebook>(
+    wt: &mut W,
     x: &[f64],
     h: &[f64],
-    next: Option<&[f64]>,
+    next: &[f64],
     root: bool,
-    wt: &mut Matrix,
     dists: &mut [f64],
 ) {
-    online_step_body(x, h, next, root, wt, dists);
+    sweep::<SCAN, W>(wt, x, h, next, root, dists);
 }
 
-/// The one body behind [`online_step_wt`], for every tier: the update-only
-/// sweep when `next` is `None` (reading `x` in its place), the fused one
-/// otherwise.
-#[inline(always)]
-fn online_step_body(
-    x: &[f64],
-    h: &[f64],
-    next: Option<&[f64]>,
-    root: bool,
-    wt: &mut Matrix,
-    dists: &mut [f64],
-) {
-    match next {
-        Some(next) => online_sweep::<true>(x, h, next, root, wt, dists),
-        None => online_sweep::<false>(x, h, x, root, wt, dists),
+/// A transposed codebook as [`sweep`] walks it: read as it is (`&Matrix`,
+/// the scan-only build) or moved by the online update (`&mut Matrix`).
+trait Codebook {
+    /// The number of units (columns).
+    fn units(&self) -> usize;
+
+    /// The weights of units `j0..j0 + B` after this step, one block per
+    /// dimension in ascending order. The update moves each weight with
+    /// `h[u] != 0` toward `x[d]` by `h[u]` and stores it back; the others
+    /// keep their bits.
+    fn block<const B: usize>(
+        &mut self,
+        j0: usize,
+        x: &[f64],
+        h: &[f64],
+    ) -> impl Iterator<Item = [f64; B]>;
+}
+
+impl Codebook for &Matrix {
+    fn units(&self) -> usize {
+        self.ncols()
+    }
+
+    #[inline(always)]
+    fn block<const B: usize>(
+        &mut self,
+        j0: usize,
+        _: &[f64],
+        _: &[f64],
+    ) -> impl Iterator<Item = [f64; B]> {
+        self.rows_iter().map(move |row| {
+            let mut w = [0.0; B];
+            w.copy_from_slice(&row[j0..j0 + B]);
+            w
+        })
     }
 }
 
-/// The sweep of [`online_step_body`] in register blocks: `UNIT_BLOCK`
+impl Codebook for &mut Matrix {
+    fn units(&self) -> usize {
+        self.ncols()
+    }
+
+    #[inline(always)]
+    fn block<const B: usize>(
+        &mut self,
+        j0: usize,
+        x: &[f64],
+        h: &[f64],
+    ) -> impl Iterator<Item = [f64; B]> {
+        let h = &h[j0..j0 + B];
+        self.rows_iter_mut().zip(x).map(move |(row, &xd)| {
+            let mut stepped = [0.0; B];
+            for ((w, s), &hu) in row[j0..j0 + B].iter_mut().zip(&mut stepped).zip(h) {
+                let cur = *w;
+                let upd = cur + hu * (xd - cur);
+                *w = if hu != 0.0 { upd } else { cur };
+                *s = *w;
+            }
+            stepped
+        })
+    }
+}
+
+/// The one sweep body behind [`exact_dists_wt_into`] and
+/// [`online_step_wt`], for every tier, in register blocks: `UNIT_BLOCK`
 /// units at a time, then the tail in blocks of 8, 4 and its last one to
 /// three units, so every accumulator stays in a register across the `d`
 /// loop.
 #[inline(always)]
-fn online_sweep<const SCAN: bool>(
+fn sweep<const SCAN: bool, W: Codebook>(
+    wt: &mut W,
     x: &[f64],
     h: &[f64],
     next: &[f64],
     root: bool,
-    wt: &mut Matrix,
     dists: &mut [f64],
 ) {
-    let units = wt.ncols();
+    let units = wt.units();
     let mut j0 = 0;
     while j0 + UNIT_BLOCK <= units {
-        online_block::<UNIT_BLOCK, SCAN>(x, h, next, root, wt, dists, j0);
+        sweep_block::<UNIT_BLOCK, SCAN, W>(wt, x, h, next, root, dists, j0);
         j0 += UNIT_BLOCK;
     }
     if j0 + 8 <= units {
-        online_block::<8, SCAN>(x, h, next, root, wt, dists, j0);
+        sweep_block::<8, SCAN, W>(wt, x, h, next, root, dists, j0);
         j0 += 8;
     }
     if j0 + 4 <= units {
-        online_block::<4, SCAN>(x, h, next, root, wt, dists, j0);
+        sweep_block::<4, SCAN, W>(wt, x, h, next, root, dists, j0);
         j0 += 4;
     }
     match units - j0 {
-        3 => online_block::<3, SCAN>(x, h, next, root, wt, dists, j0),
-        2 => online_block::<2, SCAN>(x, h, next, root, wt, dists, j0),
-        1 => online_block::<1, SCAN>(x, h, next, root, wt, dists, j0),
+        3 => sweep_block::<3, SCAN, W>(wt, x, h, next, root, dists, j0),
+        2 => sweep_block::<2, SCAN, W>(wt, x, h, next, root, dists, j0),
+        1 => sweep_block::<1, SCAN, W>(wt, x, h, next, root, dists, j0),
         _ => {}
     }
 }
 
-/// Units `j0..j0 + B` of [`online_sweep`]. `SCAN` adds each updated
-/// weight's `(next[d] − w')²` into its unit's distance.
+/// Units `j0..j0 + B` of [`sweep`]. `SCAN` adds each stepped weight's
+/// `(next[d] − w')²` into its unit's distance.
 #[inline(always)]
-fn online_block<const B: usize, const SCAN: bool>(
+fn sweep_block<const B: usize, const SCAN: bool, W: Codebook>(
+    wt: &mut W,
     x: &[f64],
     h: &[f64],
     next: &[f64],
     root: bool,
-    wt: &mut Matrix,
     dists: &mut [f64],
     j0: usize,
 ) {
-    let hb = &h[j0..j0 + B];
     let mut acc = [0.0f64; B];
-    for (row, (&xd, &nd)) in wt.rows_iter_mut().zip(x.iter().zip(next)) {
-        let w = &mut row[j0..j0 + B];
-        for ((w, &hu), a) in w.iter_mut().zip(hb).zip(&mut acc) {
-            let cur = *w;
-            let upd = cur + hu * (xd - cur);
-            let new = if hu != 0.0 { upd } else { cur };
-            *w = new;
-            if SCAN {
-                let t = nd - new;
+    for (w, &nd) in wt.block::<B>(j0, x, h).zip(next) {
+        if SCAN {
+            for (a, w) in acc.iter_mut().zip(w) {
+                let t = nd - w;
                 *a += t * t;
             }
         }
@@ -818,40 +686,6 @@ fn online_block<const B: usize, const SCAN: bool>(
             *o = if root { a.sqrt() } else { a };
         }
     }
-}
-
-/// The exact best-two search result: `((best, best_distance), (second,
-/// second_distance))`, with ties broken toward the lowest unit index —
-/// the same contract as a full ascending scalar scan.
-pub type BestTwoExact = ((usize, f64), (usize, f64));
-
-/// Scalar refinement pass: runs the reference best-two update logic over
-/// `candidates` (ascending indices into `w`'s rows) using `distance`, which
-/// must be the *scalar* metric evaluation. When `candidates` contains every
-/// index a full scan could have selected, the result is bitwise identical
-/// to that full scan.
-///
-/// # Errors
-///
-/// Propagates errors from `distance`.
-pub fn refine_best_two<E>(
-    x: &[f64],
-    w: &Matrix,
-    candidates: impl IntoIterator<Item = usize>,
-    mut distance: impl FnMut(&[f64], &[f64]) -> Result<f64, E>,
-) -> Result<BestTwoExact, E> {
-    let mut best = (0usize, f64::INFINITY);
-    let mut second = (0usize, f64::INFINITY);
-    for u in candidates {
-        let d = distance(x, w.row(u))?;
-        if d < best.1 {
-            second = best;
-            best = (u, d);
-        } else if d < second.1 {
-            second = (u, d);
-        }
-    }
-    Ok((best, second))
 }
 
 #[cfg(test)]
@@ -911,39 +745,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn transposed_trick_matches_chain_bitwise_and_scalar_within_band() {
-        // 131 units exercises two full 64-column SIMD strips plus a
-        // 3-column portable tail; 13 dims exercises the ascending-d chain.
-        let (units, dim) = (131, 13);
-        let w = pseudo_matrix(units, dim, 42);
-        let wt = w.transpose();
-        let x: Vec<f64> = pseudo_matrix(1, dim, 77).into_vec();
-        let xn = sq_norm_fast(&x);
-        let mut wn = vec![0.0; units];
-        row_sq_norms_into(&w, &mut wn);
-        let mut trick = vec![0.0; units];
-        trick_dists_wt_into(&x, xn, &wt, &wn, &mut trick);
-        for u in 0..units {
-            // The documented chain, written out scalar: bitwise equality
-            // holds on every dispatch path because both apply the same
-            // ascending-d mul-then-add sequence per unit.
-            let mut chain = xn + wn[u];
-            for (d, &xd) in x.iter().enumerate() {
-                chain += (-2.0 * xd) * wt[(d, u)];
-            }
-            chain = chain.max(0.0);
-            assert_eq!(trick[u].to_bits(), chain.to_bits(), "unit {u}");
-            let scalar: f64 = x.iter().zip(w.row(u)).map(|(a, b)| (a - b) * (a - b)).sum();
-            let band = candidate_band(dim, xn, wn[u]);
-            assert!(
-                (trick[u] - scalar).abs() <= band,
-                "unit {u}: trick {} vs scalar {scalar}, band {band}",
-                trick[u]
-            );
-        }
-    }
-
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -960,39 +761,79 @@ mod tests {
         }
     }
 
-    type OnlineStep = fn(&[f64], &[f64], Option<&[f64]>, bool, &mut Matrix, &mut [f64]);
+    /// The scalar formula of [`exact_dists_wt_into`], unit by unit:
+    /// `Σ_d (x[d] − wt[d][u])²` in ascending `d` from zero, then its root.
+    fn scalar_dists(x: &[f64], wt: &Matrix, root: bool) -> Vec<f64> {
+        (0..wt.ncols())
+            .map(|u| {
+                let mut acc = 0.0;
+                for (d, &xd) in x.iter().enumerate() {
+                    let t = xd - wt[(d, u)];
+                    acc += t * t;
+                }
+                if root {
+                    acc.sqrt()
+                } else {
+                    acc
+                }
+            })
+            .collect()
+    }
 
-    /// Every build of the online step this host runs, by name, and the
-    /// public dispatch.
-    fn online_step_tiers() -> Vec<(&'static str, OnlineStep)> {
-        let mut tiers: Vec<(&'static str, OnlineStep)> = vec![
-            ("portable", online_step_body),
-            ("dispatched", online_step_wt),
-        ];
+    /// Every tier of the sweep this host runs, by name, and the public
+    /// dispatch (`None`).
+    fn sweep_tiers() -> Vec<(&'static str, Option<Tier>)> {
+        let mut tiers = vec![("dispatched", None), ("portable", Some(Tier::Portable))];
         #[cfg(target_arch = "x86_64")]
         {
             if is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 was detected just above.
-                tiers.push(("avx2", |x, h, n, r, w, d| unsafe {
-                    online_step_avx2(x, h, n, r, w, d)
-                }));
+                tiers.push(("avx2", Some(Tier::Avx2)));
             }
             if is_x86_feature_detected!("avx512f") {
-                // SAFETY: AVX-512F was detected just above.
-                tiers.push(("avx512f", |x, h, n, r, w, d| unsafe {
-                    online_step_avx512(x, h, n, r, w, d)
-                }));
+                tiers.push(("avx512f", Some(Tier::Avx512)));
             }
         }
         tiers
     }
 
+    /// [`exact_dists_wt_into`] on `tier` (the public dispatch for `None`).
+    fn scan_on(tier: Option<Tier>, x: &[f64], wt: &Matrix, root: bool, out: &mut [f64]) {
+        match tier {
+            // SAFETY: `sweep_tiers` lists only tiers this CPU runs.
+            Some(tier) => unsafe { sweep_on::<true, _>(tier, &mut &*wt, x, &[], x, root, out) },
+            None => exact_dists_wt_into(x, wt, root, out),
+        }
+    }
+
+    /// [`online_step_wt`] on `tier` (the public dispatch for `None`).
+    fn step_on(
+        tier: Option<Tier>,
+        x: &[f64],
+        h: &[f64],
+        next: Option<&[f64]>,
+        root: bool,
+        mut wt: &mut Matrix,
+        dists: &mut [f64],
+    ) {
+        // SAFETY: `sweep_tiers` lists only tiers this CPU runs.
+        match (tier, next) {
+            (Some(tier), Some(next)) => unsafe {
+                sweep_on::<true, _>(tier, &mut wt, x, h, next, root, dists)
+            },
+            (Some(tier), None) => unsafe {
+                sweep_on::<false, _>(tier, &mut wt, x, h, x, root, dists)
+            },
+            (None, next) => online_step_wt(x, h, next, root, wt, dists),
+        }
+    }
+
     #[test]
     fn online_kernels_dispatch_paths_agree_bitwise() {
         // Unit counts straddle the 16-unit register block: full blocks
-        // with and without tail lanes, tail only, one unit. Every tier of
-        // the fused step must equal the update followed by the exact scan.
-        let tiers = online_step_tiers();
+        // with and without tail blocks, tail only, one unit. On every tier
+        // the scan-only sweep must give the scalar formula, and the fused
+        // step the update followed by the scalar formula.
+        let tiers = sweep_tiers();
         for (units, dim, seed) in [
             (37, 7, 3),
             (16, 1, 5),
@@ -1013,15 +854,13 @@ mod tests {
             wt[(0, 0)] = -0.0;
             x[0] = 0.25;
             for root in [false, true] {
-                let mut portable = vec![0.0; units];
-                exact_dists_body(&x, &wt, root, &mut portable);
-                let mut dispatched = vec![f64::NAN; units];
-                exact_dists_wt_into(&x, &wt, root, &mut dispatched);
-                assert_eq!(
-                    bits(&portable),
-                    bits(&dispatched),
-                    "{units}x{dim} root={root}"
-                );
+                let scalar = scalar_dists(&x, &wt, root);
+                for &(tier, on) in &tiers {
+                    let mut scanned = vec![f64::NAN; units];
+                    scan_on(on, &x, &wt, root, &mut scanned);
+                    let case = format!("{tier} scan {units}x{dim} root={root}");
+                    assert_eq!(bits(&scanned), bits(&scalar), "{case}");
+                }
                 for (label, next) in [
                     ("none", None),
                     ("x", Some(&x[..])),
@@ -1030,17 +869,17 @@ mod tests {
                     let mut updated = wt.clone();
                     neighborhood_update_body(&x, &h, &mut updated);
                     // `None` leaves the distance buffer as it was.
-                    let mut scanned = vec![f64::NAN; units];
-                    if let Some(next) = next {
-                        exact_dists_body(next, &updated, root, &mut scanned);
-                    }
-                    for &(tier, step) in &tiers {
+                    let expected = match next {
+                        Some(next) => scalar_dists(next, &updated, root),
+                        None => vec![f64::NAN; units],
+                    };
+                    for &(tier, on) in &tiers {
                         let case = format!("{tier} {units}x{dim} root={root} next={label}");
                         let mut fused = wt.clone();
                         let mut dists = vec![f64::NAN; units];
-                        step(&x, &h, next, root, &mut fused, &mut dists);
+                        step_on(on, &x, &h, next, root, &mut fused, &mut dists);
                         assert_eq!(bits(fused.as_slice()), bits(updated.as_slice()), "{case}");
-                        assert_eq!(bits(&dists), bits(&scanned), "{case}");
+                        assert_eq!(bits(&dists), bits(&expected), "{case}");
                         assert_eq!(fused[(0, 0)].to_bits(), (-0.0f64).to_bits(), "{case}");
                     }
                 }
@@ -1095,33 +934,22 @@ mod tests {
     }
 
     #[test]
-    fn refine_matches_full_scan() {
-        let w = pseudo_matrix(25, 8, 3);
-        let x: Vec<f64> = pseudo_matrix(1, 8, 11).into_vec();
-        let dist = |a: &[f64], b: &[f64]| {
-            Ok::<_, ()>(
-                a.iter()
-                    .zip(b)
-                    .map(|(p, q)| (p - q) * (p - q))
-                    .sum::<f64>()
-                    .sqrt(),
-            )
-        };
-        let full = refine_best_two(&x, &w, 0..25, dist).unwrap();
-        // Candidate superset containing the winners gives the same answer.
-        let subset = refine_best_two(&x, &w, (0..25).filter(|&u| u != 24), dist).unwrap();
-        if full.0 .0 != 24 && full.1 .0 != 24 {
-            assert_eq!(full, subset);
+    fn best_two_keeps_the_first_of_tied_minima() {
+        assert_eq!(best_two(&[3.0, 1.0, 2.0, 1.0]), ((1, 1.0), (3, 1.0)));
+        assert_eq!(best_two(&[2.0, 1.0, 1.0, 0.5]), ((3, 0.5), (1, 1.0)));
+        assert_eq!(best_two(&[f64::NAN, 2.0, 2.0]), ((1, 2.0), (2, 2.0)));
+        let ((b, db), (s, ds)) = best_two(&[f64::INFINITY, f64::NAN]);
+        assert_eq!((b, db, s, ds), (0, f64::INFINITY, 0, f64::INFINITY));
+        assert_eq!(best_two(&[4.0]), ((0, 4.0), (0, f64::INFINITY)));
+        let ((b, db), _) = best_two(&[0.0, -0.0]);
+        assert_eq!((b, db.to_bits()), (0, 0.0f64.to_bits()));
+        // The best is always `first_min`'s.
+        for values in [
+            &[5.0, 4.0, 4.0, 9.0][..],
+            &[1.0],
+            &[7.0, f64::NAN, 3.0, 3.0],
+        ] {
+            assert_eq!(best_two(values).0 .0, first_min(values));
         }
-    }
-
-    #[test]
-    fn fast_reductions_match_serial_closely() {
-        let v: Vec<f64> = (0..101).map(|i| (i as f64).sin()).collect();
-        let serial: f64 = v.iter().map(|x| x * x).sum();
-        assert!((sq_norm_fast(&v) - serial).abs() <= 1e-12 * serial.abs());
-        let w: Vec<f64> = (0..101).map(|i| (i as f64).cos()).collect();
-        let sdot: f64 = v.iter().zip(&w).map(|(a, b)| a * b).sum();
-        assert!((dot_fast(&v, &w) - sdot).abs() <= 1e-12 * (1.0 + sdot.abs()));
     }
 }

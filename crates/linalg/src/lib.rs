@@ -6,8 +6,9 @@
 //!
 //! * [`Matrix`] — a dense, row-major `f64` matrix with the operations the
 //!   workspace needs (products, transposes, row/column views, covariance).
-//! * [`distance`] — point-to-point metrics ([`distance::Metric`]) used by the
-//!   SOM's best-matching-unit search and by the clustering linkage rules.
+//! * [`distance`] — the Euclidean distance ([`distance::Metric`]) used by
+//!   the SOM's best-matching-unit search and by the clustering linkage
+//!   rules, and the pairwise distance matrix.
 //! * [`stats`] — descriptive statistics (means, variance, correlation,
 //!   percentiles) used throughout.
 //! * [`scale`] — feature scalers ([`scale::Standardizer`] implements the
@@ -17,9 +18,9 @@
 //!   (the paper initializes unit weights from the two major principal
 //!   components) and as the dimension-reduction baseline the paper compares
 //!   SOM against.
-//! * [`kernels`] — cache-blocked compute kernels (matmul/syrk, norm-trick
-//!   batched distances, the online SOM step's unit-major loops) behind the
-//!   hot paths.
+//! * [`kernels`] — cache-blocked compute kernels (matmul/syrk, and the one
+//!   exact codebook sweep behind every SOM search and the online step)
+//!   behind the hot paths.
 //! * [`cells`] — rows grouped by bit pattern, the one grouping behind
 //!   duplicate-row validation, cell-level clustering and the silhouette.
 //!

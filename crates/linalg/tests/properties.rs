@@ -31,16 +31,6 @@ proptest! {
     }
 
     #[test]
-    fn manhattan_dominates_chebyshev(a in finite_vec(6), b in finite_vec(6)) {
-        let l1 = Metric::Manhattan.distance(&a, &b).unwrap();
-        let linf = Metric::Chebyshev.distance(&a, &b).unwrap();
-        let l2 = Metric::Euclidean.distance(&a, &b).unwrap();
-        // Standard norm ordering: Linf <= L2 <= L1.
-        prop_assert!(linf <= l2 + 1e-9);
-        prop_assert!(l2 <= l1 + 1e-9);
-    }
-
-    #[test]
     fn transpose_is_involution(m in finite_matrix(4, 7)) {
         prop_assert_eq!(m.transpose().transpose(), m);
     }
@@ -163,7 +153,7 @@ proptest! {
         // Force multiple workers so the threaded path is exercised even on
         // single-core machines (pairwise dispatches serially there).
         parallel::set_worker_override(Some(4));
-        for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev, Metric::Cosine] {
+        for metric in [Metric::Euclidean, Metric::SquaredEuclidean] {
             let par = pairwise(&m, metric).unwrap();
             let ser = pairwise_serial(&m, metric).unwrap();
             // Bit-for-bit: every entry is computed independently, so
@@ -171,17 +161,6 @@ proptest! {
             prop_assert_eq!(par, ser);
         }
         parallel::set_worker_override(None);
-    }
-
-    #[test]
-    fn pairwise_worker_errors_propagate(rows in 65usize..120, p in 0.0..0.99f64) {
-        // Minkowski with p < 1 is rejected inside the workers; the failure
-        // must surface as an Err from every chunk schedule, never a panic.
-        let m = Matrix::from_vec(rows, 2, vec![1.0; rows * 2]).unwrap();
-        parallel::set_worker_override(Some(4));
-        let result = pairwise(&m, Metric::Minkowski(p));
-        parallel::set_worker_override(None);
-        prop_assert!(result.is_err());
     }
 
     #[test]

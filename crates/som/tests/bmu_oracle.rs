@@ -1,9 +1,9 @@
 //! The batched BMU search against its scalar oracle.
 //!
-//! For a (squared) Euclidean metric, [`Som::bmu_batch`] prunes the
-//! codebook with norm-trick distances and re-ranks the survivors with the
-//! exact metric. Its observable results — best unit, runner-up and the
-//! best distance's bits — must equal the per-row scalar scan behind
+//! [`Som::bmu_batch`] computes every unit's exact distance with one sweep
+//! over the transposed codebook (`kernels::exact_dists_wt_into`) and scans
+//! that row for the best two units. Its observable results — best unit,
+//! runner-up and the best distance's bits — must equal the per-row scalar scan behind
 //! [`Som::bmu`] and [`Som::bmu2`], which visits every unit in ascending
 //! index order. Training and projection run on that batched search, so
 //! this equality is what keeps trained maps and trace fingerprints equal

@@ -33,16 +33,16 @@ fn blobs(n: usize, dim: usize) -> Matrix {
 
 proptest! {
     /// Resident and streamed batch training over the same rows train the
-    /// same map: weights, BMU indices and distance bits. Manhattan runs
-    /// the scalar scan on both sides, Euclidean the blocked search.
+    /// same map: weights, BMU indices and distance bits, under either
+    /// metric.
     #[test]
     fn resident_training_matches_streamed_training_bitwise(
         data in finite_matrix(20, 3),
         seed in 0u64..1000,
         epochs in 1usize..16,
-        manhattan in 0u8..2,
+        squared in 0u8..2,
     ) {
-        let metric = if manhattan == 0 { Metric::Euclidean } else { Metric::Manhattan };
+        let metric = if squared == 0 { Metric::Euclidean } else { Metric::SquaredEuclidean };
         let builder = SomBuilder::new(3, 4)
             .seed(seed)
             .epochs(epochs)

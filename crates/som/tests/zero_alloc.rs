@@ -2,8 +2,8 @@
 //!
 //! The trainers preallocate their scratch up front (the online trainer its
 //! unit-major codebook and per-step distance rows; the batch trainer its
-//! strip and one `BatchWorker` per worker, each with its blocked-search
-//! buffers), so on the serial path every allocation happens during setup:
+//! strip and one `BatchWorker` per worker, each with its row of unit
+//! distances), so on the serial path every allocation happens during setup:
 //! training for more epochs must allocate exactly as much as training for
 //! one. The shared tracking allocator (`hiermeans_obs::memhook`) makes that
 //! a hard test rather than a code-review claim.
@@ -105,13 +105,11 @@ fn steady_state_epochs_allocate_nothing() {
     // Pin to one worker so the serial path is taken regardless of the
     // machine the test runs on.
     parallel::set_worker_override(Some(1));
-    // Euclidean runs the blocked norm-trick search, Manhattan the scalar
-    // scan.
     let configs = [
         (TrainingMode::Online, Metric::Euclidean),
-        (TrainingMode::Online, Metric::Manhattan),
+        (TrainingMode::Online, Metric::SquaredEuclidean),
         (TrainingMode::Batch, Metric::Euclidean),
-        (TrainingMode::Batch, Metric::Manhattan),
+        (TrainingMode::Batch, Metric::SquaredEuclidean),
     ];
     for (mode, metric) in configs {
         // Warm-up run absorbs one-time lazy initialization anywhere in the
@@ -134,13 +132,11 @@ fn steady_state_epochs_allocate_nothing() {
 #[test]
 fn steady_state_epochs_allocate_nothing_with_lanes_enabled() {
     parallel::set_worker_override(Some(1));
-    // Euclidean runs the blocked norm-trick search, Manhattan the scalar
-    // scan.
     let configs = [
         (TrainingMode::Online, Metric::Euclidean),
-        (TrainingMode::Online, Metric::Manhattan),
+        (TrainingMode::Online, Metric::SquaredEuclidean),
         (TrainingMode::Batch, Metric::Euclidean),
-        (TrainingMode::Batch, Metric::Manhattan),
+        (TrainingMode::Batch, Metric::SquaredEuclidean),
     ];
     for (mode, metric) in configs {
         allocations_for_lanes(mode, metric, 1);
