@@ -9,7 +9,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hiermeans_cluster::{agglomerative, Linkage};
 use hiermeans_core::means::{geometric_mean, geometric_mean_naive};
 use hiermeans_core::pipeline::{run_pipeline, run_without_som, PipelineConfig};
-use hiermeans_linalg::distance::Metric;
 use hiermeans_linalg::pca::Pca;
 use hiermeans_obs::Collector;
 use hiermeans_workload::charvec::CharacteristicVectors;
@@ -28,13 +27,7 @@ fn bench_reduction_choice(c: &mut Criterion) {
         b.iter(|| {
             let pca = Pca::fit(vectors.matrix(), 2).unwrap();
             let reduced = pca.transform(vectors.matrix()).unwrap();
-            agglomerative::cluster(
-                &reduced,
-                Metric::Euclidean,
-                Linkage::Complete,
-                &Collector::disabled(),
-            )
-            .unwrap()
+            agglomerative::cluster(&reduced, Linkage::Complete, &Collector::disabled()).unwrap()
         })
     });
     group.bench_function("cluster_raw_vectors", |b| {

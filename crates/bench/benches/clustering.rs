@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hiermeans_cluster::{agglomerative, nnchain, Linkage};
-use hiermeans_linalg::distance::{pairwise, Metric};
+use hiermeans_linalg::distance::pairwise;
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
 
@@ -25,7 +25,6 @@ fn bench_agglomerative(c: &mut Criterion) {
             b.iter(|| {
                 agglomerative::cluster(
                     std::hint::black_box(pts),
-                    Metric::Euclidean,
                     Linkage::Complete,
                     &Collector::disabled(),
                 )
@@ -42,13 +41,8 @@ fn bench_linkages(c: &mut Criterion) {
     for linkage in Linkage::all() {
         group.bench_with_input(BenchmarkId::from_parameter(linkage), &pts, |b, pts| {
             b.iter(|| {
-                agglomerative::cluster(
-                    std::hint::black_box(pts),
-                    Metric::Euclidean,
-                    linkage,
-                    &Collector::disabled(),
-                )
-                .unwrap()
+                agglomerative::cluster(std::hint::black_box(pts), linkage, &Collector::disabled())
+                    .unwrap()
             })
         });
     }
@@ -63,7 +57,7 @@ fn bench_nnchain_vs_naive(c: &mut Criterion) {
     let mut group = c.benchmark_group("nnchain_vs_naive");
     group.sample_size(10);
     for n in [13usize, 32, 128, 256] {
-        let dist = pairwise(&points(n), Metric::Euclidean).unwrap();
+        let dist = pairwise(&points(n)).unwrap();
         group.bench_with_input(BenchmarkId::new("naive", n), &dist, |b, dist| {
             b.iter(|| {
                 agglomerative::cluster_from_distances(

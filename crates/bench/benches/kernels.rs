@@ -1,8 +1,6 @@
 //! Scalar-vs-blocked benchmarks of the compute-kernel layer
-//! (`hiermeans_linalg::kernels`): the register-tile matmul against the
-//! naive triple loop at the pipeline's projection shape
-//! `(n x dim) · (dim x dim)`, the streamed covariance against the seed's
-//! strided column-pair loop, and the batched BMU search (the exact
+//! (`hiermeans_linalg::kernels`): the streamed covariance against the
+//! seed's strided column-pair loop, and the batched BMU search (the exact
 //! codebook sweep, `kernels::exact_dists_wt_into`) against the per-row
 //! scalar scan (`Som::bmu2`), at 13 (the paper's suite), 128, and 1024
 //! rows and 12/64 dimensions.
@@ -12,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hiermeans_bench::scale::mixture;
-use hiermeans_linalg::{kernels, parallel, Matrix};
+use hiermeans_linalg::{parallel, Matrix};
 use hiermeans_som::{SomBuilder, TrainingMode};
 
 /// Row counts the kernels are measured at; 13 is the paper's suite size.
@@ -40,30 +38,6 @@ fn covariance_reference(m: &Matrix) -> Matrix {
         }
     }
     cov
-}
-
-fn bench_matmul(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul");
-    group.sample_size(10);
-    for dim in KERNEL_DIMS {
-        for n in KERNEL_SIZES {
-            let a = mixture(n, dim);
-            let b = mixture(dim, dim);
-            let id = format!("{n}x{dim}");
-            group.bench_function(BenchmarkId::new("scalar", &id), |bench| {
-                bench.iter(|| {
-                    kernels::matmul_reference(std::hint::black_box(&a), std::hint::black_box(&b))
-                        .unwrap()
-                })
-            });
-            group.bench_function(BenchmarkId::new("blocked", &id), |bench| {
-                bench.iter(|| {
-                    kernels::matmul(std::hint::black_box(&a), std::hint::black_box(&b)).unwrap()
-                })
-            });
-        }
-    }
-    group.finish();
 }
 
 fn bench_covariance(c: &mut Criterion) {
@@ -115,5 +89,5 @@ fn bench_bmu_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul, bench_covariance, bench_bmu_batch);
+criterion_group!(benches, bench_covariance, bench_bmu_batch);
 criterion_main!(benches);

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hiermeans_bench::scale::mixture;
-use hiermeans_linalg::distance::{pairwise, pairwise_serial, Metric};
+use hiermeans_linalg::distance::{pairwise, pairwise_serial};
 use hiermeans_linalg::parallel;
 use hiermeans_som::{SomBuilder, TrainingMode};
 
@@ -25,15 +25,15 @@ fn bench_pairwise(c: &mut Criterion) {
     for n in SIZES {
         let data = mixture(n, DIMS);
         group.bench_function(BenchmarkId::new("reference", n), |b| {
-            b.iter(|| pairwise_serial(std::hint::black_box(&data), Metric::Euclidean).unwrap())
+            b.iter(|| pairwise_serial(std::hint::black_box(&data)).unwrap())
         });
         parallel::set_worker_override(Some(1));
         group.bench_function(BenchmarkId::new("serial", n), |b| {
-            b.iter(|| pairwise(std::hint::black_box(&data), Metric::Euclidean).unwrap())
+            b.iter(|| pairwise(std::hint::black_box(&data)).unwrap())
         });
         parallel::set_worker_override(None);
         group.bench_function(BenchmarkId::new("parallel", n), |b| {
-            b.iter(|| pairwise(std::hint::black_box(&data), Metric::Euclidean).unwrap())
+            b.iter(|| pairwise(std::hint::black_box(&data)).unwrap())
         });
     }
     group.finish();

@@ -8,7 +8,6 @@ use hiermeans_core::means::Mean;
 use hiermeans_core::robustness;
 use hiermeans_core::score::ScoreTable;
 use hiermeans_core::CoreError;
-use hiermeans_linalg::distance::Metric;
 use hiermeans_linalg::Matrix;
 use hiermeans_viz::table::TextTable;
 use hiermeans_workload::execution::SpeedupTable;
@@ -65,12 +64,7 @@ pub fn merger_sweep() -> Result<String, CoreError> {
                 .map(|p| vec![p[0], p[1]])
                 .collect::<Vec<_>>(),
         )?;
-        let dendrogram = agglomerative::cluster(
-            &pts,
-            Metric::Euclidean,
-            Linkage::Complete,
-            &Collector::disabled(),
-        )?;
+        let dendrogram = agglomerative::cluster(&pts, Linkage::Complete, &Collector::disabled())?;
         let (hgm_a, hgm_b, k) = if n >= 3 && clones > 0 {
             let k = selection::elbow_k(&dendrogram, 2..=(n - 1).min(9))?;
             let cut = dendrogram.cut_into(k)?;

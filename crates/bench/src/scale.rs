@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use hiermeans_cluster::{agglomerative, nnchain, Linkage};
-use hiermeans_linalg::distance::{pairwise, Metric};
+use hiermeans_linalg::distance::pairwise;
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
 use hiermeans_workload::synthetic::{gaussian_mixture, MixtureSpec};
@@ -98,7 +98,7 @@ pub fn bench_scale() -> ScaleBenchReport {
     for n in [1_000usize, 2_000] {
         let dim = 8;
         let points = mixture(n, dim);
-        let dist = pairwise(&points, Metric::Euclidean).expect("finite mixture");
+        let dist = pairwise(&points).expect("finite mixture");
         if n <= 1_000 {
             push(
                 "naive",
@@ -260,7 +260,7 @@ mod tests {
         // one small size, naive and NN-chain build the same dendrogram.
         let n = 64;
         let points = mixture(n, 4);
-        let dist = pairwise(&points, Metric::Euclidean).unwrap();
+        let dist = pairwise(&points).unwrap();
         let off = Collector::disabled();
         let naive = agglomerative::cluster_from_distances(&dist, Linkage::Complete, &off).unwrap();
         let chain = nnchain::cluster_nn_chain_owned(dist.clone(), Linkage::Complete, &off).unwrap();

@@ -22,7 +22,7 @@
 //! NN-chain keeps the same rule.
 
 use hiermeans_linalg::cells::Cells;
-use hiermeans_linalg::distance::{pairwise_lanes, Metric, PAIRWISE_CHUNKING};
+use hiermeans_linalg::distance::{pairwise_lanes, PAIRWISE_CHUNKING};
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::{stages, Collector, Counter, CounterBuf, LaneBuf};
 
@@ -51,8 +51,8 @@ use crate::{nnchain, ClusterError, Linkage};
 /// (k ≤ U) bit for bit; the others agree up to rounding.
 ///
 /// The pairwise distances come from
-/// [`hiermeans_linalg::distance::pairwise_lanes`], each entry
-/// [`Metric::distance`] of its two cells. The merge loop is
+/// [`hiermeans_linalg::distance::pairwise_lanes`], each entry the
+/// Euclidean distance of its two cells. The merge loop is
 /// the NN-chain algorithm (as in [`nnchain::cluster_nn_chain_owned`]) for
 /// the reducible linkages and the naive loop (as in
 /// [`cluster_from_distances`]) for centroid and median linkage. NN-chain
@@ -78,13 +78,13 @@ use crate::{nnchain, ClusterError, Linkage};
 ///
 /// ```
 /// use hiermeans_cluster::{agglomerative::cluster, Linkage};
-/// use hiermeans_linalg::{distance::Metric, Matrix};
+/// use hiermeans_linalg::Matrix;
 /// use hiermeans_obs::Collector;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let points = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![10.0], vec![0.0]])?;
 /// let off = Collector::disabled();
-/// let d = cluster(&points, Metric::Euclidean, Linkage::Complete, &off)?;
+/// let d = cluster(&points, Linkage::Complete, &off)?;
 /// // The duplicate rows 0 and 3 merge first, at height 0.
 /// assert_eq!((d.merges()[0].left, d.merges()[0].right), (0, 3));
 /// assert_eq!(d.merges()[0].distance, 0.0);
@@ -96,7 +96,6 @@ use crate::{nnchain, ClusterError, Linkage};
 /// ```
 pub fn cluster(
     points: &Matrix,
-    metric: Metric,
     linkage: Linkage,
     collector: &Collector,
 ) -> Result<Dendrogram, ClusterError> {
@@ -112,7 +111,7 @@ pub fn cluster(
     let _span = collector.span(stages::CLUSTER_AGGLOMERATE);
     let cells = Cells::new(points);
     let sizes = cells.sizes();
-    let mut dist = pairwise_traced(&cells.representatives(points), metric, collector)?;
+    let mut dist = pairwise_traced(&cells.representatives(points), collector)?;
     if linkage == Linkage::Ward {
         scale_ward(&mut dist, &sizes);
     }
@@ -131,21 +130,13 @@ pub fn cluster(
 /// The traced pairwise stage over the cell representatives: a
 /// `cluster.pairwise` span with its chunk-lane recording, the
 /// distance-evaluation counter and the `cluster_cells` counter.
-fn pairwise_traced(
-    cells: &Matrix,
-    metric: Metric,
-    collector: &Collector,
-) -> Result<Matrix, ClusterError> {
+fn pairwise_traced(cells: &Matrix, collector: &Collector) -> Result<Matrix, ClusterError> {
     let _pairwise = collector.span(stages::CLUSTER_PAIRWISE);
     let n_chunks = cells.nrows().div_ceil(PAIRWISE_CHUNKING.chunk_size);
     let mut lane_buf = collector
         .lane_clock()
         .map(|clock| (clock, LaneBuf::with_capacity(n_chunks)));
-    let dist = pairwise_lanes(
-        cells,
-        metric,
-        lane_buf.as_mut().map(|(clock, buf)| (*clock, buf)),
-    )?;
+    let dist = pairwise_lanes(cells, lane_buf.as_mut().map(|(clock, buf)| (*clock, buf)))?;
     if let Some((_, buf)) = lane_buf.as_ref() {
         collector.attach_lanes(stages::CLUSTER_PAIRWISE, n_chunks, buf);
     }
@@ -384,7 +375,7 @@ mod tests {
 
     /// [`cluster`] over Euclidean distances, untraced.
     fn untraced(points: &Matrix, linkage: Linkage) -> Dendrogram {
-        cluster(points, Metric::Euclidean, linkage, &Collector::disabled()).unwrap()
+        cluster(points, linkage, &Collector::disabled()).unwrap()
     }
 
     fn line_points() -> Matrix {
@@ -484,7 +475,7 @@ mod tests {
         ])
         .unwrap();
         let d = untraced(&pts, Linkage::Complete);
-        let dist = pairwise(&pts, Metric::Euclidean).unwrap();
+        let dist = pairwise(&pts).unwrap();
         let rows = cluster_from_distances(&dist, Linkage::Complete, &Collector::disabled());
         assert_eq!(d, rows.unwrap());
         let zeros: Vec<(usize, usize, usize)> = d.merges()[..3]
@@ -538,7 +529,7 @@ mod tests {
         let pts = line_points();
         let d = untraced(&pts, Linkage::Complete);
         let coph = d.cophenetic();
-        let orig = pairwise(&pts, Metric::Euclidean).unwrap();
+        let orig = pairwise(&pts).unwrap();
         for i in 0..4 {
             for j in 0..4 {
                 assert!(coph[(i, j)] >= orig[(i, j)] - 1e-9);
@@ -552,7 +543,7 @@ mod tests {
         let pts = line_points();
         let d = untraced(&pts, Linkage::Single);
         let coph = d.cophenetic();
-        let orig = pairwise(&pts, Metric::Euclidean).unwrap();
+        let orig = pairwise(&pts).unwrap();
         for i in 0..4 {
             for j in 0..4 {
                 if i != j {
@@ -588,7 +579,7 @@ mod tests {
     #[test]
     fn centroid_and_median_take_the_naive_loop_at_any_size() {
         let pts = scattered(200);
-        let dist = pairwise(&pts, Metric::Euclidean).unwrap();
+        let dist = pairwise(&pts).unwrap();
         for linkage in [Linkage::Centroid, Linkage::Median] {
             let d = untraced(&pts, linkage);
             let naive = cluster_from_distances(&dist, linkage, &Collector::disabled()).unwrap();
@@ -612,9 +603,9 @@ mod tests {
     fn complete_linkage_matches_the_naive_loop_at_every_size() {
         for n in [2, 13, 127, 128, 200] {
             for pts in [scattered(n), lattice(n)] {
-                let dist = pairwise(&pts, Metric::Euclidean).unwrap();
+                let dist = pairwise(&pts).unwrap();
                 let traced = Collector::enabled();
-                let d = cluster(&pts, Metric::Euclidean, Linkage::Complete, &traced).unwrap();
+                let d = cluster(&pts, Linkage::Complete, &traced).unwrap();
                 let oracle_trace = Collector::enabled();
                 let naive =
                     cluster_from_distances(&dist, Linkage::Complete, &oracle_trace).unwrap();

@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use hiermeans_cluster::{agglomerative::cluster, Linkage};
-//! use hiermeans_linalg::{distance::Metric, Matrix};
+//! use hiermeans_linalg::Matrix;
 //! use hiermeans_obs::Collector;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,7 +36,7 @@
 //!     vec![0.0, 0.0], vec![0.2, 0.0], vec![5.0, 5.0], vec![5.2, 5.0],
 //! ])?;
 //! let off = Collector::disabled();
-//! let dendrogram = cluster(&points, Metric::Euclidean, Linkage::Complete, &off)?;
+//! let dendrogram = cluster(&points, Linkage::Complete, &off)?;
 //! let two = dendrogram.cut_into(2)?;
 //! assert_eq!(two.n_clusters(), 2);
 //! assert_eq!(two.labels()[0], two.labels()[1]);

@@ -70,12 +70,12 @@ pub fn is_reducible(linkage: Linkage) -> bool {
 ///
 /// ```
 /// use hiermeans_cluster::{nnchain::cluster_nn_chain_owned, Linkage};
-/// use hiermeans_linalg::{distance::{pairwise, Metric}, Matrix};
+/// use hiermeans_linalg::{distance::pairwise, Matrix};
 /// use hiermeans_obs::Collector;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let pts = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![10.0], vec![11.0]])?;
-/// let dist = pairwise(&pts, Metric::Euclidean)?;
+/// let dist = pairwise(&pts)?;
 /// let d = cluster_nn_chain_owned(dist, Linkage::Complete, &Collector::disabled())?;
 /// let two = d.cut_into(2)?;
 /// assert!(two.same_cluster(0, 1) && two.same_cluster(2, 3));
@@ -344,7 +344,7 @@ fn sort_merges(n_leaves: usize, found: Vec<Found>) -> Vec<Merge> {
 mod tests {
     use super::*;
     use crate::agglomerative::cluster_from_distances;
-    use hiermeans_linalg::distance::{pairwise, Metric};
+    use hiermeans_linalg::distance::pairwise;
 
     fn grid_points(n: usize) -> Matrix {
         // Deterministic pseudo-random points with no structured distance
@@ -364,7 +364,7 @@ mod tests {
     }
 
     fn dist(pts: &Matrix) -> Matrix {
-        pairwise(pts, Metric::Euclidean).unwrap()
+        pairwise(pts).unwrap()
     }
 
     fn chain(pts: &Matrix, linkage: Linkage) -> Result<Dendrogram, ClusterError> {

@@ -31,7 +31,7 @@ use crate::{ClusterError, Dendrogram};
 ///
 /// ```
 /// use hiermeans_cluster::{agglomerative::cluster, selection, Linkage};
-/// use hiermeans_linalg::{distance::Metric, Matrix};
+/// use hiermeans_linalg::Matrix;
 /// use hiermeans_obs::Collector;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,7 +39,7 @@ use crate::{ClusterError, Dendrogram};
 ///     vec![0.0], vec![0.1], vec![0.2], vec![9.0], vec![9.1], vec![9.2],
 /// ])?;
 /// let off = Collector::disabled();
-/// let d = cluster(&pts, Metric::Euclidean, Linkage::Complete, &off)?;
+/// let d = cluster(&pts, Linkage::Complete, &off)?;
 /// assert_eq!(selection::elbow_k(&d, 2..=5)?, 2);
 /// # Ok(())
 /// # }
@@ -159,12 +159,11 @@ mod tests {
     use super::*;
     use crate::agglomerative::cluster;
     use crate::Linkage;
-    use hiermeans_linalg::distance::Metric;
     use hiermeans_obs::Collector;
 
     /// [`cluster`] over Euclidean distances, untraced.
     fn untraced(points: &Matrix, linkage: Linkage) -> Dendrogram {
-        cluster(points, Metric::Euclidean, linkage, &Collector::disabled()).unwrap()
+        cluster(points, linkage, &Collector::disabled()).unwrap()
     }
 
     fn three_blobs() -> Matrix {

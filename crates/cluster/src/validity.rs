@@ -7,7 +7,7 @@
 //! cluster count from that sweep.
 
 use hiermeans_linalg::cells::Cells;
-use hiermeans_linalg::distance::{pairwise, Metric};
+use hiermeans_linalg::distance::pairwise;
 use hiermeans_linalg::Matrix;
 
 use crate::{ClusterAssignment, ClusterError};
@@ -86,7 +86,7 @@ impl CellDistances {
     /// Groups `points` into cells and computes the cell-distance table.
     pub(crate) fn new(points: &Matrix) -> Result<Self, ClusterError> {
         let cells = Cells::new(points);
-        let table = pairwise(&cells.representatives(points), Metric::Euclidean)?;
+        let table = pairwise(&cells.representatives(points))?;
         Ok(CellDistances {
             cell_of_row: cells.cell_of_row,
             table,
@@ -198,7 +198,7 @@ mod tests {
         let (pts, good) = blobs();
         let bad = ClusterAssignment::from_labels(&[0, 1, 0, 1, 0, 1]).unwrap();
         let singletons = ClusterAssignment::from_labels(&[0, 0, 0, 1, 2, 3]).unwrap();
-        let dist = pairwise(&pts, Metric::Euclidean).unwrap();
+        let dist = pairwise(&pts).unwrap();
         for a in [&good, &bad, &singletons] {
             let cells = silhouette(&pts, a).unwrap();
             let naive = oracle::silhouette(&pts, a.labels());

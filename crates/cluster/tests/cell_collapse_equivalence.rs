@@ -23,7 +23,7 @@ use std::collections::HashSet;
 use hiermeans_cluster::agglomerative::{cluster, cluster_from_distances};
 use hiermeans_cluster::nnchain::{cluster_nn_chain_owned, is_reducible};
 use hiermeans_cluster::{ClusterError, Dendrogram, Linkage};
-use hiermeans_linalg::distance::{pairwise, Metric};
+use hiermeans_linalg::distance::pairwise;
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
 use proptest::prelude::*;
@@ -31,7 +31,7 @@ use proptest::prelude::*;
 /// The row-level dendrogram: one leaf per row, NN-chain for reducible
 /// linkages and the naive loop otherwise.
 fn row_oracle(pts: &Matrix, linkage: Linkage) -> Result<Dendrogram, ClusterError> {
-    let dist = pairwise(pts, Metric::Euclidean).unwrap();
+    let dist = pairwise(pts).unwrap();
     if is_reducible(linkage) {
         cluster_nn_chain_owned(dist, linkage, &Collector::disabled())
     } else {
@@ -41,7 +41,7 @@ fn row_oracle(pts: &Matrix, linkage: Linkage) -> Result<Dendrogram, ClusterError
 
 /// The cell-level and row-level dendrograms; both paths must succeed.
 fn both(pts: &Matrix, linkage: Linkage) -> Result<(Dendrogram, Dendrogram), TestCaseError> {
-    let fast = cluster(pts, Metric::Euclidean, linkage, &Collector::disabled());
+    let fast = cluster(pts, linkage, &Collector::disabled());
     match (fast, row_oracle(pts, linkage)) {
         (Ok(fast), Ok(oracle)) => Ok((fast, oracle)),
         (fast, oracle) => Err(TestCaseError::fail(format!(
@@ -164,7 +164,7 @@ fn distinct_rows_give_the_row_level_dendrogram() {
     let pts = Matrix::from_rows(&rows).unwrap();
     assert_eq!(cells(&pts), 40);
     for linkage in Linkage::all() {
-        let fast = cluster(&pts, Metric::Euclidean, linkage, &Collector::disabled()).unwrap();
+        let fast = cluster(&pts, linkage, &Collector::disabled()).unwrap();
         assert_eq!(fast, row_oracle(&pts, linkage).unwrap(), "{linkage}");
     }
 }
@@ -173,13 +173,7 @@ fn distinct_rows_give_the_row_level_dendrogram() {
 #[test]
 fn one_cell_is_a_chain_of_zero_height_merges() {
     let pts = Matrix::from_rows(&vec![vec![2.0, 3.0]; 5]).unwrap();
-    let d = cluster(
-        &pts,
-        Metric::Euclidean,
-        Linkage::Ward,
-        &Collector::disabled(),
-    )
-    .unwrap();
+    let d = cluster(&pts, Linkage::Ward, &Collector::disabled()).unwrap();
     let merges: Vec<(usize, usize, f64, usize)> = d
         .merges()
         .iter()

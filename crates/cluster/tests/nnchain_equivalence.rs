@@ -27,7 +27,7 @@ use std::collections::HashSet;
 use hiermeans_cluster::agglomerative::{cluster, cluster_from_distances};
 use hiermeans_cluster::nnchain::cluster_nn_chain_owned;
 use hiermeans_cluster::{ClusterError, Dendrogram, Linkage};
-use hiermeans_linalg::distance::{pairwise, Metric};
+use hiermeans_linalg::distance::pairwise;
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
 use proptest::prelude::*;
@@ -47,31 +47,27 @@ fn points(n: usize, dim: usize) -> impl Strategy<Value = Matrix> {
 }
 
 /// Naive and NN-chain dendrograms over the distance matrix `cluster`
-/// computes for `pts`.
-fn naive_and_chain(pts: &Matrix, metric: Metric, linkage: Linkage) -> (Dendrogram, Dendrogram) {
-    let dist = pairwise(pts, metric).unwrap();
+/// computes for `pts`, or over its entries squared: a second input whose
+/// heights grow faster than the points spread.
+fn naive_and_chain(pts: &Matrix, squared: bool, linkage: Linkage) -> (Dendrogram, Dendrogram) {
+    let dist = pairwise(pts).unwrap();
+    let dist = if squared { dist.map(|d| d * d) } else { dist };
     let naive = cluster_from_distances(&dist, linkage, &Collector::disabled()).unwrap();
     let chain = cluster_nn_chain_owned(dist, linkage, &Collector::disabled()).unwrap();
     (naive, chain)
 }
 
-fn any_case() -> impl Strategy<Value = (Matrix, Linkage, Metric)> {
-    (2usize..40, 1usize..4, 0usize..REDUCIBLE.len(), 0usize..2).prop_flat_map(|(n, dim, li, mi)| {
-        let metric = if mi == 0 {
-            Metric::Euclidean
-        } else {
-            Metric::SquaredEuclidean
-        };
-        (points(n, dim), Just(REDUCIBLE[li]), Just(metric))
-    })
+fn any_case() -> impl Strategy<Value = (Matrix, Linkage, bool)> {
+    (2usize..40, 1usize..4, 0usize..REDUCIBLE.len(), 0usize..2)
+        .prop_flat_map(|(n, dim, li, si)| (points(n, dim), Just(REDUCIBLE[li]), Just(si == 1)))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn nn_chain_matches_naive((pts, linkage, metric) in any_case()) {
-        let (naive, chain) = naive_and_chain(&pts, metric, linkage);
+    fn nn_chain_matches_naive((pts, linkage, squared) in any_case()) {
+        let (naive, chain) = naive_and_chain(&pts, squared, linkage);
         match linkage {
             // Single and complete linkage are pure min/max *selections* of
             // original pairwise distances: merge order cannot change a
@@ -110,7 +106,8 @@ proptest! {
 }
 
 /// A larger deterministic instance than proptest should shrink over:
-/// n = 200, complete linkage (the paper's), both metrics.
+/// n = 200, complete linkage (the paper's), on the distances and on their
+/// squares.
 #[test]
 fn matches_naive_at_n_200() {
     let n = 200;
@@ -125,11 +122,13 @@ fn matches_naive_at_n_200() {
         })
         .collect();
     let pts = Matrix::from_vec(n, dim, data).unwrap();
-    for metric in [Metric::Euclidean, Metric::SquaredEuclidean] {
-        let (naive, chain) = naive_and_chain(&pts, metric, Linkage::Complete);
-        assert_eq!(naive, chain, "{metric:?}");
-        let dispatched = cluster(&pts, metric, Linkage::Complete, &Collector::disabled()).unwrap();
-        assert_eq!(dispatched, chain, "{metric:?}");
+    for squared in [false, true] {
+        let (naive, chain) = naive_and_chain(&pts, squared, Linkage::Complete);
+        assert_eq!(naive, chain, "squared={squared}");
+        if !squared {
+            let dispatched = cluster(&pts, Linkage::Complete, &Collector::disabled()).unwrap();
+            assert_eq!(dispatched, chain);
+        }
     }
 }
 
@@ -137,7 +136,7 @@ fn matches_naive_at_n_200() {
 #[test]
 fn centroid_and_median_rejected() {
     let pts = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![3.0]]).unwrap();
-    let dist = pairwise(&pts, Metric::Euclidean).unwrap();
+    let dist = pairwise(&pts).unwrap();
     for linkage in [Linkage::Centroid, Linkage::Median] {
         let err = cluster_nn_chain_owned(dist.clone(), linkage, &Collector::disabled());
         assert_eq!(
@@ -193,7 +192,7 @@ fn tie_lattice() -> impl Strategy<Value = Matrix> {
 
 /// The tie contract of NN-chain against the naive loop on `pts`.
 fn tie_contract(pts: &Matrix, linkage: Linkage) -> Result<(), TestCaseError> {
-    let dist = pairwise(pts, Metric::Euclidean).unwrap();
+    let dist = pairwise(pts).unwrap();
     let naive = cluster_from_distances(&dist, linkage, &Collector::disabled()).unwrap();
     let chain = cluster_nn_chain_owned(dist, linkage, &Collector::disabled());
     let chain = match chain {
@@ -207,7 +206,7 @@ fn tie_contract(pts: &Matrix, linkage: Linkage) -> Result<(), TestCaseError> {
     match linkage {
         Linkage::Complete => {
             prop_assert_eq!(&chain, &naive, "complete: NN-chain dendrogram");
-            let cells = cluster(pts, Metric::Euclidean, linkage, &Collector::disabled()).unwrap();
+            let cells = cluster(pts, linkage, &Collector::disabled()).unwrap();
             prop_assert_eq!(&cells, &naive, "complete: cell-level dendrogram");
         }
         Linkage::Single => {

@@ -8,8 +8,7 @@
 //! takes dense cluster labels (`0..k`, as `ClusterAssignment::labels`
 //! returns) instead of an assignment.
 #![allow(dead_code)]
-
-use hiermeans_linalg::distance::Metric;
+use hiermeans_linalg::distance::euclidean;
 use hiermeans_linalg::Matrix;
 
 /// Member rows of each cluster, in ascending row order.
@@ -63,9 +62,7 @@ fn silhouette_with(labels: &[usize], dist: impl Fn(usize, usize) -> f64) -> f64 
 /// The per-pair silhouette: one Euclidean distance call per ordered pair.
 pub fn silhouette(points: &Matrix, labels: &[usize]) -> f64 {
     silhouette_with(labels, |i, j| {
-        Metric::Euclidean
-            .distance(points.row(i), points.row(j))
-            .expect("rows share a dimension")
+        euclidean(points.row(i), points.row(j)).expect("rows share a dimension")
     })
 }
 

@@ -17,7 +17,7 @@
 
 use hiermeans_cluster::nnchain::cluster_nn_chain_owned;
 use hiermeans_cluster::Linkage;
-use hiermeans_linalg::distance::{pairwise, Metric};
+use hiermeans_linalg::distance::pairwise;
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::memhook::{self, TrackingAlloc};
 use hiermeans_obs::{Collector, ObsConfig};
@@ -44,7 +44,7 @@ fn owned_nn_chain_never_clones_its_matrix_and_telemetry_agrees() {
     // means an n² buffer snuck in.
     let m = 1024;
     let small = lcg_points(m, 4, 0xDEAD_BEEF);
-    let dist = pairwise(&small, Metric::Euclidean).unwrap();
+    let dist = pairwise(&small).unwrap();
     let matrix_bytes = (m * m * std::mem::size_of::<f64>()) as i64;
     let ceiling = matrix_bytes / 2;
 

@@ -11,7 +11,7 @@
 mod oracle;
 
 use hiermeans_cluster::{agglomerative, selection, validity, ClusterAssignment, Linkage};
-use hiermeans_linalg::distance::{pairwise, Metric};
+use hiermeans_linalg::distance::pairwise;
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
 use proptest::prelude::*;
@@ -83,10 +83,9 @@ fn with_partition(
 /// partition with planted singleton clusters.
 fn check_every_cut(pts: &Matrix, raw: &[usize]) -> Result<(), TestCaseError> {
     let n = pts.nrows();
-    let dist = pairwise(pts, Metric::Euclidean).unwrap();
+    let dist = pairwise(pts).unwrap();
     for linkage in LINKAGES {
-        let d = agglomerative::cluster(pts, Metric::Euclidean, linkage, &Collector::disabled())
-            .unwrap();
+        let d = agglomerative::cluster(pts, linkage, &Collector::disabled()).unwrap();
         let sweep = selection::silhouette_sweep(&d, pts, 2..=n).unwrap();
         prop_assert_eq!(sweep.len(), n - 1);
         let mut expected = Vec::with_capacity(n - 1);
@@ -133,7 +132,7 @@ proptest! {
         check_every_cut(&pts, &raw)?;
         // Every distance is zero, so every cut scores exactly 0 and the
         // tie rule keeps the smallest k.
-        let d = agglomerative::cluster(&pts, Metric::Euclidean, Linkage::Complete, &Collector::disabled()).unwrap();
+        let d = agglomerative::cluster(&pts, Linkage::Complete, &Collector::disabled()).unwrap();
         let n = pts.nrows();
         for (_, s) in selection::silhouette_sweep(&d, &pts, 2..=n).unwrap() {
             prop_assert_eq!(s.to_bits(), 0.0f64.to_bits());
@@ -145,13 +144,7 @@ proptest! {
 #[test]
 fn sweep_validates_inputs() {
     let pts = Matrix::from_rows(&[vec![0.0], vec![0.0], vec![5.0], vec![6.0]]).unwrap();
-    let d = agglomerative::cluster(
-        &pts,
-        Metric::Euclidean,
-        Linkage::Complete,
-        &Collector::disabled(),
-    )
-    .unwrap();
+    let d = agglomerative::cluster(&pts, Linkage::Complete, &Collector::disabled()).unwrap();
     assert!(selection::silhouette_sweep(&d, &pts, 1..=3).is_err());
     assert!(selection::silhouette_sweep(&d, &pts, 2..=5).is_err());
     let reversed = std::ops::RangeInclusive::new(3, 2);

@@ -7,7 +7,6 @@
 
 use hiermeans_cluster::agglomerative;
 use hiermeans_cluster::{ClusterAssignment, Dendrogram, Linkage};
-use hiermeans_linalg::distance::Metric;
 use hiermeans_linalg::parallel::{self, Chunking};
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::{stages, Collector, Counter, CounterBuf, LaneBuf};
@@ -20,6 +19,12 @@ use crate::CoreError;
 const SWEEP_CHUNKING: Chunking = Chunking::new(1, 4);
 
 /// Configuration of the SOM + clustering pipeline.
+///
+/// Both stages use the paper's Euclidean distance, which is not a
+/// setting: the SOM's BMU searches compute it with the exact codebook
+/// sweep (`kernels::exact_dists_wt_into`) and the clustering stage with
+/// the scalar pairwise loop (`distance::pairwise_lanes`), both with
+/// [`hiermeans_linalg::distance::euclidean`]'s bits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// SOM grid width (default 10).
@@ -44,12 +49,6 @@ pub struct PipelineConfig {
     pub training: hiermeans_som::TrainingMode,
     /// Linkage rule (the paper uses complete linkage).
     pub linkage: Linkage,
-    /// Point-to-point distance: Euclidean (the paper's, the default) or its
-    /// square. The SOM's BMU searches compute it with the exact codebook
-    /// sweep (`kernels::exact_dists_wt_into`) and the clustering stage
-    /// with the scalar pairwise loop (`distance::pairwise_lanes`); both
-    /// give [`Metric::distance`]'s bits.
-    pub metric: Metric,
     /// Observability collector. The default is the disabled no-op handle,
     /// which costs one branch per instrumentation point; pass
     /// [`Collector::enabled`] to capture spans, counters, per-epoch SOM
@@ -67,7 +66,6 @@ impl Default for PipelineConfig {
             sigma_end: 1.5,
             training: hiermeans_som::TrainingMode::Online,
             linkage: Linkage::Complete,
-            metric: Metric::Euclidean,
             collector: Collector::disabled(),
         }
     }
@@ -222,7 +220,7 @@ pub fn run_pipeline(
     };
     let dendrogram = {
         let _cluster_span = collector.span(stages::PIPELINE_CLUSTER);
-        agglomerative::cluster(&positions, config.metric, config.linkage, collector)?
+        agglomerative::cluster(&positions, config.linkage, collector)?
     };
     drop(span);
     Ok(PipelineResult {
@@ -236,8 +234,8 @@ pub fn run_pipeline(
 /// Trains the pipeline's SOM stage out-of-core: rows stream through a
 /// [`hiermeans_linalg::rows::RowSource`] in fixed strips instead of a
 /// resident `n × dim` matrix, so training memory is bounded by the codebook
-/// and one strip regardless of `n`. The builder wiring (grid, schedule,
-/// metric) is exactly [`run_pipeline`]'s, and a random-initialized
+/// and one strip regardless of `n`. The builder wiring (grid, schedule) is
+/// exactly [`run_pipeline`]'s, and a random-initialized
 /// streamed run is bitwise identical to the resident trainer on the same
 /// rows (PCA-plane initialization needs the resident matrix, so streaming
 /// falls back to random). Requires
@@ -278,7 +276,6 @@ fn som_builder(config: &PipelineConfig) -> SomBuilder {
     SomBuilder::new(config.som_width, config.som_height)
         .seed(config.seed)
         .epochs(config.epochs)
-        .metric(config.metric)
         .sigma(hiermeans_som::DecaySchedule::Linear {
             start: diameter / 2.0,
             end: config.sigma_end,
@@ -295,7 +292,6 @@ fn som_builder(config: &PipelineConfig) -> SomBuilder {
 pub fn run_without_som(vectors: &Matrix, config: &PipelineConfig) -> Result<Dendrogram, CoreError> {
     Ok(agglomerative::cluster(
         vectors,
-        config.metric,
         config.linkage,
         &Collector::disabled(),
     )?)
@@ -363,7 +359,7 @@ mod tests {
         use hiermeans_linalg::distance::pairwise;
 
         let chain = |points: &Matrix| {
-            let dist = pairwise(points, Metric::Euclidean).unwrap();
+            let dist = pairwise(points).unwrap();
             cluster_nn_chain_owned(dist, Linkage::Complete, &Collector::disabled()).unwrap()
         };
         // Six rows take the naive loop; NN-chain on the same input must
@@ -382,7 +378,6 @@ mod tests {
         assert_eq!(small.training, hiermeans_som::TrainingMode::Batch);
         // The defaults the scaling rule does not touch stay the paper's.
         assert_eq!(small.linkage, Linkage::Complete);
-        assert_eq!(small.metric, Metric::Euclidean);
         let res = run_pipeline(&blob_vectors(), &PipelineConfig::scaled(6)).unwrap();
         assert_eq!(res.positions().shape(), (6, 2));
     }

@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn from_dendrogram_smoke() {
         use hiermeans_cluster::{agglomerative, Linkage};
-        use hiermeans_linalg::{distance::Metric, Matrix};
+        use hiermeans_linalg::Matrix;
         let speedups = SpeedupTable::paper_exact();
         // Any geometry over 13 points works here; use the latent machine-A
         // positions.
@@ -315,13 +315,7 @@ mod tests {
         .unwrap();
         let pts =
             Matrix::from_rows(&pos.iter().map(|p| vec![p[0], p[1]]).collect::<Vec<_>>()).unwrap();
-        let dend = agglomerative::cluster(
-            &pts,
-            Metric::Euclidean,
-            Linkage::Complete,
-            &Collector::disabled(),
-        )
-        .unwrap();
+        let dend = agglomerative::cluster(&pts, Linkage::Complete, &Collector::disabled()).unwrap();
         let table = ScoreTable::from_dendrogram(&speedups, &dend, 8, Mean::Geometric).unwrap();
         assert_eq!(table.rows().len(), 7);
         // The latent geometry reproduces the recovered chain, so this table

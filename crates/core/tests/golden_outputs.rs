@@ -24,7 +24,7 @@ use hiermeans_cluster::agglomerative::cluster_from_distances;
 use hiermeans_cluster::{Dendrogram, Linkage};
 use hiermeans_core::analysis::{paper_vectors, SuiteAnalysis, K_RANGE};
 use hiermeans_core::pipeline::{run_pipeline, run_without_som, PipelineConfig};
-use hiermeans_linalg::distance::{pairwise, Metric};
+use hiermeans_linalg::distance::pairwise;
 use hiermeans_obs::hash::{fnv1a64_hex, Fnv1a64};
 use hiermeans_obs::Collector;
 use hiermeans_workload::measurement::Characterization;
@@ -211,7 +211,7 @@ fn scaled_pipeline_dendrogram_matches_golden_digest() {
     // The pins are the naive loop's: over every row's position it builds
     // the same dendrogram, ids, heights and cuts included.
     let config = PipelineConfig::scaled(1024);
-    let dist = pairwise(positions, config.metric).unwrap();
+    let dist = pairwise(positions).unwrap();
     let naive = cluster_from_distances(&dist, config.linkage, &Collector::disabled()).unwrap();
     assert_eq!(&naive, result.dendrogram());
 }
@@ -235,7 +235,7 @@ fn raw_space_dendrograms_match_golden_digests() {
         assert_eq!(dendrogram_digest(&raw), digest, "{characterization:?}");
         // The naive loop over the scalar pairwise matrix builds the same
         // dendrogram.
-        let exact = pairwise(vectors.matrix(), Metric::Euclidean).unwrap();
+        let exact = pairwise(vectors.matrix()).unwrap();
         let oracle =
             cluster_from_distances(&exact, Linkage::Complete, &Collector::disabled()).unwrap();
         assert_eq!(dendrogram_digest(&oracle), digest, "{characterization:?}");

@@ -13,7 +13,6 @@ mod oracle;
 use hiermeans_cluster::{agglomerative, selection, Dendrogram, Linkage};
 use hiermeans_core::analysis::{recommend_k, SuiteAnalysis, K_RANGE};
 use hiermeans_core::pipeline::{run_pipeline, PipelineConfig};
-use hiermeans_linalg::distance::Metric;
 use hiermeans_linalg::Matrix;
 use hiermeans_obs::Collector;
 use hiermeans_workload::measurement::Characterization;
@@ -51,13 +50,7 @@ fn assert_matches_oracle(positions: &Matrix, dendrogram: &Dendrogram, max_k: usi
 }
 
 fn complete(points: &Matrix) -> Dendrogram {
-    agglomerative::cluster(
-        points,
-        Metric::Euclidean,
-        Linkage::Complete,
-        &Collector::disabled(),
-    )
-    .unwrap()
+    agglomerative::cluster(points, Linkage::Complete, &Collector::disabled()).unwrap()
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! apart.
 //!
 //! Streaming supports only random initialization, so both sides use it;
-//! everything else (grid, σ schedule, epochs, seed, metric) is the default
+//! everything else (grid, σ schedule, epochs, seed) is the default
 //! [`PipelineConfig`]'s, in batch mode (streaming is a batch-trainer
 //! feature).
 
@@ -42,7 +42,6 @@ fn pipeline_builder(config: &PipelineConfig) -> SomBuilder {
     SomBuilder::new(config.som_width, config.som_height)
         .seed(config.seed)
         .epochs(config.epochs)
-        .metric(config.metric)
         .sigma(DecaySchedule::Linear {
             start: diameter / 2.0,
             end: config.sigma_end,

@@ -23,7 +23,7 @@ use hiermeans_cluster::nnchain::cluster_nn_chain_owned;
 use hiermeans_cluster::{Dendrogram, Linkage};
 use hiermeans_core::analysis::{SuiteAnalysis, K_RANGE};
 use hiermeans_core::pipeline::{run_pipeline, PipelineConfig};
-use hiermeans_linalg::distance::{pairwise, Metric};
+use hiermeans_linalg::distance::pairwise;
 use hiermeans_obs::Collector;
 use hiermeans_workload::measurement::Characterization;
 use hiermeans_workload::synthetic::{gaussian_mixture, MixtureSpec};
@@ -43,7 +43,7 @@ fn nn_chain_matches_naive_on_all_paper_studies() {
         let analysis = SuiteAnalysis::paper(characterization).expect("paper study runs");
         let pipeline = analysis.pipeline();
         let config = PipelineConfig::default();
-        let dist = pairwise(pipeline.positions(), config.metric).unwrap();
+        let dist = pairwise(pipeline.positions()).unwrap();
 
         let naive_trace = Collector::enabled();
         let naive = cluster_from_distances(&dist, config.linkage, &naive_trace).unwrap();
@@ -79,7 +79,7 @@ fn scaled_pipeline_cuts_match_the_row_level_path() {
             let planted = gaussian_mixture(&MixtureSpec::separated(n, 16, 8, seed)).unwrap();
             let result = run_pipeline(&planted.points, &PipelineConfig::scaled(n)).unwrap();
             let positions = result.positions();
-            let dist = pairwise(positions, Metric::Euclidean).unwrap();
+            let dist = pairwise(positions).unwrap();
             let rows =
                 cluster_nn_chain_owned(dist, Linkage::Complete, &Collector::disabled()).unwrap();
             let cells = result.dendrogram();

@@ -2,76 +2,46 @@
 //!
 //! The paper uses the Euclidean distance both for the SOM's best-matching-unit
 //! search and as the point-to-point distance underneath the clustering linkage
-//! (Section III-B). [`Metric`] is that distance or its square, and
-//! [`pairwise`] is the clustering stage's distance matrix: every entry is
-//! [`Metric::distance`] of its two rows, the same bits on every worker
-//! count.
-
-use serde::{Deserialize, Serialize};
+//! (Section III-B). [`euclidean`] is that distance, and [`pairwise`] is
+//! the clustering stage's distance matrix: every entry is [`euclidean`] of
+//! its two rows, the same bits on every worker count.
 
 use crate::LinalgError;
 
-/// The Euclidean point-to-point distance over `f64` vectors, or its
-/// square.
+/// The Euclidean (L2) distance between `a` and `b`: the square root of
+/// `Σ (a_i − b_i)²`, summed in ascending index order.
+///
+/// # Errors
+///
+/// Returns [`LinalgError::ShapeMismatch`] if the vectors have different
+/// lengths.
 ///
 /// # Example
 ///
 /// ```
-/// use hiermeans_linalg::distance::Metric;
+/// use hiermeans_linalg::distance::euclidean;
 ///
 /// # fn main() -> Result<(), hiermeans_linalg::LinalgError> {
-/// let d = Metric::Euclidean.distance(&[0.0, 0.0], &[3.0, 4.0])?;
-/// assert_eq!(d, 5.0);
+/// assert_eq!(euclidean(&[0.0, 0.0], &[3.0, 4.0])?, 5.0);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum Metric {
-    /// The L2 distance — the paper's choice.
-    Euclidean,
-    /// The squared L2 distance (avoids the square root; not a metric but
-    /// order-equivalent to [`Metric::Euclidean`]).
-    SquaredEuclidean,
-}
-
-impl Metric {
-    /// Computes the distance between `a` and `b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the vectors have different
-    /// lengths.
-    pub fn distance(&self, a: &[f64], b: &[f64]) -> Result<f64, LinalgError> {
-        if a.len() != b.len() {
-            return Err(LinalgError::ShapeMismatch {
-                left: (a.len(), 1),
-                right: (b.len(), 1),
-                op: "distance",
-            });
-        }
-        match self {
-            Metric::Euclidean => Ok(sq_euclid(a, b).sqrt()),
-            Metric::SquaredEuclidean => Ok(sq_euclid(a, b)),
-        }
+pub fn euclidean(a: &[f64], b: &[f64]) -> Result<f64, LinalgError> {
+    if a.len() != b.len() {
+        return Err(LinalgError::ShapeMismatch {
+            left: (a.len(), 1),
+            right: (b.len(), 1),
+            op: "distance",
+        });
     }
-}
-
-impl Default for Metric {
-    /// Euclidean distance, the paper's configuration.
-    fn default() -> Self {
-        Metric::Euclidean
-    }
-}
-
-fn sq_euclid(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
+    Ok(a.iter()
         .zip(b)
         .map(|(x, y)| {
             let d = x - y;
             d * d
         })
-        .sum()
+        .sum::<f64>()
+        .sqrt())
 }
 
 /// Chunking for [`pairwise`]: a handful of rows per chunk keeps the ragged
@@ -83,7 +53,7 @@ pub const PAIRWISE_CHUNKING: crate::parallel::Chunking = crate::parallel::Chunki
 /// Computes the full pairwise distance matrix between the rows of `points`,
 /// parallelizing over row chunks for large inputs.
 ///
-/// Every entry is [`Metric::distance`] of its two rows: this is the exact
+/// Every entry is [`euclidean`] of its two rows: this is the exact
 /// scalar path, and it is bit-for-bit identical to [`pairwise_serial`]
 /// regardless of the worker count, because each entry is computed
 /// independently by the same expression. Small inputs and single-worker
@@ -92,9 +62,9 @@ pub const PAIRWISE_CHUNKING: crate::parallel::Chunking = crate::parallel::Chunki
 ///
 /// # Errors
 ///
-/// Propagates errors from [`Metric::distance`].
-pub fn pairwise(points: &crate::Matrix, metric: Metric) -> Result<crate::Matrix, LinalgError> {
-    pairwise_lanes(points, metric, None)
+/// Propagates errors from [`euclidean`].
+pub fn pairwise(points: &crate::Matrix) -> Result<crate::Matrix, LinalgError> {
+    pairwise_lanes(points, None)
 }
 
 /// [`pairwise`] with worker-lane recording.
@@ -109,14 +79,13 @@ pub fn pairwise(points: &crate::Matrix, metric: Metric) -> Result<crate::Matrix,
 ///
 /// # Errors
 ///
-/// Propagates errors from [`Metric::distance`].
+/// Propagates errors from [`euclidean`].
 pub fn pairwise_lanes(
     points: &crate::Matrix,
-    metric: Metric,
     lanes: crate::parallel::Lanes<'_>,
 ) -> Result<crate::Matrix, LinalgError> {
     let n = points.nrows();
-    let entry = |i: usize, j: usize| metric.distance(points.row(i), points.row(j));
+    let entry = |i: usize, j: usize| euclidean(points.row(i), points.row(j));
     let mut d = crate::Matrix::zeros(n, n);
     if lanes.is_none()
         && (n < PAIRWISE_CHUNKING.min_parallel_len || crate::parallel::worker_count() <= 1)
@@ -191,16 +160,13 @@ fn mirror_upper_to_lower(d: &mut crate::Matrix) {
 ///
 /// # Errors
 ///
-/// Propagates errors from [`Metric::distance`].
-pub fn pairwise_serial(
-    points: &crate::Matrix,
-    metric: Metric,
-) -> Result<crate::Matrix, LinalgError> {
+/// Propagates errors from [`euclidean`].
+pub fn pairwise_serial(points: &crate::Matrix) -> Result<crate::Matrix, LinalgError> {
     let n = points.nrows();
     let mut d = crate::Matrix::zeros(n, n);
     for i in 0..n {
         for j in (i + 1)..n {
-            let v = metric.distance(points.row(i), points.row(j))?;
+            let v = euclidean(points.row(i), points.row(j))?;
             d[(i, j)] = v;
             d[(j, i)] = v;
         }
@@ -219,32 +185,23 @@ mod tests {
     #[test]
     fn euclidean_known() {
         // (3, 4, 0) -> 5
-        assert!((Metric::Euclidean.distance(&A, &B).unwrap() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn squared_euclidean_is_square() {
-        let d = Metric::Euclidean.distance(&A, &B).unwrap();
-        let d2 = Metric::SquaredEuclidean.distance(&A, &B).unwrap();
-        assert!((d * d - d2).abs() < 1e-12);
+        assert!((euclidean(&A, &B).unwrap() - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn mismatched_lengths_rejected() {
-        assert!(Metric::Euclidean.distance(&[1.0], &[1.0, 2.0]).is_err());
+        assert!(euclidean(&[1.0], &[1.0, 2.0]).is_err());
     }
 
     #[test]
     fn identity_of_indiscernibles() {
-        for m in [Metric::Euclidean, Metric::SquaredEuclidean] {
-            assert_eq!(m.distance(&A, &A).unwrap(), 0.0);
-        }
+        assert_eq!(euclidean(&A, &A).unwrap(), 0.0);
     }
 
     #[test]
     fn pairwise_symmetric_zero_diagonal() {
         let pts = Matrix::from_rows(&[vec![0.0, 0.0], vec![3.0, 4.0], vec![6.0, 8.0]]).unwrap();
-        let d = pairwise(&pts, Metric::Euclidean).unwrap();
+        let d = pairwise(&pts).unwrap();
         assert_eq!(d.shape(), (3, 3));
         for i in 0..3 {
             assert_eq!(d[(i, i)], 0.0);
@@ -254,11 +211,6 @@ mod tests {
         }
         assert!((d[(0, 1)] - 5.0).abs() < 1e-12);
         assert!((d[(0, 2)] - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn default_is_euclidean() {
-        assert_eq!(Metric::default(), Metric::Euclidean);
     }
 
     /// A deterministic pseudo-random matrix big enough to cross the
@@ -282,11 +234,7 @@ mod tests {
         // single-core machine (where pairwise would dispatch serially).
         crate::parallel::set_worker_override(Some(4));
         let pts = big_matrix(97, 6);
-        for metric in [Metric::Euclidean, Metric::SquaredEuclidean] {
-            let par = pairwise(&pts, metric).unwrap();
-            let ser = pairwise_serial(&pts, metric).unwrap();
-            assert_eq!(par, ser, "{metric:?}");
-        }
+        assert_eq!(pairwise(&pts).unwrap(), pairwise_serial(&pts).unwrap());
         crate::parallel::set_worker_override(None);
     }
 
@@ -299,12 +247,12 @@ mod tests {
         let clock = hiermeans_obs::Collector::enabled()
             .lane_clock()
             .expect("enabled collector has a lane clock");
-        let serial = pairwise_serial(&pts, Metric::Euclidean).unwrap();
+        let serial = pairwise_serial(&pts).unwrap();
         let mut structures = Vec::new();
         for workers in [Some(1), Some(4), None] {
             crate::parallel::set_worker_override(workers);
             let mut buf = crate::parallel::LaneBuf::new();
-            let d = pairwise_lanes(&pts, Metric::Euclidean, Some((clock, &mut buf))).unwrap();
+            let d = pairwise_lanes(&pts, Some((clock, &mut buf))).unwrap();
             assert_eq!(d, serial, "workers = {workers:?}");
             let mut chunks: Vec<u32> = buf.intervals().iter().map(|iv| iv.chunk).collect();
             chunks.sort_unstable();

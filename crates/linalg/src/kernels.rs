@@ -3,318 +3,29 @@
 //! Every distance- and product-shaped inner loop of the SOM and PCA stages
 //! bottoms out in one of the kernels here:
 //!
-//! * [`matmul`] — a register-blocked matrix product that folds eight `k`
-//!   contributions into the output row per bounds-check-free column sweep,
-//!   while accumulating every output cell **in ascending-`k` order**. The
-//!   summation order is exactly the one the naive triple loop used, so
-//!   results are bitwise identical to [`matmul_reference`] on finite
-//!   inputs, on every machine.
 //! * [`syrk_rows`] — the symmetric rank-k product `MᵀM` streamed over the
-//!   rows of `M`, used by covariance and the dual-PCA Gram matrix. Also
-//!   ascending-order exact.
+//!   rows of `M`, used by covariance and the dual-PCA Gram matrix. Each
+//!   cell is summed in ascending row order, the association of the plain
+//!   [`Matrix::matmul`] loop on `Mᵀ` and `M`.
 //! * [`exact_dists_wt_into`] / [`online_step_wt`] — one sweep over a
 //!   unit-major (transposed) codebook, vectorized across units (AVX-512,
 //!   AVX2 or portable, picked at run time; [`sweep_tier`] names it). The
-//!   scan-only build gives every unit's exact (squared) Euclidean distance
-//!   to a query, with the scalar formula's own operations; the online
-//!   build also applies the neighborhood update, fused with the next
-//!   step's distances. [`best_two`] and [`first_min`] read the BMUs off a
-//!   row of those distances. Every SOM search — the online step, batch
+//!   scan-only build gives every unit's exact Euclidean distance to a
+//!   query, with the scalar formula's own operations; the online build
+//!   also applies the neighborhood update, fused with the next step's
+//!   distances. [`best_two`] and [`first_min`] read the BMUs off a row of
+//!   those distances. Every SOM search — the online step, batch
 //!   training, projection and map quality — runs this one kernel.
 //!
 //! The clustering stage's pairwise distances are
 //! [`crate::distance::pairwise`]'s scalar loop. Every kernel here is bit
 //! for bit interchangeable with the scalar loop it replaced.
 
-use crate::{LinalgError, Matrix};
-
-/// AVX-512 micro-kernels behind [`matmul`].
-///
-/// Every kernel applies, per output cell, exactly the scalar ascending-`k`
-/// multiply-then-add chain — separate rounding for every multiply and every
-/// add, never FMA contraction, never reassociation — so results are bitwise
-/// identical to the portable loops on every machine; only throughput
-/// differs. The speed comes from *register blocking*: each kernel pins a
-/// row-block of output accumulators in zmm registers across the whole
-/// shared dimension, so the output is read and written once and each
-/// right-hand-side panel load is shared across the row block.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::needless_range_loop)] // index loops mirror fixed-size register arrays
-mod x86 {
-    use std::arch::x86_64::*;
-
-    use crate::Matrix;
-
-    /// Whether the AVX-512 foundation subset is available. The detection
-    /// macro caches the CPUID result process-wide.
-    pub(super) fn available() -> bool {
-        is_x86_feature_detected!("avx512f")
-    }
-
-    /// The tail-lane mask for a strip of `w` columns (`w % 8` low bits).
-    fn tail_mask(w: usize) -> __mmask8 {
-        ((1u16 << (w % 8)) - 1) as __mmask8
-    }
-
-    /// Generates one register-tile matmul kernel: `$nt` zmm accumulators
-    /// (up to 64 output columns) held in registers across the whole
-    /// ascending-`k` loop, for `$rb` rows of `a` at a time so each `b`
-    /// panel load is reused `$rb` times. The `$nt`-th tile may be masked to
-    /// the strip's tail lanes; masked lanes are neither read nor written.
-    macro_rules! strip_kernel {
-        ($name:ident, $rb:expr, $nt:expr) => {
-            #[target_feature(enable = "avx512f")]
-            unsafe fn $name(
-                a: &Matrix,
-                b: &Matrix,
-                out: &mut Matrix,
-                j0: usize,
-                w: usize,
-                tailmask: __mmask8,
-            ) {
-                const RB: usize = $rb;
-                const NT: usize = $nt;
-                let (m, kk) = a.shape();
-                let full = w / 8;
-                macro_rules! load_tile {
-                    ($row:expr, $t:expr) => {
-                        if $t < full {
-                            _mm512_loadu_pd($row.add(8 * $t))
-                        } else {
-                            _mm512_maskz_loadu_pd(tailmask, $row.add(8 * $t))
-                        }
-                    };
-                }
-                macro_rules! store_tile {
-                    ($row:expr, $t:expr, $v:expr) => {
-                        if $t < full {
-                            _mm512_storeu_pd($row.add(8 * $t), $v);
-                        } else {
-                            _mm512_mask_storeu_pd($row.add(8 * $t), tailmask, $v);
-                        }
-                    };
-                }
-                let mut i = 0;
-                while i + RB <= m {
-                    let mut acc = [[_mm512_setzero_pd(); NT]; RB];
-                    for k in 0..kk {
-                        let brow = b.row(k).as_ptr().add(j0);
-                        let mut bv = [_mm512_setzero_pd(); NT];
-                        for t in 0..NT {
-                            bv[t] = load_tile!(brow, t);
-                        }
-                        for r in 0..RB {
-                            let avv = _mm512_set1_pd(*a.row(i + r).get_unchecked(k));
-                            for t in 0..NT {
-                                acc[r][t] = _mm512_add_pd(acc[r][t], _mm512_mul_pd(avv, bv[t]));
-                            }
-                        }
-                    }
-                    for r in 0..RB {
-                        let orow = out.row_mut(i + r).as_mut_ptr().add(j0);
-                        for t in 0..NT {
-                            store_tile!(orow, t, acc[r][t]);
-                        }
-                    }
-                    i += RB;
-                }
-                while i < m {
-                    let mut acc = [_mm512_setzero_pd(); NT];
-                    for k in 0..kk {
-                        let brow = b.row(k).as_ptr().add(j0);
-                        let avv = _mm512_set1_pd(*a.row(i).get_unchecked(k));
-                        for t in 0..NT {
-                            acc[t] = _mm512_add_pd(acc[t], _mm512_mul_pd(avv, load_tile!(brow, t)));
-                        }
-                    }
-                    let orow = out.row_mut(i).as_mut_ptr().add(j0);
-                    for t in 0..NT {
-                        store_tile!(orow, t, acc[t]);
-                    }
-                    i += 1;
-                }
-            }
-        };
-    }
-
-    // Row-block depth per tile count: narrow strips afford deeper row
-    // blocks (more b-load reuse) before running out of zmm registers.
-    strip_kernel!(strip_1, 4, 1);
-    strip_kernel!(strip_2, 4, 2);
-    strip_kernel!(strip_3, 3, 3);
-    strip_kernel!(strip_4, 3, 4);
-    strip_kernel!(strip_5, 3, 5);
-    strip_kernel!(strip_6, 3, 6);
-    strip_kernel!(strip_7, 3, 7);
-    strip_kernel!(strip_8, 3, 8);
-
-    /// Register-tile matmul for any shape: output columns are processed in
-    /// strips of at most 64, each strip's accumulators pinned in registers
-    /// across the whole shared dimension (ascending `k`, exact chain).
-    ///
-    /// Callers must have verified [`available`] and that shapes agree.
-    pub(super) fn matmul(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        let n = b.ncols();
-        let mut j0 = 0;
-        while j0 < n {
-            let w = (n - j0).min(64);
-            let nt = w.div_ceil(8);
-            let mask = tail_mask(w);
-            // SAFETY: avx512f was verified by the caller; every strip obeys
-            // `j0 + w <= n`, full tiles stay inside the row, and the tail
-            // tile's masked lanes are neither read nor written.
-            unsafe {
-                match nt {
-                    1 => strip_1(a, b, out, j0, w, mask),
-                    2 => strip_2(a, b, out, j0, w, mask),
-                    3 => strip_3(a, b, out, j0, w, mask),
-                    4 => strip_4(a, b, out, j0, w, mask),
-                    5 => strip_5(a, b, out, j0, w, mask),
-                    6 => strip_6(a, b, out, j0, w, mask),
-                    7 => strip_7(a, b, out, j0, w, mask),
-                    _ => strip_8(a, b, out, j0, w, mask),
-                }
-            }
-            j0 += w;
-        }
-    }
-}
+use crate::Matrix;
 
 /// Output tile width for [`syrk_rows`]. A pair of `J_TILE`-wide row slices
 /// plus the output tile stays L1-resident while all rows stream through.
 const J_TILE: usize = 64;
-/// How many `k` contributions [`matmul`] folds into the output row per
-/// sweep. Each sweep applies them *sequentially in ascending `k`* per
-/// output cell (bitwise identical to one-at-a-time sweeps) but reads and
-/// writes the output row once instead of `K_UNROLL` times.
-const K_UNROLL: usize = 8;
-
-/// The naive triple-loop matrix product, kept as the scalar reference for
-/// equivalence tests and the `kernels` criterion bench's speedup baseline.
-///
-/// This is byte-for-byte the loop [`Matrix::matmul`] ran before the blocked
-/// kernel existed (minus its skip of zero multiplicands, which only changed
-/// results for non-finite inputs).
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if `a.ncols() != b.nrows()`.
-pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-    if a.ncols() != b.nrows() {
-        return Err(LinalgError::ShapeMismatch {
-            left: a.shape(),
-            right: b.shape(),
-            op: "matmul",
-        });
-    }
-    let mut out = Matrix::zeros(a.nrows(), b.ncols());
-    for i in 0..a.nrows() {
-        for k in 0..a.ncols() {
-            let av = a[(i, k)];
-            for j in 0..b.ncols() {
-                out[(i, j)] += av * b[(k, j)];
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Register-blocked matrix product `a * b`.
-///
-/// On x86-64 with AVX-512 this runs the register-tile kernel: output
-/// columns in strips of at most 64 held entirely in zmm accumulators across
-/// the whole shared dimension, with each `b` panel load shared across a
-/// block of 3–4 output rows. Elsewhere it falls back to full-width
-/// bounds-check-free column sweeps folding `K_UNROLL` (then four, then
-/// one) `k` contributions per pass. Both paths apply the contributions for
-/// each output cell *sequentially in ascending `k`* with a separate
-/// rounding for every multiply and add — exactly the association the naive
-/// loop uses — so the result is bitwise identical to [`matmul_reference`]
-/// for finite inputs regardless of dispatch, unroll factors, or hardware.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if `a.ncols() != b.nrows()`.
-pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-    if a.ncols() != b.nrows() {
-        return Err(LinalgError::ShapeMismatch {
-            left: a.shape(),
-            right: b.shape(),
-            op: "matmul",
-        });
-    }
-    let mut out = Matrix::zeros(a.nrows(), b.ncols());
-    #[cfg(target_arch = "x86_64")]
-    if x86::available() {
-        x86::matmul(a, b, &mut out);
-        return Ok(out);
-    }
-    matmul_sweeps(a, b, &mut out);
-    Ok(out)
-}
-
-/// Portable fallback for [`matmul`]: per-row ascending-`k` column sweeps,
-/// eight (then four, then one) contributions folded per pass.
-fn matmul_sweeps(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, kk) = a.shape();
-    let n = b.ncols();
-    for i in 0..m {
-        let arow = a.row(i);
-        let orow = &mut out.row_mut(i)[..n];
-        let mut k0 = 0;
-        while k0 + K_UNROLL <= kk {
-            let (a0, a1, a2, a3, a4, a5, a6, a7) = (
-                arow[k0],
-                arow[k0 + 1],
-                arow[k0 + 2],
-                arow[k0 + 3],
-                arow[k0 + 4],
-                arow[k0 + 5],
-                arow[k0 + 6],
-                arow[k0 + 7],
-            );
-            let b0 = &b.row(k0)[..n];
-            let b1 = &b.row(k0 + 1)[..n];
-            let b2 = &b.row(k0 + 2)[..n];
-            let b3 = &b.row(k0 + 3)[..n];
-            let b4 = &b.row(k0 + 4)[..n];
-            let b5 = &b.row(k0 + 5)[..n];
-            let b6 = &b.row(k0 + 6)[..n];
-            let b7 = &b.row(k0 + 7)[..n];
-            for j in 0..n {
-                let mut t = orow[j] + a0 * b0[j];
-                t += a1 * b1[j];
-                t += a2 * b2[j];
-                t += a3 * b3[j];
-                t += a4 * b4[j];
-                t += a5 * b5[j];
-                t += a6 * b6[j];
-                orow[j] = t + a7 * b7[j];
-            }
-            k0 += K_UNROLL;
-        }
-        if k0 + 4 <= kk {
-            let (a0, a1, a2, a3) = (arow[k0], arow[k0 + 1], arow[k0 + 2], arow[k0 + 3]);
-            let b0 = &b.row(k0)[..n];
-            let b1 = &b.row(k0 + 1)[..n];
-            let b2 = &b.row(k0 + 2)[..n];
-            let b3 = &b.row(k0 + 3)[..n];
-            for j in 0..n {
-                let mut t = orow[j] + a0 * b0[j];
-                t += a1 * b1[j];
-                t += a2 * b2[j];
-                orow[j] = t + a3 * b3[j];
-            }
-            k0 += 4;
-        }
-        for (k, &av) in arow.iter().enumerate().skip(k0) {
-            let brow = &b.row(k)[..n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-}
 
 /// The symmetric product `MᵀM` (an `ncols x ncols` matrix), streamed over
 /// the rows of `m`: `out[i][j] = Σ_r m[r][i] · m[r][j]`.
@@ -365,15 +76,13 @@ pub fn syrk_rows(m: &Matrix) -> Matrix {
 const UNIT_BLOCK: usize = 16;
 
 /// Exact distances from `x` to every unit of a transposed codebook `wt`
-/// (`dim x units`): `out[u] = Σ_d (x[d] − wt[d][u])²`, summed in ascending
-/// `d` from zero, then its square root when `root` is set.
+/// (`dim x units`): `out[u]` is the square root of `Σ_d (x[d] − wt[d][u])²`,
+/// summed in ascending `d` from zero.
 ///
 /// This is the scan-only build of [`online_step_wt`]'s sweep: the same
 /// register blocks and the same instruction-set tier ([`sweep_tier`]),
 /// with no update. Each unit's value comes from exactly the operations of
-/// [`Metric::SquaredEuclidean`](crate::distance::Metric::SquaredEuclidean)
-/// (and [`Metric::Euclidean`](crate::distance::Metric::Euclidean) with
-/// `root`), so it equals [`Metric::distance`](crate::distance::Metric::distance)
+/// [`euclidean`](crate::distance::euclidean), so it equals that distance
 /// of `x` and the unit's weight vector bit for bit: the lanes are
 /// independent units, and Rust never fuses a multiply and an add. The tier
 /// changes only speed.
@@ -381,11 +90,11 @@ const UNIT_BLOCK: usize = 16;
 /// # Panics
 ///
 /// Panics if `x.len() != wt.nrows()` or `out.len() != wt.ncols()`.
-pub fn exact_dists_wt_into(x: &[f64], wt: &Matrix, root: bool, out: &mut [f64]) {
+pub fn exact_dists_wt_into(x: &[f64], wt: &Matrix, out: &mut [f64]) {
     assert_eq!(x.len(), wt.nrows(), "query dimension");
     assert_eq!(out.len(), wt.ncols(), "distance buffer length");
     // SAFETY: `Tier::best` reports only a tier this CPU runs.
-    unsafe { sweep_on::<true, _>(Tier::best(), &mut &*wt, x, &[], x, root, out) };
+    unsafe { sweep_on::<true, _>(Tier::best(), &mut &*wt, x, &[], x, out) };
 }
 
 /// The index of the first minimum of `values` in ascending order: the BMU
@@ -430,12 +139,12 @@ pub fn best_two(values: &[f64]) -> ((usize, f64), (usize, f64)) {
 /// It applies the neighborhood update `wt[d][u] = wt[d][u] + h[u]·(x[d] −
 /// wt[d][u])` wherever `h[u] != 0`, with every other weight left as it is.
 /// When `next` is given, the same sweep also writes the next step's exact
-/// distances into `dists`: `dists[u] = Σ_d (next[d] − wt'[d][u])²` over the
-/// updated weights `wt'`, summed in ascending `d` from zero, then its square
-/// root when `root` is set. Each weight is read once, updated, stored and,
-/// still in a register, added into its unit's distance, so the update and
-/// the next BMU scan cost one pass over the codebook instead of two. With
-/// `next` set to `None` it only updates and leaves `dists` alone.
+/// distances into `dists`: `dists[u]` is the square root of `Σ_d (next[d] −
+/// wt'[d][u])²` over the updated weights `wt'`, summed in ascending `d` from
+/// zero. Each weight is read once, updated, stored and, still in a
+/// register, added into its unit's distance, so the update and the next
+/// BMU scan cost one pass over the codebook instead of two. With `next` set
+/// to `None` it only updates and leaves `dists` alone.
 ///
 /// Every value is the scalar formulas' own bits: the zero-weight units are
 /// kept by a select, not by a multiply with zero, so a `-0.0` weight keeps
@@ -453,7 +162,6 @@ pub fn online_step_wt(
     x: &[f64],
     h: &[f64],
     next: Option<&[f64]>,
-    root: bool,
     mut wt: &mut Matrix,
     dists: &mut [f64],
 ) {
@@ -465,9 +173,9 @@ pub fn online_step_wt(
         Some(next) => {
             assert_eq!(next.len(), wt.nrows(), "next query dimension");
             assert_eq!(dists.len(), wt.ncols(), "distance buffer length");
-            unsafe { sweep_on::<true, _>(tier, &mut wt, x, h, next, root, dists) }
+            unsafe { sweep_on::<true, _>(tier, &mut wt, x, h, next, dists) }
         }
-        None => unsafe { sweep_on::<false, _>(tier, &mut wt, x, h, x, root, dists) },
+        None => unsafe { sweep_on::<false, _>(tier, &mut wt, x, h, x, dists) },
     }
 }
 
@@ -520,15 +228,14 @@ unsafe fn sweep_on<const SCAN: bool, W: Codebook>(
     x: &[f64],
     h: &[f64],
     next: &[f64],
-    root: bool,
     dists: &mut [f64],
 ) {
     match tier {
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => sweep_avx512::<SCAN, W>(wt, x, h, next, root, dists),
+        Tier::Avx512 => sweep_avx512::<SCAN, W>(wt, x, h, next, dists),
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => sweep_avx2::<SCAN, W>(wt, x, h, next, root, dists),
-        _ => sweep::<SCAN, W>(wt, x, h, next, root, dists),
+        Tier::Avx2 => sweep_avx2::<SCAN, W>(wt, x, h, next, dists),
+        _ => sweep::<SCAN, W>(wt, x, h, next, dists),
     }
 }
 
@@ -540,10 +247,9 @@ unsafe fn sweep_avx512<const SCAN: bool, W: Codebook>(
     x: &[f64],
     h: &[f64],
     next: &[f64],
-    root: bool,
     dists: &mut [f64],
 ) {
-    sweep::<SCAN, W>(wt, x, h, next, root, dists);
+    sweep::<SCAN, W>(wt, x, h, next, dists);
 }
 
 /// [`sweep`] compiled for AVX2; callers must have detected it.
@@ -554,10 +260,9 @@ unsafe fn sweep_avx2<const SCAN: bool, W: Codebook>(
     x: &[f64],
     h: &[f64],
     next: &[f64],
-    root: bool,
     dists: &mut [f64],
 ) {
-    sweep::<SCAN, W>(wt, x, h, next, root, dists);
+    sweep::<SCAN, W>(wt, x, h, next, dists);
 }
 
 /// A transposed codebook as [`sweep`] walks it: read as it is (`&Matrix`,
@@ -635,40 +340,38 @@ fn sweep<const SCAN: bool, W: Codebook>(
     x: &[f64],
     h: &[f64],
     next: &[f64],
-    root: bool,
     dists: &mut [f64],
 ) {
     let units = wt.units();
     let mut j0 = 0;
     while j0 + UNIT_BLOCK <= units {
-        sweep_block::<UNIT_BLOCK, SCAN, W>(wt, x, h, next, root, dists, j0);
+        sweep_block::<UNIT_BLOCK, SCAN, W>(wt, x, h, next, dists, j0);
         j0 += UNIT_BLOCK;
     }
     if j0 + 8 <= units {
-        sweep_block::<8, SCAN, W>(wt, x, h, next, root, dists, j0);
+        sweep_block::<8, SCAN, W>(wt, x, h, next, dists, j0);
         j0 += 8;
     }
     if j0 + 4 <= units {
-        sweep_block::<4, SCAN, W>(wt, x, h, next, root, dists, j0);
+        sweep_block::<4, SCAN, W>(wt, x, h, next, dists, j0);
         j0 += 4;
     }
     match units - j0 {
-        3 => sweep_block::<3, SCAN, W>(wt, x, h, next, root, dists, j0),
-        2 => sweep_block::<2, SCAN, W>(wt, x, h, next, root, dists, j0),
-        1 => sweep_block::<1, SCAN, W>(wt, x, h, next, root, dists, j0),
+        3 => sweep_block::<3, SCAN, W>(wt, x, h, next, dists, j0),
+        2 => sweep_block::<2, SCAN, W>(wt, x, h, next, dists, j0),
+        1 => sweep_block::<1, SCAN, W>(wt, x, h, next, dists, j0),
         _ => {}
     }
 }
 
 /// Units `j0..j0 + B` of [`sweep`]. `SCAN` adds each stepped weight's
-/// `(next[d] − w')²` into its unit's distance.
+/// `(next[d] − w')²` into its unit's sum and writes the sum's square root.
 #[inline(always)]
 fn sweep_block<const B: usize, const SCAN: bool, W: Codebook>(
     wt: &mut W,
     x: &[f64],
     h: &[f64],
     next: &[f64],
-    root: bool,
     dists: &mut [f64],
     j0: usize,
 ) {
@@ -683,7 +386,7 @@ fn sweep_block<const B: usize, const SCAN: bool, W: Codebook>(
     }
     if SCAN {
         for (o, a) in dists[j0..j0 + B].iter_mut().zip(acc) {
-            *o = if root { a.sqrt() } else { a };
+            *o = a.sqrt();
         }
     }
 }
@@ -703,26 +406,6 @@ mod tests {
             })
             .collect();
         Matrix::from_vec(rows, cols, data).unwrap()
-    }
-
-    #[test]
-    fn blocked_matmul_matches_reference_bitwise() {
-        // Shapes straddling the tile boundaries, including non-multiples.
-        for (m, k, n) in [(3, 5, 4), (64, 64, 64), (65, 130, 67), (1, 200, 1)] {
-            let a = pseudo_matrix(m, k, 7);
-            let b = pseudo_matrix(k, n, 13);
-            let blocked = matmul(&a, &b).unwrap();
-            let reference = matmul_reference(&a, &b).unwrap();
-            assert_eq!(blocked, reference, "{m}x{k} * {k}x{n}");
-        }
-    }
-
-    #[test]
-    fn matmul_shape_mismatch() {
-        let a = pseudo_matrix(2, 3, 1);
-        let b = pseudo_matrix(4, 2, 2);
-        assert!(matmul(&a, &b).is_err());
-        assert!(matmul_reference(&a, &b).is_err());
     }
 
     #[test]
@@ -763,7 +446,7 @@ mod tests {
 
     /// The scalar formula of [`exact_dists_wt_into`], unit by unit:
     /// `Σ_d (x[d] − wt[d][u])²` in ascending `d` from zero, then its root.
-    fn scalar_dists(x: &[f64], wt: &Matrix, root: bool) -> Vec<f64> {
+    fn scalar_dists(x: &[f64], wt: &Matrix) -> Vec<f64> {
         (0..wt.ncols())
             .map(|u| {
                 let mut acc = 0.0;
@@ -771,11 +454,7 @@ mod tests {
                     let t = xd - wt[(d, u)];
                     acc += t * t;
                 }
-                if root {
-                    acc.sqrt()
-                } else {
-                    acc
-                }
+                acc.sqrt()
             })
             .collect()
     }
@@ -797,11 +476,11 @@ mod tests {
     }
 
     /// [`exact_dists_wt_into`] on `tier` (the public dispatch for `None`).
-    fn scan_on(tier: Option<Tier>, x: &[f64], wt: &Matrix, root: bool, out: &mut [f64]) {
+    fn scan_on(tier: Option<Tier>, x: &[f64], wt: &Matrix, out: &mut [f64]) {
         match tier {
             // SAFETY: `sweep_tiers` lists only tiers this CPU runs.
-            Some(tier) => unsafe { sweep_on::<true, _>(tier, &mut &*wt, x, &[], x, root, out) },
-            None => exact_dists_wt_into(x, wt, root, out),
+            Some(tier) => unsafe { sweep_on::<true, _>(tier, &mut &*wt, x, &[], x, out) },
+            None => exact_dists_wt_into(x, wt, out),
         }
     }
 
@@ -811,19 +490,16 @@ mod tests {
         x: &[f64],
         h: &[f64],
         next: Option<&[f64]>,
-        root: bool,
         mut wt: &mut Matrix,
         dists: &mut [f64],
     ) {
         // SAFETY: `sweep_tiers` lists only tiers this CPU runs.
         match (tier, next) {
             (Some(tier), Some(next)) => unsafe {
-                sweep_on::<true, _>(tier, &mut wt, x, h, next, root, dists)
+                sweep_on::<true, _>(tier, &mut wt, x, h, next, dists)
             },
-            (Some(tier), None) => unsafe {
-                sweep_on::<false, _>(tier, &mut wt, x, h, x, root, dists)
-            },
-            (None, next) => online_step_wt(x, h, next, root, wt, dists),
+            (Some(tier), None) => unsafe { sweep_on::<false, _>(tier, &mut wt, x, h, x, dists) },
+            (None, next) => online_step_wt(x, h, next, wt, dists),
         }
     }
 
@@ -853,35 +529,33 @@ mod tests {
             // zero would give `-0.0 + 0·0.25 = +0.0`; the select keeps it.
             wt[(0, 0)] = -0.0;
             x[0] = 0.25;
-            for root in [false, true] {
-                let scalar = scalar_dists(&x, &wt, root);
+            let scalar = scalar_dists(&x, &wt);
+            for &(tier, on) in &tiers {
+                let mut scanned = vec![f64::NAN; units];
+                scan_on(on, &x, &wt, &mut scanned);
+                let case = format!("{tier} scan {units}x{dim}");
+                assert_eq!(bits(&scanned), bits(&scalar), "{case}");
+            }
+            for (label, next) in [
+                ("none", None),
+                ("x", Some(&x[..])),
+                ("other", Some(&other[..])),
+            ] {
+                let mut updated = wt.clone();
+                neighborhood_update_body(&x, &h, &mut updated);
+                // `None` leaves the distance buffer as it was.
+                let expected = match next {
+                    Some(next) => scalar_dists(next, &updated),
+                    None => vec![f64::NAN; units],
+                };
                 for &(tier, on) in &tiers {
-                    let mut scanned = vec![f64::NAN; units];
-                    scan_on(on, &x, &wt, root, &mut scanned);
-                    let case = format!("{tier} scan {units}x{dim} root={root}");
-                    assert_eq!(bits(&scanned), bits(&scalar), "{case}");
-                }
-                for (label, next) in [
-                    ("none", None),
-                    ("x", Some(&x[..])),
-                    ("other", Some(&other[..])),
-                ] {
-                    let mut updated = wt.clone();
-                    neighborhood_update_body(&x, &h, &mut updated);
-                    // `None` leaves the distance buffer as it was.
-                    let expected = match next {
-                        Some(next) => scalar_dists(next, &updated, root),
-                        None => vec![f64::NAN; units],
-                    };
-                    for &(tier, on) in &tiers {
-                        let case = format!("{tier} {units}x{dim} root={root} next={label}");
-                        let mut fused = wt.clone();
-                        let mut dists = vec![f64::NAN; units];
-                        step_on(on, &x, &h, next, root, &mut fused, &mut dists);
-                        assert_eq!(bits(fused.as_slice()), bits(updated.as_slice()), "{case}");
-                        assert_eq!(bits(&dists), bits(&expected), "{case}");
-                        assert_eq!(fused[(0, 0)].to_bits(), (-0.0f64).to_bits(), "{case}");
-                    }
+                    let case = format!("{tier} {units}x{dim} next={label}");
+                    let mut fused = wt.clone();
+                    let mut dists = vec![f64::NAN; units];
+                    step_on(on, &x, &h, next, &mut fused, &mut dists);
+                    assert_eq!(bits(fused.as_slice()), bits(updated.as_slice()), "{case}");
+                    assert_eq!(bits(&dists), bits(&expected), "{case}");
+                    assert_eq!(fused[(0, 0)].to_bits(), (-0.0f64).to_bits(), "{case}");
                 }
             }
         }
@@ -889,7 +563,7 @@ mod tests {
 
     #[test]
     fn online_kernels_match_the_scalar_formulas_bitwise() {
-        use crate::distance::Metric;
+        use crate::distance::euclidean;
         let (units, dim) = (37, 7);
         let wt = pseudo_matrix(dim, units, 21);
         let x = pseudo_matrix(1, dim, 22).into_vec();
@@ -898,7 +572,7 @@ mod tests {
         h[4] = 0.0;
         let column = |m: &Matrix, u: usize| (0..dim).map(|c| m[(c, u)]).collect::<Vec<f64>>();
         let mut updated = wt.clone();
-        online_step_wt(&x, &h, None, false, &mut updated, &mut []);
+        online_step_wt(&x, &h, None, &mut updated, &mut []);
         for u in 0..units {
             for (c, &xc) in x.iter().enumerate() {
                 let mut w = wt[(c, u)];
@@ -908,20 +582,18 @@ mod tests {
                 assert_eq!(updated[(c, u)].to_bits(), w.to_bits(), "unit {u} dim {c}");
             }
         }
-        for (metric, root) in [(Metric::SquaredEuclidean, false), (Metric::Euclidean, true)] {
-            let mut dists = vec![0.0; units];
-            exact_dists_wt_into(&x, &wt, root, &mut dists);
-            for (u, &d) in dists.iter().enumerate() {
-                let scalar = metric.distance(&x, &column(&wt, u)).unwrap();
-                assert_eq!(d.to_bits(), scalar.to_bits(), "{metric:?} unit {u}");
-            }
-            let mut fused = wt.clone();
-            online_step_wt(&x, &h, Some(&next), root, &mut fused, &mut dists);
-            assert_eq!(bits(fused.as_slice()), bits(updated.as_slice()));
-            for (u, &d) in dists.iter().enumerate() {
-                let scalar = metric.distance(&next, &column(&updated, u)).unwrap();
-                assert_eq!(d.to_bits(), scalar.to_bits(), "{metric:?} next, unit {u}");
-            }
+        let mut dists = vec![0.0; units];
+        exact_dists_wt_into(&x, &wt, &mut dists);
+        for (u, &d) in dists.iter().enumerate() {
+            let scalar = euclidean(&x, &column(&wt, u)).unwrap();
+            assert_eq!(d.to_bits(), scalar.to_bits(), "unit {u}");
+        }
+        let mut fused = wt;
+        online_step_wt(&x, &h, Some(&next), &mut fused, &mut dists);
+        assert_eq!(bits(fused.as_slice()), bits(updated.as_slice()));
+        for (u, &d) in dists.iter().enumerate() {
+            let scalar = euclidean(&next, &column(&updated, u)).unwrap();
+            assert_eq!(d.to_bits(), scalar.to_bits(), "next, unit {u}");
         }
     }
 

@@ -6,8 +6,8 @@
 //!
 //! * [`Matrix`] — a dense, row-major `f64` matrix with the operations the
 //!   workspace needs (products, transposes, row/column views, covariance).
-//! * [`distance`] — the Euclidean distance ([`distance::Metric`]) used by
-//!   the SOM's best-matching-unit search and by the clustering linkage
+//! * [`distance`] — the Euclidean distance ([`distance::euclidean`]) used
+//!   by the SOM's best-matching-unit search and by the clustering linkage
 //!   rules, and the pairwise distance matrix.
 //! * [`stats`] — descriptive statistics (means, variance, correlation,
 //!   percentiles) used throughout.
@@ -18,9 +18,9 @@
 //!   (the paper initializes unit weights from the two major principal
 //!   components) and as the dimension-reduction baseline the paper compares
 //!   SOM against.
-//! * [`kernels`] — cache-blocked compute kernels (matmul/syrk, and the one
-//!   exact codebook sweep behind every SOM search and the online step)
-//!   behind the hot paths.
+//! * [`kernels`] — the compute kernels behind the hot paths: the symmetric
+//!   product `MᵀM` (covariance and the dual-PCA Gram matrix) and the one
+//!   exact codebook sweep behind every SOM search and the online step.
 //! * [`cells`] — rows grouped by bit pattern, the one grouping behind
 //!   duplicate-row validation, cell-level clustering and the silhouette.
 //!

@@ -296,17 +296,31 @@ impl Matrix {
         self.cols = rows;
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// Runs the cache-blocked kernel from [`crate::kernels`]; results are
-    /// bitwise identical to the naive triple loop for finite inputs (the
-    /// per-cell summation order is preserved), just faster.
+    /// Matrix product `self * rhs`: the plain triple loop, each output
+    /// cell summed in ascending `k` from zero. No stage runs it on a hot
+    /// path; it is the oracle [`crate::kernels::syrk_rows`] is held to.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.ncols() != rhs.nrows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        crate::kernels::matmul(self, rhs)
+        if self.ncols() != rhs.nrows() {
+            return Err(LinalgError::ShapeMismatch {
+                left: self.shape(),
+                right: rhs.shape(),
+                op: "matmul",
+            });
+        }
+        let mut out = Matrix::zeros(self.nrows(), rhs.ncols());
+        for i in 0..self.nrows() {
+            for k in 0..self.ncols() {
+                let av = self[(i, k)];
+                for j in 0..rhs.ncols() {
+                    out[(i, j)] += av * rhs[(k, j)];
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Matrix-vector product `self * v`.

@@ -65,18 +65,6 @@ pub enum ParallelError<E> {
     },
 }
 
-impl<E> ParallelError<E> {
-    /// Maps the task-error type, leaving panics untouched.
-    pub fn map_task<F, G: FnOnce(E) -> F>(self, f: G) -> ParallelError<F> {
-        match self {
-            ParallelError::Task(e) => ParallelError::Task(f(e)),
-            ParallelError::WorkerPanic { chunk, payload } => {
-                ParallelError::WorkerPanic { chunk, payload }
-            }
-        }
-    }
-}
-
 impl<E: fmt::Display> fmt::Display for ParallelError<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -796,7 +784,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_error_display_and_map_task() {
+    fn parallel_error_display() {
         let p: ParallelError<String> = ParallelError::WorkerPanic {
             chunk: 2,
             payload: "boom".into(),
@@ -804,12 +792,5 @@ mod tests {
         assert_eq!(p.to_string(), "worker panicked in chunk 2: boom");
         let t: ParallelError<String> = ParallelError::Task("bad".into());
         assert_eq!(t.to_string(), "bad");
-        let mapped = t.map_task(|s| format!("wrapped: {s}"));
-        assert_eq!(mapped, ParallelError::Task("wrapped: bad".to_owned()));
-        let mapped_panic = p.map_task(|s| s);
-        assert!(matches!(
-            mapped_panic,
-            ParallelError::WorkerPanic { chunk: 2, .. }
-        ));
     }
 }

@@ -125,7 +125,8 @@ impl Pca {
                 row[c] -= means[c];
             }
         }
-        let gram = xc.matmul(&xc.transpose())?.scaled(1.0 / (n as f64 - 1.0));
+        // Xc Xcᵀ is the symmetric product of Xcᵀ with itself.
+        let gram = crate::kernels::syrk_rows(&xc.transpose()).scaled(1.0 / (n as f64 - 1.0));
         let eigen = jacobi_eigen(&gram)?;
         let total_variance: f64 = eigen.values.iter().map(|v| v.max(0.0)).sum();
 

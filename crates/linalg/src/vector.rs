@@ -22,7 +22,13 @@ use crate::LinalgError;
 /// # }
 /// ```
 pub fn dot(a: &[f64], b: &[f64]) -> Result<f64, LinalgError> {
-    check_same_len(a, b, "dot")?;
+    if a.len() != b.len() {
+        return Err(LinalgError::ShapeMismatch {
+            left: (a.len(), 1),
+            right: (b.len(), 1),
+            op: "dot",
+        });
+    }
     Ok(a.iter().zip(b).map(|(x, y)| x * y).sum())
 }
 
@@ -31,73 +37,9 @@ pub fn norm(a: &[f64]) -> f64 {
     a.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
-/// Element-wise sum `a + b`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if lengths differ.
-pub fn add(a: &[f64], b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    check_same_len(a, b, "add")?;
-    Ok(a.iter().zip(b).map(|(x, y)| x + y).collect())
-}
-
-/// Element-wise difference `a - b`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if lengths differ.
-pub fn sub(a: &[f64], b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    check_same_len(a, b, "sub")?;
-    Ok(a.iter().zip(b).map(|(x, y)| x - y).collect())
-}
-
 /// Scales every element by `s`.
 pub fn scale(a: &[f64], s: f64) -> Vec<f64> {
     a.iter().map(|x| x * s).collect()
-}
-
-/// Linear interpolation `a + t * (b - a)`, the SOM weight-update primitive.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if lengths differ.
-pub fn lerp(a: &[f64], b: &[f64], t: f64) -> Result<Vec<f64>, LinalgError> {
-    check_same_len(a, b, "lerp")?;
-    Ok(a.iter().zip(b).map(|(x, y)| x + t * (y - x)).collect())
-}
-
-/// In-place SOM-style update: `w += h * (x - w)`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if lengths differ.
-pub fn update_towards(w: &mut [f64], x: &[f64], h: f64) -> Result<(), LinalgError> {
-    check_same_len(w, x, "update_towards")?;
-    for (wi, xi) in w.iter_mut().zip(x) {
-        *wi += h * (xi - *wi);
-    }
-    Ok(())
-}
-
-/// Normalizes to unit L2 norm; returns the original vector if its norm is 0.
-pub fn normalized(a: &[f64]) -> Vec<f64> {
-    let n = norm(a);
-    if n == 0.0 {
-        a.to_vec()
-    } else {
-        scale(a, 1.0 / n)
-    }
-}
-
-fn check_same_len(a: &[f64], b: &[f64], op: &'static str) -> Result<(), LinalgError> {
-    if a.len() != b.len() {
-        return Err(LinalgError::ShapeMismatch {
-            left: (a.len(), 1),
-            right: (b.len(), 1),
-            op,
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -118,45 +60,5 @@ mod tests {
     fn norm_pythagorean() {
         assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(norm(&[]), 0.0);
-    }
-
-    #[test]
-    fn add_sub_inverse() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [0.5, 0.5, 0.5];
-        let s = add(&a, &b).unwrap();
-        let back = sub(&s, &b).unwrap();
-        assert_eq!(back, a.to_vec());
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = [0.0, 10.0];
-        let b = [10.0, 0.0];
-        assert_eq!(lerp(&a, &b, 0.0).unwrap(), a.to_vec());
-        assert_eq!(lerp(&a, &b, 1.0).unwrap(), b.to_vec());
-        assert_eq!(lerp(&a, &b, 0.5).unwrap(), vec![5.0, 5.0]);
-    }
-
-    #[test]
-    fn update_towards_full_step_reaches_target() {
-        let mut w = vec![0.0, 0.0];
-        update_towards(&mut w, &[2.0, 4.0], 1.0).unwrap();
-        assert_eq!(w, vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn update_towards_half_step() {
-        let mut w = vec![0.0, 0.0];
-        update_towards(&mut w, &[2.0, 4.0], 0.5).unwrap();
-        assert_eq!(w, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn normalized_unit_norm() {
-        let v = normalized(&[3.0, 4.0]);
-        assert!((norm(&v) - 1.0).abs() < 1e-12);
-        // Zero vector passes through unchanged.
-        assert_eq!(normalized(&[0.0, 0.0]), vec![0.0, 0.0]);
     }
 }

@@ -1,11 +1,11 @@
 //! Property-based tests for the blocked compute kernels.
 //!
-//! The kernel layer's contract is not "close enough": the blocked matmul
-//! and syrk preserve the reference loop's accumulation order, and the
-//! codebook sweep runs the scalar distance formula's own operations, so
-//! each is *bitwise* identical to its reference.
+//! The kernel layer's contract is not "close enough": syrk preserves the
+//! plain matrix product's accumulation order, and the codebook sweep runs
+//! the scalar distance formula's own operations, so each is *bitwise*
+//! identical to its reference.
 
-use hiermeans_linalg::distance::Metric;
+use hiermeans_linalg::distance::euclidean;
 use hiermeans_linalg::kernels;
 use hiermeans_linalg::Matrix;
 use proptest::prelude::*;
@@ -26,35 +26,11 @@ fn any_shape_matrix(
 
 proptest! {
     #[test]
-    fn blocked_matmul_is_bitwise_equal_to_reference(
-        a in any_shape_matrix(1..20, 1..90),
-        bcols in 1usize..20,
-        seed in 0u64..u64::MAX,
-    ) {
-        // Build a compatible right-hand side from the seed so both
-        // operand shapes vary independently.
-        let k = a.ncols();
-        let mut state = seed | 1;
-        let data: Vec<f64> = (0..k * bcols)
-            .map(|_| {
-                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-            })
-            .collect();
-        let b = Matrix::from_vec(k, bcols, data).expect("len matches");
-        let blocked = kernels::matmul(&a, &b).unwrap();
-        let reference = kernels::matmul_reference(&a, &b).unwrap();
-        // Not approximate equality: identical accumulation order means
-        // identical bits.
-        prop_assert_eq!(blocked.as_slice(), reference.as_slice());
-    }
-
-    #[test]
     fn syrk_is_bitwise_equal_to_transpose_matmul(m in any_shape_matrix(1..80, 1..12)) {
         let syrk = kernels::syrk_rows(&m);
         // (MᵀM)[i][j] accumulates over rows in ascending order in both
         // implementations, so the Gram matrix matches bit for bit.
-        let reference = kernels::matmul_reference(&m.transpose(), &m).unwrap();
+        let reference = m.transpose().matmul(&m).unwrap();
         prop_assert_eq!(syrk.as_slice(), reference.as_slice());
     }
 
@@ -73,12 +49,10 @@ proptest! {
             .collect();
         let wt = w.transpose();
         let mut dists = vec![f64::NAN; w.nrows()];
-        for (metric, root) in [(Metric::SquaredEuclidean, false), (Metric::Euclidean, true)] {
-            kernels::exact_dists_wt_into(&x, &wt, root, &mut dists);
-            for (u, &d) in dists.iter().enumerate() {
-                let scalar = metric.distance(&x, w.row(u)).unwrap();
-                prop_assert_eq!(d.to_bits(), scalar.to_bits(), "{:?} unit {}", metric, u);
-            }
+        kernels::exact_dists_wt_into(&x, &wt, &mut dists);
+        for (u, &d) in dists.iter().enumerate() {
+            let scalar = euclidean(&x, w.row(u)).unwrap();
+            prop_assert_eq!(d.to_bits(), scalar.to_bits(), "unit {}", u);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use hiermeans_linalg::distance::{pairwise, pairwise_serial, Metric};
+use hiermeans_linalg::distance::{euclidean, pairwise, pairwise_serial};
 use hiermeans_linalg::parallel;
 use hiermeans_linalg::scale::{MinMaxScaler, Standardizer};
 use hiermeans_linalg::{eigen, pca::Pca, stats, vector, Matrix};
@@ -18,15 +18,14 @@ fn finite_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
 proptest! {
     #[test]
     fn euclidean_metric_axioms(a in finite_vec(5), b in finite_vec(5), c in finite_vec(5)) {
-        let m = Metric::Euclidean;
-        let dab = m.distance(&a, &b).unwrap();
-        let dba = m.distance(&b, &a).unwrap();
-        let dac = m.distance(&a, &c).unwrap();
-        let dcb = m.distance(&c, &b).unwrap();
+        let dab = euclidean(&a, &b).unwrap();
+        let dba = euclidean(&b, &a).unwrap();
+        let dac = euclidean(&a, &c).unwrap();
+        let dcb = euclidean(&c, &b).unwrap();
         // Symmetry, non-negativity, identity, triangle inequality.
         prop_assert!((dab - dba).abs() < 1e-9);
         prop_assert!(dab >= 0.0);
-        prop_assert!(m.distance(&a, &a).unwrap() == 0.0);
+        prop_assert!(euclidean(&a, &a).unwrap() == 0.0);
         prop_assert!(dab <= dac + dcb + 1e-9);
     }
 
@@ -111,8 +110,8 @@ proptest! {
         let t = pca.transform(&m).unwrap();
         for i in 0..6 {
             for j in (i + 1)..6 {
-                let d0 = Metric::Euclidean.distance(m.row(i), m.row(j)).unwrap();
-                let d1 = Metric::Euclidean.distance(t.row(i), t.row(j)).unwrap();
+                let d0 = euclidean(m.row(i), m.row(j)).unwrap();
+                let d1 = euclidean(t.row(i), t.row(j)).unwrap();
                 prop_assert!((d0 - d1).abs() < 1e-6 * (1.0 + d0));
             }
         }
@@ -153,13 +152,11 @@ proptest! {
         // Force multiple workers so the threaded path is exercised even on
         // single-core machines (pairwise dispatches serially there).
         parallel::set_worker_override(Some(4));
-        for metric in [Metric::Euclidean, Metric::SquaredEuclidean] {
-            let par = pairwise(&m, metric).unwrap();
-            let ser = pairwise_serial(&m, metric).unwrap();
-            // Bit-for-bit: every entry is computed independently, so
-            // scheduling cannot perturb a single ULP.
-            prop_assert_eq!(par, ser);
-        }
+        let par = pairwise(&m).unwrap();
+        let ser = pairwise_serial(&m).unwrap();
+        // Bit-for-bit: every entry is computed independently, so
+        // scheduling cannot perturb a single ULP.
+        prop_assert_eq!(par, ser);
         parallel::set_worker_override(None);
     }
 

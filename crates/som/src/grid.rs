@@ -169,62 +169,83 @@ impl Grid {
     /// Indices of the immediate lattice neighbors of `index`.
     ///
     /// For rectangular grids these are the 4-connected neighbors; for
-    /// hexagonal grids the (up to) 6 adjacent cells.
+    /// hexagonal grids the (up to) 6 adjacent cells; on the torus the
+    /// wrap-around 4-connected neighbors, sorted and without repeats.
     pub fn neighbors(&self, index: usize) -> Vec<usize> {
-        let (col, row) = self.coords(index);
-        let (c, r) = (col as isize, row as isize);
-        let (w, h) = (self.width as isize, self.height as isize);
+        let (units, len) = self.neighbor_list(index);
+        let mut out = units[..len].to_vec();
         if self.topology == GridTopology::Toroidal {
-            // Wrap-around 4-connectivity; dedupe for degenerate 1- or 2-wide
-            // grids where wrapping collides.
-            let mut out: Vec<usize> = [(c - 1, r), (c + 1, r), (c, r - 1), (c, r + 1)]
-                .into_iter()
-                .map(|(cc, rr)| self.index(cc.rem_euclid(w) as usize, rr.rem_euclid(h) as usize))
-                .filter(|&n| n != index)
-                .collect();
             out.sort_unstable();
             out.dedup();
-            return out;
         }
-        let candidates: Vec<(isize, isize)> = match self.topology {
-            GridTopology::Rectangular | GridTopology::Toroidal => {
-                vec![(c - 1, r), (c + 1, r), (c, r - 1), (c, r + 1)]
-            }
-            GridTopology::Hexagonal => {
-                // Offset coordinates: odd rows are shifted right.
-                if row % 2 == 0 {
-                    vec![
-                        (c - 1, r),
-                        (c + 1, r),
-                        (c - 1, r - 1),
-                        (c, r - 1),
-                        (c - 1, r + 1),
-                        (c, r + 1),
-                    ]
-                } else {
-                    vec![
-                        (c - 1, r),
-                        (c + 1, r),
-                        (c, r - 1),
-                        (c + 1, r - 1),
-                        (c, r + 1),
-                        (c + 1, r + 1),
-                    ]
-                }
-            }
-        };
-        candidates
-            .into_iter()
-            .filter(|&(cc, rr)| {
-                cc >= 0 && rr >= 0 && (cc as usize) < self.width && (rr as usize) < self.height
-            })
-            .map(|(cc, rr)| self.index(cc as usize, rr as usize))
-            .collect()
+        out
     }
 
     /// Returns `true` if units `a` and `b` are immediate lattice neighbors.
+    /// Every map-quality row asks this, so it reads [`Grid::neighbors`]'s
+    /// list without allocating.
     pub fn are_neighbors(&self, a: usize, b: usize) -> bool {
-        self.neighbors(a).contains(&b)
+        let (units, len) = self.neighbor_list(a);
+        units[..len].contains(&b)
+    }
+
+    /// The lattice neighbors of `index` as a fixed-size list: its first
+    /// `len` entries, in candidate order. Off-grid candidates are dropped;
+    /// on the torus candidates wrap around, one that wraps onto `index`
+    /// itself (a grid one unit wide or tall) is dropped, and on grids two
+    /// units wide or tall two candidates can name the same unit.
+    fn neighbor_list(&self, index: usize) -> ([usize; 6], usize) {
+        let (col, row) = self.coords(index);
+        let (c, r) = (col as isize, row as isize);
+        let (w, h) = (self.width as isize, self.height as isize);
+        let mut units = [0; 6];
+        let mut len = 0;
+        let mut push = |(cc, rr): (isize, isize)| {
+            let unit = if self.topology == GridTopology::Toroidal {
+                self.index(cc.rem_euclid(w) as usize, rr.rem_euclid(h) as usize)
+            } else if (0..w).contains(&cc) && (0..h).contains(&rr) {
+                self.index(cc as usize, rr as usize)
+            } else {
+                return;
+            };
+            if unit != index {
+                units[len] = unit;
+                len += 1;
+            }
+        };
+        match self.topology {
+            GridTopology::Rectangular | GridTopology::Toroidal => {
+                [(c - 1, r), (c + 1, r), (c, r - 1), (c, r + 1)]
+                    .into_iter()
+                    .for_each(&mut push);
+            }
+            // Offset coordinates: odd rows are shifted right.
+            GridTopology::Hexagonal if row % 2 == 0 => {
+                [
+                    (c - 1, r),
+                    (c + 1, r),
+                    (c - 1, r - 1),
+                    (c, r - 1),
+                    (c - 1, r + 1),
+                    (c, r + 1),
+                ]
+                .into_iter()
+                .for_each(&mut push);
+            }
+            GridTopology::Hexagonal => {
+                [
+                    (c - 1, r),
+                    (c + 1, r),
+                    (c, r - 1),
+                    (c + 1, r - 1),
+                    (c, r + 1),
+                    (c + 1, r + 1),
+                ]
+                .into_iter()
+                .for_each(&mut push);
+            }
+        }
+        (units, len)
     }
 
     /// The longest distance between any two unit locations (the map
@@ -287,15 +308,20 @@ mod tests {
 
     #[test]
     fn are_neighbors_symmetric() {
-        for topo in [GridTopology::Rectangular, GridTopology::Hexagonal] {
-            let g = Grid::new(4, 4, topo);
-            for a in 0..g.len() {
-                for b in 0..g.len() {
-                    assert_eq!(
-                        g.are_neighbors(a, b),
-                        g.are_neighbors(b, a),
-                        "{topo:?} {a} {b}"
-                    );
+        for topo in [
+            GridTopology::Rectangular,
+            GridTopology::Hexagonal,
+            GridTopology::Toroidal,
+        ] {
+            for (w, h) in [(4, 4), (1, 5), (5, 1), (2, 2), (3, 3), (5, 4), (1, 1)] {
+                let g = Grid::new(w, h, topo);
+                for a in 0..g.len() {
+                    let ns = g.neighbors(a);
+                    for b in 0..g.len() {
+                        let case = format!("{topo:?} {w}x{h} {a} {b}");
+                        assert_eq!(g.are_neighbors(a, b), g.are_neighbors(b, a), "{case}");
+                        assert_eq!(g.are_neighbors(a, b), ns.contains(&b), "{case}");
+                    }
                 }
             }
         }

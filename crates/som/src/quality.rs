@@ -161,6 +161,7 @@ pub fn topographic_error(som: &Som, data: &Matrix) -> Result<f64, SomError> {
 mod tests {
     use super::*;
     use crate::SomBuilder;
+    use hiermeans_linalg::distance::euclidean;
 
     fn data() -> Matrix {
         Matrix::from_rows(&[
@@ -280,10 +281,7 @@ mod tests {
             assert_eq!(hit.best, som.bmu(data().row(r)).unwrap());
             let (b1, b2) = som.bmu2(data().row(r)).unwrap();
             assert_eq!((hit.best, hit.second), (b1, b2));
-            let d = som
-                .metric()
-                .distance(data().row(r), som.weights().row(hit.best))
-                .unwrap();
+            let d = euclidean(data().row(r), som.weights().row(hit.best)).unwrap();
             assert_eq!(hit.best_distance, d);
         }
     }

@@ -5,6 +5,7 @@
 //! values mark cluster boundaries on the map; low values mark dense regions —
 //! this is how SOM maps like the paper's Figures 3, 5 and 7 are read.
 
+use hiermeans_linalg::distance::euclidean;
 use hiermeans_linalg::Matrix;
 
 use crate::train::Som;
@@ -14,7 +15,7 @@ use crate::SomError;
 ///
 /// # Errors
 ///
-/// Propagates metric evaluation errors (cannot occur for a well-formed map).
+/// Propagates distance evaluation errors (cannot occur for a well-formed map).
 ///
 /// # Example
 ///
@@ -37,9 +38,7 @@ pub fn u_matrix(som: &Som) -> Result<Matrix, SomError> {
         let neighbors = grid.neighbors(unit);
         let mut total = 0.0;
         for &n in &neighbors {
-            total += som
-                .metric()
-                .distance(som.weights().row(unit), som.weights().row(n))
+            total += euclidean(som.weights().row(unit), som.weights().row(n))
                 .map_err(SomError::Linalg)?;
         }
         let (col, row) = grid.coords(unit);

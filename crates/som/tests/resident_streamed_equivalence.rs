@@ -8,7 +8,6 @@
 //! **bitwise** identical, including across the 4096-row strip boundary.
 //! Worker-count invariance of both paths is pinned in `batch_workers.rs`.
 
-use hiermeans_linalg::distance::Metric;
 use hiermeans_linalg::Matrix;
 use hiermeans_som::{Initializer, SomBuilder, TrainingMode};
 use proptest::prelude::*;
@@ -33,22 +32,18 @@ fn blobs(n: usize, dim: usize) -> Matrix {
 
 proptest! {
     /// Resident and streamed batch training over the same rows train the
-    /// same map: weights, BMU indices and distance bits, under either
-    /// metric.
+    /// same map: weights, BMU indices and distance bits.
     #[test]
     fn resident_training_matches_streamed_training_bitwise(
         data in finite_matrix(20, 3),
         seed in 0u64..1000,
         epochs in 1usize..16,
-        squared in 0u8..2,
     ) {
-        let metric = if squared == 0 { Metric::Euclidean } else { Metric::SquaredEuclidean };
         let builder = SomBuilder::new(3, 4)
             .seed(seed)
             .epochs(epochs)
             .mode(TrainingMode::Batch)
-            .initializer(Initializer::Random)
-            .metric(metric);
+            .initializer(Initializer::Random);
         let resident = builder.train(&data).unwrap();
         let streamed = builder.train_stream(&mut &data).unwrap();
         prop_assert_eq!(streamed.weights().as_slice(), resident.weights().as_slice());

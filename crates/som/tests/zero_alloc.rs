@@ -16,7 +16,6 @@
 //! not race into the measurement window. Training is pinned serial, so its
 //! allocations all happen on this thread.
 
-use hiermeans_linalg::distance::Metric;
 use hiermeans_linalg::{parallel, Matrix};
 use hiermeans_obs::memhook::{self, TrackingAlloc};
 use hiermeans_obs::{Collector, ObsConfig};
@@ -43,21 +42,20 @@ fn sample_data() -> Matrix {
     Matrix::from_rows(&rows).unwrap()
 }
 
-fn allocations_for(mode: TrainingMode, metric: Metric, epochs: usize) -> u64 {
+fn allocations_for(mode: TrainingMode, epochs: usize) -> u64 {
     let data = sample_data();
     allocations_during(|| {
         let som = SomBuilder::new(4, 4)
             .seed(11)
             .epochs(epochs)
             .mode(mode)
-            .metric(metric)
             .train(&data)
             .unwrap();
         std::hint::black_box(&som);
     })
 }
 
-fn allocations_for_lanes(mode: TrainingMode, metric: Metric, epochs: usize) -> u64 {
+fn allocations_for_lanes(mode: TrainingMode, epochs: usize) -> u64 {
     let data = sample_data();
     allocations_during(|| {
         // Lanes on, quality sampling off: the configuration `repro profile`
@@ -76,7 +74,6 @@ fn allocations_for_lanes(mode: TrainingMode, metric: Metric, epochs: usize) -> u
             .seed(11)
             .epochs(epochs)
             .mode(mode)
-            .metric(metric)
             .train_traced(&data, &collector)
             .unwrap();
         std::hint::black_box(&som);
@@ -105,21 +102,15 @@ fn steady_state_epochs_allocate_nothing() {
     // Pin to one worker so the serial path is taken regardless of the
     // machine the test runs on.
     parallel::set_worker_override(Some(1));
-    let configs = [
-        (TrainingMode::Online, Metric::Euclidean),
-        (TrainingMode::Online, Metric::SquaredEuclidean),
-        (TrainingMode::Batch, Metric::Euclidean),
-        (TrainingMode::Batch, Metric::SquaredEuclidean),
-    ];
-    for (mode, metric) in configs {
+    for mode in [TrainingMode::Online, TrainingMode::Batch] {
         // Warm-up run absorbs one-time lazy initialization anywhere in the
         // process (thread-local RNG state, allocator internals).
-        allocations_for(mode, metric, 1);
-        let one = allocations_for(mode, metric, 1);
-        let many = allocations_for(mode, metric, 51);
+        allocations_for(mode, 1);
+        let one = allocations_for(mode, 1);
+        let many = allocations_for(mode, 51);
         assert_eq!(
             many, one,
-            "{mode:?}/{metric:?}: 51 epochs allocated {many}, 1 epoch {one} — \
+            "{mode:?}: 51 epochs allocated {many}, 1 epoch {one} — \
              steady-state epochs must not allocate"
         );
     }
@@ -132,19 +123,13 @@ fn steady_state_epochs_allocate_nothing() {
 #[test]
 fn steady_state_epochs_allocate_nothing_with_lanes_enabled() {
     parallel::set_worker_override(Some(1));
-    let configs = [
-        (TrainingMode::Online, Metric::Euclidean),
-        (TrainingMode::Online, Metric::SquaredEuclidean),
-        (TrainingMode::Batch, Metric::Euclidean),
-        (TrainingMode::Batch, Metric::SquaredEuclidean),
-    ];
-    for (mode, metric) in configs {
-        allocations_for_lanes(mode, metric, 1);
-        let one = allocations_for_lanes(mode, metric, 1);
-        let many = allocations_for_lanes(mode, metric, 51);
+    for mode in [TrainingMode::Online, TrainingMode::Batch] {
+        allocations_for_lanes(mode, 1);
+        let one = allocations_for_lanes(mode, 1);
+        let many = allocations_for_lanes(mode, 51);
         assert_eq!(
             many, one,
-            "{mode:?}/{metric:?} with lanes: 51 epochs allocated {many}, 1 epoch {one} — \
+            "{mode:?} with lanes: 51 epochs allocated {many}, 1 epoch {one} — \
              lane recording must not allocate in steady state"
         );
     }

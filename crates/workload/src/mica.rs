@@ -215,7 +215,7 @@ pub fn characterize_paper_suite(seed: u64) -> Result<(Vec<String>, Matrix), Work
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hiermeans_linalg::distance::Metric;
+    use hiermeans_linalg::distance::euclidean;
 
     #[test]
     fn feature_count_consistent() {
@@ -252,7 +252,7 @@ mod tests {
         // The paper's expectation: microarchitecture-independent features
         // keep the SciMark2 kernels together across machines.
         let (_, m) = characterize_paper_suite(1).unwrap();
-        let d = |a: usize, b: usize| Metric::Euclidean.distance(m.row(a), m.row(b)).unwrap();
+        let d = |a: usize, b: usize| euclidean(m.row(a), m.row(b)).unwrap();
         let mut max_within = 0.0f64;
         for i in 5..=9 {
             for j in (i + 1)..=9 {

@@ -10,7 +10,6 @@
 use hiermeans::cluster::{agglomerative, Linkage};
 use hiermeans::core::hierarchical::hierarchical_mean_of;
 use hiermeans::core::means::{geometric_mean, Mean};
-use hiermeans::linalg::distance::Metric;
 use hiermeans::linalg::scale::Standardizer;
 use hiermeans::linalg::Matrix;
 use hiermeans::obs::Collector;
@@ -57,12 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>(),
     )?;
     let vectors = Standardizer::fit_transform(&raw)?;
-    let dendrogram = agglomerative::cluster(
-        &vectors,
-        Metric::Euclidean,
-        Linkage::Complete,
-        &Collector::disabled(),
-    )?;
+    let dendrogram = agglomerative::cluster(&vectors, Linkage::Complete, &Collector::disabled())?;
 
     println!("workload speedups over the reference machine:");
     for (i, (name, _)) in workloads.iter().enumerate() {

@@ -55,13 +55,8 @@ fn streamed_pipeline_som_recovers_planted_clusters() {
 
     let config = PipelineConfig::default();
     let positions = som.project(&suite.points).unwrap();
-    let dendrogram = agglomerative::cluster(
-        &positions,
-        config.metric,
-        config.linkage,
-        &Collector::disabled(),
-    )
-    .unwrap();
+    let dendrogram =
+        agglomerative::cluster(&positions, config.linkage, &Collector::disabled()).unwrap();
     let planted = ClusterAssignment::from_labels(&suite.labels).unwrap();
     let agreement = dendrogram
         .cut_into(k)

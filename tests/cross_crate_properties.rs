@@ -5,7 +5,6 @@ use hiermeans::cluster::{agglomerative, Linkage};
 use hiermeans::core::hierarchical::{ham, hgm, hhm, hierarchical_mean_of};
 use hiermeans::core::means::{geometric_mean, Mean};
 use hiermeans::core::redundancy::implied_weights;
-use hiermeans::linalg::distance::Metric;
 use hiermeans::linalg::Matrix;
 use hiermeans::obs::Collector;
 use proptest::prelude::*;
@@ -107,7 +106,7 @@ proptest! {
     ) {
         let rows: Vec<Vec<f64>> = coords.iter().map(|&(x, y)| vec![x, y]).collect();
         let pts = Matrix::from_rows(&rows).unwrap();
-        let d = agglomerative::cluster(&pts, Metric::Euclidean, Linkage::Complete, &Collector::disabled()).unwrap();
+        let d = agglomerative::cluster(&pts, Linkage::Complete, &Collector::disabled()).unwrap();
         for k in 1..=coords.len() {
             let cut = d.cut_into(k).unwrap();
             prop_assert_eq!(cut.n_clusters(), k);
@@ -125,8 +124,8 @@ proptest! {
     ) {
         let rows: Vec<Vec<f64>> = coords.iter().map(|&(x, y)| vec![x, y]).collect();
         let pts = Matrix::from_rows(&rows).unwrap();
-        let complete = agglomerative::cluster(&pts, Metric::Euclidean, Linkage::Complete, &Collector::disabled()).unwrap();
-        let single = agglomerative::cluster(&pts, Metric::Euclidean, Linkage::Single, &Collector::disabled()).unwrap();
+        let complete = agglomerative::cluster(&pts, Linkage::Complete, &Collector::disabled()).unwrap();
+        let single = agglomerative::cluster(&pts, Linkage::Single, &Collector::disabled()).unwrap();
         // The final (root) merge distance under complete linkage is at least
         // the one under single linkage.
         let last = |d: &hiermeans::cluster::Dendrogram| d.merges().last().unwrap().distance;

@@ -6,7 +6,6 @@ use hiermeans::core::hierarchical::hgm;
 use hiermeans::core::means::{geometric_mean, Mean};
 use hiermeans::core::pipeline::{run_pipeline, PipelineConfig};
 use hiermeans::core::CoreError;
-use hiermeans::linalg::distance::Metric;
 use hiermeans::linalg::scale::Standardizer;
 use hiermeans::linalg::{LinalgError, Matrix};
 use hiermeans::obs::Collector;
@@ -98,13 +97,7 @@ fn clustering_rejects_bad_distance_matrices() {
         ClusterError::InvalidDistanceMatrix { .. }
     ));
     let nan_pts = Matrix::from_rows(&[vec![f64::NAN], vec![1.0]]).unwrap();
-    assert!(agglomerative::cluster(
-        &nan_pts,
-        Metric::Euclidean,
-        Linkage::Complete,
-        &Collector::disabled()
-    )
-    .is_err());
+    assert!(agglomerative::cluster(&nan_pts, Linkage::Complete, &Collector::disabled()).is_err());
 }
 
 #[test]

@@ -5,7 +5,6 @@
 use hiermeans::cluster::{agglomerative, ClusterAssignment, Dendrogram, Linkage};
 use hiermeans::core::analysis::SuiteAnalysis;
 use hiermeans::core::report::StudyReport;
-use hiermeans::linalg::distance::Metric;
 use hiermeans::linalg::Matrix;
 use hiermeans::obs::Collector;
 use hiermeans::som::{Som, SomBuilder};
@@ -51,13 +50,7 @@ fn trained_som_roundtrip() {
 
 #[test]
 fn dendrogram_roundtrip() {
-    let d = agglomerative::cluster(
-        &points(),
-        Metric::Euclidean,
-        Linkage::Complete,
-        &Collector::disabled(),
-    )
-    .unwrap();
+    let d = agglomerative::cluster(&points(), Linkage::Complete, &Collector::disabled()).unwrap();
     let json = serde_json::to_string(&d).unwrap();
     let back: Dendrogram = serde_json::from_str(&json).unwrap();
     assert_eq!(d, back);
