@@ -46,7 +46,7 @@ fn peak_heap(n: usize, dim: usize, side: usize, workers: Option<usize>) -> (usiz
         train_som_streaming(&mut source, &config).expect("streaming training succeeds")
     });
     parallel::set_worker_override(None);
-    (som.weights().nrows(), peak)
+    (som.grid().len(), peak)
 }
 
 fn ceiling_run(n: usize, dim: usize, ceiling_bytes: i64, workers: Option<usize>) {

@@ -8,7 +8,7 @@
 //!   cell is summed in ascending row order, the association of the plain
 //!   [`Matrix::matmul`] loop on `Mᵀ` and `M`.
 //! * [`exact_dists_wt_into`] / [`online_step_wt`] — one sweep over a
-//!   unit-major (transposed) codebook, vectorized across units (AVX-512,
+//!   unit-major codebook, vectorized across units (AVX-512,
 //!   AVX2 or portable, picked at run time; [`sweep_tier`] names it). The
 //!   scan-only build gives every unit's exact Euclidean distance to a
 //!   query, with the scalar formula's own operations; the online build
@@ -75,7 +75,7 @@ pub fn syrk_rows(m: &Matrix) -> Matrix {
 /// vectors of accumulators, held in registers across the whole `d` loop.
 const UNIT_BLOCK: usize = 16;
 
-/// Exact distances from `x` to every unit of a transposed codebook `wt`
+/// Exact distances from `x` to every unit of a unit-major codebook `wt`
 /// (`dim x units`): `out[u]` is the square root of `Σ_d (x[d] − wt[d][u])²`,
 /// summed in ascending `d` from zero.
 ///
@@ -133,7 +133,7 @@ pub fn best_two(values: &[f64]) -> ((usize, f64), (usize, f64)) {
     (best, second)
 }
 
-/// One online SOM step against a transposed codebook `wt` (`dim x units`),
+/// One online SOM step against a unit-major codebook `wt` (`dim x units`),
 /// in one sweep over the codebook.
 ///
 /// It applies the neighborhood update `wt[d][u] = wt[d][u] + h[u]·(x[d] −
@@ -265,7 +265,7 @@ unsafe fn sweep_avx2<const SCAN: bool, W: Codebook>(
     sweep::<SCAN, W>(wt, x, h, next, dists);
 }
 
-/// A transposed codebook as [`sweep`] walks it: read as it is (`&Matrix`,
+/// A unit-major codebook as [`sweep`] walks it: read as it is (`&Matrix`,
 /// the scan-only build) or moved by the online update (`&mut Matrix`).
 trait Codebook {
     /// The number of units (columns).

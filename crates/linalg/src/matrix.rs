@@ -244,58 +244,6 @@ impl Matrix {
         t
     }
 
-    /// Writes the transpose into `out` without allocating.
-    ///
-    /// This is the reuse-a-scratch-buffer form of [`Matrix::transpose`] for
-    /// per-epoch codebook preparation, where the transposed matrix is
-    /// rebuilt every epoch into the same allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.shape() != (self.ncols(), self.nrows())`.
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        assert_eq!(
-            out.shape(),
-            (self.cols, self.rows),
-            "transpose buffer shape"
-        );
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-    }
-
-    /// Transposes the matrix in its own allocation: a `rows x cols` matrix
-    /// becomes its `cols x rows` transpose, bitwise equal to
-    /// [`Matrix::transpose`], without a second buffer of cells. The cells
-    /// move along the permutation's cycles; a bitset marks the moved ones.
-    pub fn transpose_in_place(&mut self) {
-        let (rows, cols) = (self.rows, self.cols);
-        if rows > 1 && cols > 1 {
-            // Cell `p` of the row-major original lands at `p·rows mod
-            // (n − 1)`; the first and the last cell stay where they are.
-            let last = rows * cols - 1;
-            let mut moved = vec![0u64; last.div_ceil(64)];
-            for start in 1..last {
-                if moved[start / 64] >> (start % 64) & 1 == 1 {
-                    continue;
-                }
-                let (mut p, mut carry) = (start, self.data[start]);
-                loop {
-                    p = p * rows % last;
-                    std::mem::swap(&mut self.data[p], &mut carry);
-                    moved[p / 64] |= 1 << (p % 64);
-                    if p == start {
-                        break;
-                    }
-                }
-            }
-        }
-        self.rows = cols;
-        self.cols = rows;
-    }
-
     /// Matrix product `self * rhs`: the plain triple loop, each output
     /// cell summed in ascending `k` from zero. No stage runs it on a hot
     /// path; it is the oracle [`crate::kernels::syrk_rows`] is held to.
@@ -593,34 +541,6 @@ mod tests {
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose().shape(), (3, 2));
         assert_eq!(m.transpose()[(2, 1)], 6.0);
-    }
-
-    #[test]
-    fn transpose_into_matches_transpose() {
-        let m = sample();
-        let mut out = Matrix::zeros(3, 2);
-        m.transpose_into(&mut out);
-        assert_eq!(out, m.transpose());
-    }
-
-    #[test]
-    fn transpose_in_place_matches_transpose() {
-        for (rows, cols) in [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7), (100, 214), (64, 3)] {
-            let data = (0..rows * cols).map(|i| i as f64 * 0.5 - 3.0).collect();
-            let m = Matrix::from_vec(rows, cols, data).unwrap();
-            let mut t = m.clone();
-            t.transpose_in_place();
-            assert_eq!(t, m.transpose(), "{rows}x{cols}");
-            t.transpose_in_place();
-            assert_eq!(t, m, "{rows}x{cols} round trip");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "transpose buffer shape")]
-    fn transpose_into_rejects_wrong_shape() {
-        let mut out = Matrix::zeros(2, 2);
-        sample().transpose_into(&mut out);
     }
 
     #[test]

@@ -415,11 +415,12 @@ impl Collector {
         }
     }
 
-    /// Records one SOM epoch's quality telemetry.
-    pub fn record_epoch(&self, record: EpochRecord) {
+    /// Records one training run's sampled SOM epoch quality telemetry, in
+    /// epoch order. Trainers hand over a run's records once, when it ends.
+    pub fn record_epochs(&self, records: &[EpochRecord]) {
         if let Some(inner) = self.0.as_ref() {
             let mut state = inner.state.lock().expect("obs state poisoned");
-            state.epochs.push(record);
+            state.epochs.extend_from_slice(records);
         }
     }
 

@@ -655,12 +655,12 @@ mod tests {
             let _root = c.span("pipeline");
             let _child = c.span("pipeline.som");
             c.add(Counter::BmuSearches, 13);
-            c.record_epoch(EpochRecord {
+            c.record_epochs(&[EpochRecord {
                 epoch: 0,
                 quantization_error: 0.5,
                 topographic_error: 0.1,
                 sigma: 3.0,
-            });
+            }]);
             c.record_merge(0.75);
         }
         c.report().unwrap()

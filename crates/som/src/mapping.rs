@@ -40,8 +40,7 @@ pub fn hit_map(som: &Som, data: &Matrix) -> Result<Matrix, SomError> {
     }
     let grid = som.grid();
     let mut hits = Matrix::zeros(grid.height(), grid.width());
-    for row in data.rows_iter() {
-        let bmu = som.bmu(row)?;
+    for bmu in som.map_rows(data)? {
         let (col, r) = grid.coords(bmu);
         hits[(r, col)] += 1.0;
     }
@@ -63,9 +62,9 @@ pub fn component_plane(som: &Som, component: usize) -> Result<Matrix, SomError> 
     }
     let grid = som.grid();
     let mut plane = Matrix::zeros(grid.height(), grid.width());
-    for unit in 0..grid.len() {
+    for (unit, &w) in som.weights().row(component).iter().enumerate() {
         let (col, row) = grid.coords(unit);
-        plane[(row, col)] = som.weights()[(unit, component)];
+        plane[(row, col)] = w;
     }
     Ok(plane)
 }
@@ -145,7 +144,7 @@ mod tests {
         let plane = component_plane(&som, 1).unwrap();
         for unit in 0..som.grid().len() {
             let (c, r) = som.grid().coords(unit);
-            assert_eq!(plane[(r, c)], som.weights()[(unit, 1)]);
+            assert_eq!(plane[(r, c)], som.weights()[(1, unit)]);
         }
     }
 }

@@ -281,7 +281,7 @@ mod tests {
             assert_eq!(hit.best, som.bmu(data().row(r)).unwrap());
             let (b1, b2) = som.bmu2(data().row(r)).unwrap();
             assert_eq!((hit.best, hit.second), (b1, b2));
-            let d = euclidean(data().row(r), som.weights().row(hit.best)).unwrap();
+            let d = euclidean(data().row(r), &som.weights().col(hit.best)).unwrap();
             assert_eq!(hit.best_distance, d);
         }
     }

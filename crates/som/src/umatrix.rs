@@ -34,12 +34,17 @@ use crate::SomError;
 pub fn u_matrix(som: &Som) -> Result<Matrix, SomError> {
     let grid = som.grid();
     let mut u = Matrix::zeros(grid.height(), grid.width());
+    // One unit's weight vector and one neighbor's, gathered from their
+    // codebook columns.
+    let mut w = vec![0.0; som.dim()];
+    let mut wn = vec![0.0; som.dim()];
     for unit in 0..grid.len() {
+        som.weights().col_into(unit, &mut w);
         let neighbors = grid.neighbors(unit);
         let mut total = 0.0;
         for &n in &neighbors {
-            total += euclidean(som.weights().row(unit), som.weights().row(n))
-                .map_err(SomError::Linalg)?;
+            som.weights().col_into(n, &mut wn);
+            total += euclidean(&w, &wn).map_err(SomError::Linalg)?;
         }
         let (col, row) = grid.coords(unit);
         u[(row, col)] = if neighbors.is_empty() {

@@ -1,13 +1,14 @@
-//! The batched BMU search against its scalar oracle.
+//! The codebook sweep's BMU searches against an independent scalar scan.
 //!
-//! [`Som::bmu_batch`] computes every unit's exact distance with one sweep
-//! over the transposed codebook (`kernels::exact_dists_wt_into`) and scans
-//! that row for the best two units. Its observable results — best unit,
-//! runner-up and the best distance's bits — must equal the per-row scalar scan behind
-//! [`Som::bmu`] and [`Som::bmu2`], which visits every unit in ascending
-//! index order. Training and projection run on that batched search, so
-//! this equality is what keeps trained maps and trace fingerprints equal
-//! to a plain scalar scan.
+//! [`Som::bmu_batch`], [`Som::bmu`] and [`Som::bmu2`] compute every unit's
+//! exact distance with one sweep over the unit-major codebook
+//! (`kernels::exact_dists_wt_into`) and scan that row for the best two
+//! units. Their observable results — best unit, runner-up and the best
+//! distance's bits — must equal the scan written here: each unit's
+//! [`euclidean`] distance to its codebook column, visited in ascending
+//! index order, a unit replacing the best only when strictly closer.
+//! Training and projection run on that sweep, so this equality is what
+//! keeps trained maps and trace fingerprints equal to a plain scalar scan.
 
 use hiermeans_linalg::distance::euclidean;
 use hiermeans_linalg::{parallel, Matrix};
@@ -19,19 +20,42 @@ fn finite_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(rows, cols, data).expect("len matches"))
 }
 
-/// Asserts that every batched hit equals the scalar per-row scan: unit
-/// indices from [`Som::bmu`]/[`Som::bmu2`] and the exact Euclidean distance
-/// to the best unit, bit for bit.
+/// The ascending scalar scan over the codebook's columns: the best and
+/// second-best units with their distances. A unit replaces the best only
+/// when strictly closer, and otherwise the second only when strictly
+/// closer than that.
+fn scalar_best_two(som: &Som, x: &[f64]) -> ((usize, f64), (usize, f64)) {
+    let mut best = (0, f64::INFINITY);
+    let mut second = (0, f64::INFINITY);
+    for u in 0..som.grid().len() {
+        let d = euclidean(x, &som.weights().col(u)).unwrap();
+        if d < best.1 {
+            second = best;
+            best = (u, d);
+        } else if d < second.1 {
+            second = (u, d);
+        }
+    }
+    (best, second)
+}
+
+/// Asserts that every batched hit, and every single-query [`Som::bmu`] and
+/// [`Som::bmu2`], equals the scalar scan: unit indices, and the best
+/// distance bit for bit.
 fn assert_matches_scalar_scan(som: &Som, queries: &Matrix) {
     let hits = som.bmu_batch(queries).unwrap();
     assert_eq!(hits.len(), queries.nrows());
     for (r, hit) in hits.iter().enumerate() {
         let x = queries.row(r);
-        let (best, second) = som.bmu2(x).unwrap();
-        assert_eq!(som.bmu(x).unwrap(), best, "row {r}");
+        let ((best, best_distance), (second, _)) = scalar_best_two(som, x);
         assert_eq!((hit.best, hit.second), (best, second), "row {r}");
-        let exact = euclidean(x, som.weights().row(best)).unwrap();
-        assert_eq!(hit.best_distance.to_bits(), exact.to_bits(), "row {r}");
+        assert_eq!(
+            hit.best_distance.to_bits(),
+            best_distance.to_bits(),
+            "row {r}"
+        );
+        assert_eq!(som.bmu(x).unwrap(), best, "row {r}");
+        assert_eq!(som.bmu2(x).unwrap(), (best, second), "row {r}");
     }
 }
 

@@ -1,9 +1,9 @@
 //! Steady-state training epochs perform zero heap allocations.
 //!
 //! The trainers preallocate their scratch up front (the online trainer its
-//! unit-major codebook and per-step distance rows; the batch trainer its
-//! strip and one `BatchWorker` per worker, each with its row of unit
-//! distances), so on the serial path every allocation happens during setup:
+//! per-step distance rows; the batch trainer its strip and one
+//! `BatchWorker` per worker, each with its row of unit distances), so on
+//! the serial path every allocation happens during setup:
 //! training for more epochs must allocate exactly as much as training for
 //! one. The shared tracking allocator (`hiermeans_obs::memhook`) makes that
 //! a hard test rather than a code-review claim.
@@ -55,21 +55,13 @@ fn allocations_for(mode: TrainingMode, epochs: usize) -> u64 {
     })
 }
 
-fn allocations_for_lanes(mode: TrainingMode, epochs: usize) -> u64 {
+/// Traced training under `config`. Memory telemetry stays off in every
+/// caller: the window measures the trainer, not the telemetry's own span
+/// bookkeeping.
+fn allocations_traced(mode: TrainingMode, epochs: usize, config: ObsConfig) -> u64 {
     let data = sample_data();
     allocations_during(|| {
-        // Lanes on, quality sampling off: the configuration `repro profile`
-        // uses for timing-faithful traces. The lane buffers are sized for
-        // the whole run up front, so the allocation *count* must not depend
-        // on the epoch count even though the buffers themselves scale.
-        // Memory telemetry stays off: this window measures the trainer, not
-        // the telemetry's own span bookkeeping.
-        let collector = Collector::enabled_with(ObsConfig {
-            epoch_quality_stride: 0,
-            lanes: true,
-            memory: false,
-            ..ObsConfig::default()
-        });
+        let collector = Collector::enabled_with(config);
         let som = SomBuilder::new(4, 4)
             .seed(11)
             .epochs(epochs)
@@ -120,18 +112,34 @@ fn steady_state_epochs_allocate_nothing() {
 /// The same guarantee holds with worker-lane recording enabled: per-chunk
 /// interval records land in buffers preallocated for the full run, so an
 /// epoch's lane bookkeeping is clock reads and in-capacity pushes only.
+/// It holds with a quality record every epoch too: each record's searches
+/// run on the trainer's scratch, the records land in a buffer sized for
+/// the run, and the collector receives them once, when training ends.
 #[test]
 fn steady_state_epochs_allocate_nothing_with_lanes_enabled() {
+    // Quality sampling off is the configuration `repro profile` uses for
+    // timing-faithful traces; stride 1 is the default. The lane buffers
+    // are sized for the whole run up front, so the allocation *count* must
+    // not depend on the epoch count even though the buffers themselves
+    // scale.
     parallel::set_worker_override(Some(1));
-    for mode in [TrainingMode::Online, TrainingMode::Batch] {
-        allocations_for_lanes(mode, 1);
-        let one = allocations_for_lanes(mode, 1);
-        let many = allocations_for_lanes(mode, 51);
-        assert_eq!(
-            many, one,
-            "{mode:?} with lanes: 51 epochs allocated {many}, 1 epoch {one} — \
-             lane recording must not allocate in steady state"
-        );
+    for stride in [0, 1] {
+        let config = ObsConfig {
+            epoch_quality_stride: stride,
+            lanes: true,
+            memory: false,
+            ..ObsConfig::default()
+        };
+        for mode in [TrainingMode::Online, TrainingMode::Batch] {
+            allocations_traced(mode, 1, config);
+            let one = allocations_traced(mode, 1, config);
+            let many = allocations_traced(mode, 51, config);
+            assert_eq!(
+                many, one,
+                "{mode:?} with lanes, quality stride {stride}: 51 epochs allocated {many}, \
+                 1 epoch {one} — traced epochs must not allocate in steady state"
+            );
+        }
     }
     parallel::set_worker_override(None);
 }
